@@ -19,13 +19,11 @@ from .config import ExperimentConfig, load_config, parse_config
 from .errors import (BracketFailure, ConditionViolation, ConstructionError,
                      DomainError, LevyInvestError, MonotonicityViolation,
                      ParseError, UnsupportedModel, ValidationError)
-from .levy import (ExtremaPool, ExtremaSample, Family, LevyModel, SamplePath,
-                   default_step, laplace_exponent, path_extrema, sample_extrema,
-                   sample_horizon, sample_path)
+from .levy import (ExtremaPool, Family, LevyModel, default_step, default_t_max,
+                   laplace_exponent, sample_extrema, sample_horizon)
 from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
                      PolicyEvaluation, StoppingRule, compare_policies,
-                     default_t_max, evaluate_profit, foc_residuals,
-                     simulate_policy, stopping_value)
+                     evaluate_profit, foc_residuals, stopping_value)
 from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
                      check_assumptions, cobb_douglas, ces, custom, evaluate,
                      kappa, log_profit, marginal_profit)
@@ -45,9 +43,8 @@ __all__ = [
     "BracketFailure", "MonotonicityViolation", "ConditionViolation",
     "ParseError", "ValidationError",
     # shock models
-    "Family", "LevyModel", "SamplePath", "ExtremaSample", "ExtremaPool",
-    "laplace_exponent", "default_step", "sample_horizon", "sample_path",
-    "path_extrema", "sample_extrema",
+    "Family", "LevyModel", "ExtremaPool", "laplace_exponent", "default_step",
+    "default_t_max", "sample_horizon", "sample_extrema",
     # factorization
     "WienerHopfFactors", "EXACT_RATIONAL", "MONTE_CARLO", "cramer_roots",
     "exact_factors", "sample_triplet", "inf_moment", "inf_moment_with_se",
@@ -64,8 +61,8 @@ __all__ = [
     "log_boundary", "closed_form_boundary_table",
     # policy
     "StoppingRule", "PolicyEvaluation", "ComparisonRow", "ComparisonResult",
-    "FOCEntry", "FOCReport", "simulate_policy", "evaluate_profit",
-    "compare_policies", "foc_residuals", "stopping_value", "default_t_max",
+    "FOCEntry", "FOCReport", "evaluate_profit", "compare_policies",
+    "foc_residuals", "stopping_value",
     # numerics
     "bisect", "expand_bracket_geometric",
     # configuration

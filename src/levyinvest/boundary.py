@@ -157,7 +157,7 @@ def marginal_gap(p: ProfitFunction, factors: WienerHopfFactors, u: float,
 def _solve_point(p: ProfitFunction, factors: WienerHopfFactors, u: float,
                  rel_tol: float = _ROOT_REL_TOL) -> tuple[float, float]:
     k = kappa(p)
-    if k is not None and factors.r <= k:
+    if factors.r <= k:
         # the gap is bounded below by kappa - r >= 0, so there is no root;
         # without this guard, roundoff in the quadrature near the kappa
         # floor can fake a sign change at astronomically large y

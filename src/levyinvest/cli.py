@@ -36,10 +36,10 @@ from .config import ExperimentConfig, load_config
 from .errors import DomainError, LevyInvestError, ValidationError
 from .levy import Family
 from .profit import check_assumptions
-from .policy import compare_policies, evaluate_profit
-from .wiener_hopf import (cramer_roots, exact_factors, inf_moment_with_se,
-                          sample_triplet, sup_moment_diagnostics, sup_moment_with_se,
-                          wh_identity_residual)
+from .policy import _certified_growth, compare_policies, evaluate_profit
+from .wiener_hopf import (_identity_target, cramer_roots, exact_factors,
+                          inf_moment_with_se, sample_triplet, sup_moment_diagnostics,
+                          sup_moment_with_se, wh_identity_residual)
 
 __all__ = ["main"]
 
@@ -120,14 +120,12 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
         points.append({"u0": float(u0), "y": float(table(u0)),
                        "residual": res, "se": se,
                        "ratio": res / se if se > 0 else 0.0})
-    if cfg.profit.kind in ("cobb_douglas", "ces", "log"):
-        closed = closed_form_boundary_table(cfg.profit, factors,
-                                            cfg.u_min, cfg.u_max, cfg.grid_n)
-        rel = np.abs(table.values - closed.values) / closed.values
-        agreement = {"available": True, "provenance": closed.provenance,
-                     "max_rel_err": float(rel.max())}
-    else:
-        agreement = {"available": False}
+    # every config profit kind has a closed form
+    closed = closed_form_boundary_table(cfg.profit, factors,
+                                        cfg.u_min, cfg.u_max, cfg.grid_n)
+    rel = np.abs(table.values - closed.values) / closed.values
+    agreement = {"available": True, "provenance": closed.provenance,
+                 "max_rel_err": float(rel.max())}
     payload = dict(_identity(cfg))
     payload.update({"integral_equation": points, "closed_form_agreement": agreement,
                     "n_paths": cfg.n_paths})
@@ -138,6 +136,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
 def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     rng = np.random.default_rng(cfg.seed)
     model, r = cfg.model, cfg.r
+    _identity_target(model, r)  # fail before any pool is sampled
     if model.family in _EXACT_FAMILIES:
         exact = exact_factors(model, r)
         roots = [float(v) for v in cramer_roots(model, r)]
@@ -175,6 +174,7 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: str, workers: int) -> int:
+    _certified_growth(cfg.profit, cfg.model, cfg.r)  # fail before the table is solved
     rng = np.random.default_rng(cfg.seed)
     _, table = _solve_table(cfg, rng, workers)
     ev = evaluate_profit(cfg.profit, cfg.model, cfg.r, table, cfg.x, cfg.y,
@@ -188,6 +188,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str, workers: int) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig, out: str, workers: int) -> int:
+    _certified_growth(cfg.profit, cfg.model, cfg.r)  # fail before the table is solved
     rng = np.random.default_rng(cfg.seed)
     _, table = _solve_table(cfg, rng, workers)
     result = compare_policies(cfg.profit, cfg.model, cfg.r, table, cfg.x, cfg.y,

@@ -60,14 +60,6 @@ class ExperimentConfig:
     out_dir: str
     config_sha256: str
 
-    @property
-    def effective_step(self) -> float:
-        return self.step if self.step is not None else 1e-3 / self.r
-
-    @property
-    def effective_t_max(self) -> float:
-        return self.t_max if self.t_max is not None else 20.0 / self.r
-
 
 def _require_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):

@@ -1,4 +1,4 @@
-"""Levy demand-shock models and path/extrema sampling.
+"""Levy demand-shock models and the one simulator every estimator shares.
 
 Four families are supported, all with stationary independent increments:
 
@@ -9,12 +9,14 @@ Four families are supported, all with stationary independent increments:
   symmetric_stable  X_t = mu*t + scale * (symmetric alpha-stable), 1 < alpha < 2
 
 The Laplace exponent psi(lam) = log E[exp(lam * X_1)] is closed-form where
-the exponential moment exists.  Path sampling is exact per step for the
-Gaussian part, with finite-activity jumps inserted at their exact arrival
-times so no jump straddles a grid step.  Running extrema at an independent
-exponential horizon can be sampled without discretization bias for the
-diffusive families by drawing each inter-jump segment's maximum and minimum
-from the Brownian-bridge law given the segment endpoints.
+the exponential moment exists.  Every simulation in the package advances
+paths with `_increment`: the Gaussian part is exact per step, the step's
+maximum and minimum come from the Brownian-bridge law given its endpoints,
+compound-Poisson jumps land at the step's right end, and the stable family
+is drawn by Chambers-Mallows-Stuck.  `sample_extrema` steps the diffusive
+families from one exact jump arrival to the next, so its running extrema
+at an independent exponential horizon carry no discretization bias.
+Replicates run in fixed chunks through `_run_chunks`.
 """
 
 from __future__ import annotations
@@ -31,15 +33,12 @@ from .errors import ConstructionError, DomainError
 __all__ = [
     "Family",
     "LevyModel",
-    "SamplePath",
-    "ExtremaSample",
     "ExtremaPool",
     "laplace_exponent",
     "sample_horizon",
-    "sample_path",
-    "path_extrema",
     "sample_extrema",
     "default_step",
+    "default_t_max",
 ]
 
 # Paths are simulated in chunks of this many replicates.  Each chunk draws
@@ -156,17 +155,6 @@ class LevyModel:
     # -- classification -----------------------------------------------------
 
     @property
-    def hits_points(self) -> bool:
-        """Whether the process reaches any fixed point with positive probability.
-
-        True for every constructible model here: the diffusive families carry
-        a Gaussian component, and the stable family with index in (1, 2) is
-        point-recurrent.  The degenerate drift moves continuously, so it too
-        passes through every point on its ray.
-        """
-        return True
-
-    @property
     def is_degenerate(self) -> bool:
         return (self.family is Family.BROWNIAN_DRIFT and self.sigma == 0.0
                 and self.allow_degenerate)
@@ -210,6 +198,11 @@ def default_step(r: float) -> float:
     return 1e-3 / r
 
 
+def default_t_max(r: float) -> float:
+    """Truncation horizon: twenty mean discount horizons (e^{-20} tail order)."""
+    return 20.0 / r
+
+
 def sample_horizon(r: float, rng: np.random.Generator) -> float:
     """One draw of the exponential killing horizon with rate r > 0."""
     if not r > 0:
@@ -217,39 +210,16 @@ def sample_horizon(r: float, rng: np.random.Generator) -> float:
     return float(rng.exponential(1.0 / r))
 
 
-# -- grid paths --------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SamplePath:
-    """One simulated path on a time grid.
-
-    `values[k]` is the right-continuous value at `times[k]`; every jump time
-    of the finite-activity component appears in `times`, so each grid step
-    contains at most the Gaussian movement plus a jump landing at its right
-    endpoint.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    jump_times: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
-class ExtremaSample:
-    """Terminal value and running extrema of one path over [0, horizon]."""
-
-    terminal: float
-    running_max: float
-    running_min: float
-
-
 @dataclass(frozen=True, eq=False)
 class ExtremaPool:
-    """Column-wise pool of extrema samples (one row per replicate)."""
+    """Column-wise pool of (terminal, running max, running min) draws.
+
+    One row per replicate, each at its own Exp(r) horizon T.  For the
+    diffusive families the pairs (X_T, M) and (X_T, I) follow their exact
+    joint laws, but (M, I) does not: each simulated segment draws its bridge
+    maximum and minimum independently given its endpoints (see
+    `sample_extrema`).
+    """
 
     terminal: np.ndarray
     running_max: np.ndarray
@@ -258,26 +228,8 @@ class ExtremaPool:
     def __len__(self) -> int:
         return len(self.terminal)
 
-    def __getitem__(self, k: int) -> ExtremaSample:
-        return ExtremaSample(float(self.terminal[k]), float(self.running_max[k]),
-                             float(self.running_min[k]))
 
-
-def _poisson_arrivals(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Exact jump arrival times in (0, horizon) as cumulative exponential gaps."""
-    if rate <= 0.0:
-        return np.empty(0)
-    gaps = []
-    t = 0.0
-    block = max(8, int(rate * horizon) + 8)
-    while True:
-        draw = rng.exponential(1.0 / rate, size=block)
-        cum = t + np.cumsum(draw)
-        over = np.searchsorted(cum, horizon, side="left")
-        gaps.append(cum[:over])
-        if over < len(cum):
-            return np.concatenate(gaps) if gaps else np.empty(0)
-        t = cum[-1]
+# -- the shared simulator ------------------------------------------------------
 
 
 def _jump_sizes(model: LevyModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -297,154 +249,114 @@ def _stable_standard(alpha: float, n: int, rng: np.random.Generator) -> np.ndarr
             * (np.cos((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha))
 
 
-def sample_path(model: LevyModel, horizon: float, step: float,
-                rng: np.random.Generator) -> SamplePath:
-    """Simulate one path on [0, horizon] with target grid spacing `step`.
+def _jump_sums(model: LevyModel, counts: np.ndarray, rng: np.random.Generator):
+    """Paths with at least one jump, and the sum of their `counts` jump sizes.
 
-    The grid is the regular lattice merged with the exact jump arrival times;
-    the final grid point equals the horizon.  Gaussian increments are exact
-    for each segment; values at jump times include the jump (right limits).
+    All sizes come from one draw, in path order, and are summed per path by
+    a single reduceat over the nonzero counts.
     """
-    if not horizon > 0:
-        raise DomainError(f"horizon must be > 0, got {horizon!r}")
-    if not step > 0:
-        raise DomainError(f"step must be > 0, got {step!r}")
-    n_steps = max(1, math.ceil(horizon / step))
-    grid = np.minimum(np.arange(n_steps + 1, dtype=float) * step, horizon)
-    grid[-1] = horizon
+    hit = np.nonzero(counts)[0]
+    if hit.size == 0:
+        return hit, np.empty(0)
+    k = counts[hit].astype(np.int64)
+    sizes = _jump_sizes(model, int(k.sum()), rng)
+    return hit, np.add.reduceat(sizes, np.cumsum(k) - k)
 
-    if model.family in (Family.MERTON, Family.KOU):
-        jump_times = _poisson_arrivals(model.jump_intensity, horizon, rng)
-    else:
-        jump_times = np.empty(0)
 
-    times = np.union1d(grid, jump_times)
-    dt = np.diff(times)
+def _increment(model: LevyModel, x0: np.ndarray, dt, rng: np.random.Generator, *,
+               counts: np.ndarray | None = None, with_min: bool = False):
+    """Advance every path in x0 by one step of length dt (scalar or per path).
+
+    Returns (x1, step max) or, with `with_min`, (x1, step max, step min).
+    Diffusive families: the Gaussian move is exact, and the step's maximum
+    (then minimum) is drawn from the Brownian-bridge law given the endpoints,
+    one uniform each, so the two are independent given the endpoints.
+    Compound-Poisson jumps then land at the step's right end: counts[k] of
+    them on path k, or Poisson(jump_intensity * dt) when counts is None.
+    Stable family: one Chambers-Mallows-Stuck draw per path; the step's
+    extrema are those of its endpoints, biased inward by O(dt ** (1/alpha)).
+    """
     if model.family is Family.STABLE:
-        inc = (model.mu * dt
-               + model.stable_scale * dt ** (1.0 / model.stable_index)
-               * _stable_standard(model.stable_index, len(dt), rng))
-    else:
-        inc = model.mu * dt + model.sigma * np.sqrt(dt) * rng.standard_normal(len(dt))
-    if len(jump_times):
-        sizes = _jump_sizes(model, len(jump_times), rng)
-        at = np.searchsorted(times, jump_times)
-        np.add.at(inc, at - 1, sizes)  # jump lands at the right endpoint of its segment
-
-    values = np.empty(len(times))
-    values[0] = 0.0
-    np.cumsum(inc, out=values[1:])
-    return SamplePath(times=times, values=values, jump_times=jump_times)
-
-
-def path_extrema(path: SamplePath) -> ExtremaSample:
-    """Terminal value and running max/min over the stored grid values.
-
-    Grid extrema understate the true continuous-time extrema by O(sqrt(step))
-    for diffusive models; `sample_extrema` avoids that bias where it matters.
-    """
-    v = path.values
-    return ExtremaSample(terminal=float(v[-1]), running_max=float(v.max()),
-                         running_min=float(v.min()))
-
-
-# -- exact extrema at an exponential horizon ---------------------------------
-
-
-def _bridge_extrema(x0, x1, var, rng):
-    """Per-segment running max and min of a Brownian segment given endpoints.
-
-    Conditional on the endpoints, max and min each follow the Brownian-bridge
-    law (inverted via one uniform each); they are drawn independently of each
-    other, which preserves both marginals, the pairing with the endpoints,
-    and therefore the law of the running max and of the running min of the
-    whole path.  var = sigma^2 * dt per segment (0 gives the endpoint extrema).
-    """
+        alpha = model.stable_index
+        s = _stable_standard(alpha, len(x0), rng)
+        x1 = x0 + model.mu * dt + model.stable_scale * dt ** (1.0 / alpha) * s
+        hi = np.maximum(x0, x1)
+        return (x1, hi, np.minimum(x0, x1)) if with_min else (x1, hi)
+    z = rng.standard_normal(len(x0))
+    x1 = x0 + model.mu * dt + model.sigma * np.sqrt(dt) * z
     d = x1 - x0
     s = x0 + x1
-    lu1 = np.log1p(-rng.random(len(d)))
-    lu2 = np.log1p(-rng.random(len(d)))
-    seg_max = 0.5 * (s + np.sqrt(d * d - 2.0 * var * lu1))
-    seg_min = 0.5 * (s - np.sqrt(d * d - 2.0 * var * lu2))
-    return seg_max, seg_min
+    var = model.sigma ** 2 * dt
+    hi = 0.5 * (s + np.sqrt(d * d - 2.0 * var * np.log1p(-rng.random(len(d)))))
+    if with_min:
+        lo = 0.5 * (s - np.sqrt(d * d - 2.0 * var * np.log1p(-rng.random(len(d)))))
+    if model.jump_intensity > 0.0:
+        if counts is None:
+            counts = rng.poisson(model.jump_intensity * dt, size=len(x0))
+        hit, sums = _jump_sums(model, counts, rng)
+        x1[hit] += sums
+    hi = np.maximum(hi, x1)
+    return (x1, hi, np.minimum(lo, x1)) if with_min else (x1, hi)
 
 
-def _extrema_chunk_diffusive(model: LevyModel, r: float, n: int,
-                             rng: np.random.Generator):
-    """Exact (terminal, max, min) draws at an Exp(r) horizon; no grid bias.
+def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> list:
+    """[chunk_fn(lo, hi, child rng) for each _CHUNK-sized slice of range(n)].
 
-    Horizon first, then the path: each replicate alternates Brownian segments
-    with jump arrivals until the horizon; segment extrema come from the
-    bridge law, so the result is exact in law for every diffusive family.
+    Every chunk owns one child generator spawned from rng, and the results
+    come back in chunk order, so they never depend on `workers`.  Callers
+    reduce the results after the join; chunks share no mutable state.
+    """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers!r}")
+    n_chunks = (n + _CHUNK - 1) // _CHUNK
+    children = rng.spawn(n_chunks)
+
+    def run(ci: int):
+        lo = ci * _CHUNK
+        return chunk_fn(lo, min(lo + _CHUNK, n), children[ci])
+
+    if workers == 1 or n_chunks == 1:
+        return [run(ci) for ci in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(n_chunks)))
+
+
+# -- extrema at an exponential horizon -----------------------------------------
+
+
+def _extrema_chunk(model: LevyModel, r: float, n: int, step: float,
+                   rng: np.random.Generator):
+    """(terminal, max, min) draws at n Exp(r) horizons.
+
+    Horizon first, then the path.  Diffusive families step from one jump
+    arrival to the next (or to the horizon), so each jump sits at its exact
+    time and the bridge extrema make the draw exact in law.  The stable
+    family steps on a lattice of spacing `step`.
     """
     horizon = rng.exponential(1.0 / r, size=n)
     x = np.zeros(n)
     m = np.zeros(n)
     i = np.zeros(n)
     t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
     q = model.jump_intensity
-    sig2 = model.sigma ** 2
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        k = idx.size
-        gap = rng.exponential(1.0 / q, size=k) if q > 0.0 else np.full(k, np.inf)
-        seg_end = np.minimum(t[idx] + gap, horizon[idx])
-        dt = seg_end - t[idx]
-        z = rng.standard_normal(k)
-        x0 = x[idx]
-        x1 = x0 + model.mu * dt + model.sigma * np.sqrt(dt) * z
-        seg_max, seg_min = _bridge_extrema(x0, x1, sig2 * dt, rng)
-        np.maximum.at(m, idx, seg_max)
-        np.minimum.at(i, idx, seg_min)
-
-        done = seg_end >= horizon[idx]
-        if q > 0.0:
-            jumping = ~done
-            nj = int(jumping.sum())
-            if nj:
-                x1 = x1.copy()
-                x1[jumping] += _jump_sizes(model, nj, rng)
-        x[idx] = x1
-        np.maximum.at(m, idx, x1)
-        np.minimum.at(i, idx, x1)
-        t[idx] = seg_end
-        active[idx[done]] = False
-    return x, m, i
-
-
-def _extrema_chunk_stable(model: LevyModel, r: float, n: int, step: float,
-                          rng: np.random.Generator):
-    """Grid-based (terminal, max, min) draws for the stable family.
-
-    Running extrema over the lattice understate the continuous extrema; the
-    bias vanishes as the step shrinks but is not corrected here (there is no
-    bridge law to invert in closed form).
-    """
-    horizon = rng.exponential(1.0 / r, size=n)
-    x = np.zeros(n)
-    m = np.zeros(n)
-    i = np.zeros(n)
-    t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    alpha = model.stable_index
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        k = idx.size
-        remaining = horizon[idx] - t[idx]
-        final = remaining <= step
-        dt = np.where(final, remaining, step)
-        s = _stable_standard(alpha, k, rng)
-        x1 = x[idx] + model.mu * dt + model.stable_scale * dt ** (1.0 / alpha) * s
-        x[idx] = x1
-        np.maximum.at(m, idx, x1)
-        np.minimum.at(i, idx, x1)
-        t[idx] = np.where(final, horizon[idx], t[idx] + step)
-        active[idx[final]] = False
+    idx = np.arange(n)
+    while idx.size:
+        t0, end = t[idx], horizon[idx]
+        if model.family is Family.STABLE:
+            remaining = end - t0
+            done = remaining <= step
+            dt = np.where(done, remaining, step)
+            t[idx] = np.where(done, end, t0 + step)
+        else:
+            gap = rng.exponential(1.0 / q, size=idx.size) if q > 0.0 else np.inf
+            seg_end = np.minimum(t0 + gap, end)
+            dt, done = seg_end - t0, seg_end >= end
+            t[idx] = seg_end
+        # a path that has not reached its horizon stopped at a jump arrival
+        x[idx], hi, lo = _increment(model, x[idx], dt, rng, counts=~done, with_min=True)
+        np.maximum.at(m, idx, hi)
+        np.minimum.at(i, idx, lo)
+        idx = idx[~done]
     return x, m, i
 
 
@@ -452,40 +364,23 @@ def sample_extrema(model: LevyModel, r: float, n: int, rng: np.random.Generator,
                    *, step: float | None = None, workers: int = 1) -> ExtremaPool:
     """n independent (terminal, running max, running min) draws at Exp(r) horizons.
 
-    Exact in law for brownian_drift, merton, and kou (bridge-sampled segment
-    extrema); grid-based with spacing `step` (default 1e-3/r) for
-    symmetric_stable.  Replicates are generated in fixed-size chunks, each
-    chunk from its own spawned substream, so results depend only on `rng`'s
-    seed and `n`, never on `workers`.
+    For brownian_drift, merton and kou the paths run from one exact jump
+    arrival to the next, with each segment's extrema drawn from the
+    Brownian-bridge law, so the joint laws of (X_T, M) and of (X_T, I) are
+    exact.  The bridge maximum and minimum of a segment are drawn
+    independently given its endpoints, so the joint law of (M, I) is not.
+    symmetric_stable steps on a lattice of spacing `step` (default 1e-3/r),
+    whose extrema understate the continuous ones.  Replicates are generated
+    in fixed-size chunks, each chunk from its own spawned substream, so
+    results depend only on `rng`'s seed and `n`, never on `workers`.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")
     if n <= 0:
         raise DomainError(f"sample size must be > 0, got {n!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
     if step is None:
         step = default_step(r)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    children = rng.spawn(n_chunks)
-    x = np.empty(n)
-    m = np.empty(n)
-    i = np.empty(n)
-
-    def run(ci: int) -> None:
-        lo = ci * _CHUNK
-        hi = min(lo + _CHUNK, n)
-        sub = children[ci]
-        if model.family is Family.STABLE:
-            xc, mc, ic = _extrema_chunk_stable(model, r, hi - lo, step, sub)
-        else:
-            xc, mc, ic = _extrema_chunk_diffusive(model, r, hi - lo, sub)
-        x[lo:hi], m[lo:hi], i[lo:hi] = xc, mc, ic
-
-    if workers == 1 or n_chunks == 1:
-        for ci in range(n_chunks):
-            run(ci)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_chunks)))
+    parts = _run_chunks(n, rng, workers,
+                        lambda lo, hi, sub: _extrema_chunk(model, r, hi - lo, step, sub))
+    x, m, i = (np.concatenate(col) for col in zip(*parts))
     return ExtremaPool(terminal=x, running_max=m, running_min=i)

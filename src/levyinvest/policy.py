@@ -22,25 +22,25 @@ pass per replicate.
 
 All estimators reuse common random numbers across policy scales and run in
 fixed-size replicate chunks with spawned substreams, so results depend only
-on the seed, never on the worker count.  For the diffusive families the
-running supremum feeding the policy is sampled exactly via Brownian-bridge
-segment maxima, which removes the O(sqrt(step)) reflection bias a plain
-grid supremum would carry.
+on the seed, never on the worker count.  Paths advance one grid step at a
+time through levy's shared increment: for the diffusive families the running
+supremum feeding the policy takes each step's Brownian-bridge maximum, which
+removes the O(sqrt(step)) reflection bias a plain grid supremum would carry;
+compound-Poisson jumps are binned to the right end of their step.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BoundaryTable, ExtrapolationWarning
 from .errors import ConditionViolation, DomainError
-from .levy import Family, LevyModel, SamplePath, _jump_sizes, _stable_standard, laplace_exponent
-from .profit import ProfitFunction, evaluate, marginal_profit
+from .levy import LevyModel, _increment, _run_chunks, default_step, default_t_max
+from .profit import ProfitFunction, _growth_exponent, evaluate, marginal_profit
 
 __all__ = [
     "StoppingRule",
@@ -49,41 +49,11 @@ __all__ = [
     "ComparisonResult",
     "FOCEntry",
     "FOCReport",
-    "simulate_policy",
     "evaluate_profit",
     "compare_policies",
     "foc_residuals",
     "stopping_value",
-    "default_t_max",
 ]
-
-_CHUNK = 16384
-
-
-def default_t_max(r: float) -> float:
-    """Truncation horizon: twenty mean discount horizons (e^{-20} tail order)."""
-    return 20.0 / r
-
-
-# -- policy from a single stored path ----------------------------------------
-
-
-def simulate_policy(b, x: float, y: float, path: SamplePath) -> np.ndarray:
-    """Capacity trajectory on the path's grid under boundary b.
-
-    C[0] = y; C[k] = max(y, max over j < k of b(x + path.values[j])), the
-    grid version of the left-open running-supremum policy.  Nondecreasing by
-    construction.
-    """
-    if not y > 0:
-        raise DomainError(f"initial capacity must be > 0, got {y!r}")
-    levels = np.asarray(b(x + path.values), dtype=float)
-    c = np.empty(len(levels))
-    c[0] = y
-    if len(levels) > 1:
-        np.maximum.accumulate(levels[:-1], out=levels[:-1])
-        np.maximum(levels[:-1], y, out=c[1:])
-    return c
 
 
 # -- result records -----------------------------------------------------------
@@ -207,92 +177,33 @@ class FOCReport:
 # -- growth certificate --------------------------------------------------------
 
 
-def _growth_exponent(p: ProfitFunction, model: LevyModel, r: float) -> float:
+def _certified_growth(p: ProfitFunction, model: LevyModel, r: float) -> float:
     """Certified exponential growth rate of the discounted integrands.
 
     Raises ConditionViolation when the needed exponential moment is missing
     (e.g. the stable family) or when it reaches the discount rate, in which
     case the truncated estimate has no decaying tail bound.
     """
-    if p.kind == "cobb_douglas":
-        lams = (p.alpha / (1.0 - p.beta), p.alpha + p.beta)
-    elif p.kind in ("ces", "log"):
-        lams = (1.0,)
-    else:
+    try:
+        worst = _growth_exponent(p, model)
+    except DomainError as exc:
+        raise ConditionViolation(f"tail bound cannot be certified: {exc}") from exc
+    if worst is None:
         raise ConditionViolation(
             "custom profit has no closed-form growth certificate; the truncation "
             "tail bound cannot be certified")
-    worst = 0.0
-    for lam in lams:
-        try:
-            worst = max(worst, laplace_exponent(model, lam))
-        except DomainError as exc:
-            raise ConditionViolation(
-                f"tail bound cannot be certified: {exc}") from exc
     if worst >= r:
         raise ConditionViolation(
             f"tail bound cannot be certified: growth exponent {worst!r} >= r={r!r}")
     return worst
 
 
-# -- shared path stepper --------------------------------------------------------
-
-
-class _Stepper:
-    """Advances a chunk of shock paths one grid step at a time.
-
-    Tracks the terminal values and hands back the per-step running-supremum
-    candidate: the bridge-sampled segment maximum for diffusive families
-    (exact in law given the endpoints; compound-Poisson jumps are binned at
-    the right endpoint of their step), or the endpoint maximum for the
-    stable family (grid supremum, biased low by O(sqrt(step))).
-    """
-
-    def __init__(self, model: LevyModel, n: int, h: float):
-        self.model = model
-        self.n = n
-        self.h = h
-        self.x_vals = np.zeros(n)
-        self.is_stable = model.family is Family.STABLE
-        self.has_jumps = model.jump_intensity > 0.0
-        self.sig_sqrt_h = model.sigma * math.sqrt(h)
-        self.two_var = 2.0 * model.sigma ** 2 * h
-        self.drift = model.mu * h
-
-    def advance(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One step; returns (new values, segment maxima) over the step."""
-        x0 = self.x_vals
-        if self.is_stable:
-            m = self.model
-            inc = (self.drift + m.stable_scale * self.h ** (1.0 / m.stable_index)
-                   * _stable_standard(m.stable_index, self.n, rng))
-            x1 = x0 + inc
-            seg_max = np.maximum(x0, x1)
-            self.x_vals = x1
-            return x1, seg_max
-        gauss = self.drift + self.sig_sqrt_h * rng.standard_normal(self.n)
-        x1 = x0 + gauss
-        lu = np.log1p(-rng.random(self.n))
-        seg_max = 0.5 * (x0 + x1 + np.sqrt(gauss * gauss - self.two_var * lu))
-        if self.has_jumps:
-            m = self.model
-            counts = rng.poisson(m.jump_intensity * self.h, size=self.n)
-            if m.family is Family.MERTON:
-                # a sum of k Gaussian jumps is Gaussian with scaled moments
-                tot = rng.normal(counts * m.jump_mean, np.sqrt(counts) * m.jump_sd)
-                x1 = x1 + np.where(counts > 0, tot, 0.0)
-            else:
-                x1 = x1.copy()
-                for i in np.nonzero(counts)[0]:
-                    x1[i] += _jump_sizes(m, int(counts[i]), rng).sum()
-            seg_max = np.maximum(seg_max, x1)
-        self.x_vals = x1
-        return x1, seg_max
+# -- shared engine plumbing -----------------------------------------------------
 
 
 def _resolve_grid(r: float, step, t_max) -> tuple[float, float, int]:
     if step is None:
-        step = 1e-3 / r
+        step = default_step(r)
     if t_max is None:
         t_max = default_t_max(r)
     if not step > 0:
@@ -303,31 +214,16 @@ def _resolve_grid(r: float, step, t_max) -> tuple[float, float, int]:
     return float(step), n_steps * float(step), n_steps
 
 
-def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> None:
+def _run_engine(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> list:
     if n < 1_000:
         raise DomainError(f"need at least 1000 replicates, got {n!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    children = rng.spawn(n_chunks)
-
-    def run(ci: int) -> None:
-        lo = ci * _CHUNK
-        hi = min(lo + _CHUNK, n)
-        chunk_fn(lo, hi, children[ci])
-
     # tables are extrapolated by design inside the engines; coverage is
     # reported once by the caller instead of once per step, and the filter is
     # installed before any worker thread starts (catch_warnings touches
     # process-global state, so it must not run inside the pool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationWarning)
-        if workers == 1 or n_chunks == 1:
-            for ci in range(n_chunks):
-                run(ci)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, range(n_chunks)))
+        return _run_chunks(n, rng, workers, chunk_fn)
 
 
 def _warn_if_extrapolated(b, lo: float, hi: float) -> None:
@@ -344,24 +240,20 @@ def _warn_if_extrapolated(b, lo: float, hi: float) -> None:
 def _j_engine(p, model, r, b, x, y, scales, n, rng, step, t_max, workers):
     h, t_max, n_steps = _resolve_grid(r, step, t_max)
     k_scales = len(scales)
-    j_out = np.zeros((k_scales, n))
-    pv_out = np.zeros((k_scales, n))
     disc = np.exp(-r * h * np.arange(n_steps + 1))
     pi0 = float(np.asarray(evaluate(p, math.exp(x), y), dtype=float))
-    arg_hi = np.full(1, -np.inf)  # extrapolation bookkeeping (max over chunks)
 
-    def chunk(lo: int, hi: int, sub: np.random.Generator) -> None:
+    def chunk(lo: int, hi: int, sub: np.random.Generator):
         m = hi - lo
-        stepper = _Stepper(model, m, h)
+        x_new = np.zeros(m)
         w_run = np.full(m, x)
         c_prev = np.full((k_scales, m), float(y))
         j_acc = np.zeros((k_scales, m))
         pv_acc = np.zeros((k_scales, m))
         j_acc += 0.5 * h * disc[0] * pi0  # C_0 = y exactly; empty pre-0 supremum
         for step_idx in range(1, n_steps + 1):
-            x_new, seg_max = stepper.advance(sub)
-            np.maximum(w_run, x + seg_max, out=w_run)
-            np.maximum(w_run, x + x_new, out=w_run)
+            x_new, step_max = _increment(model, x_new, h, sub)
+            np.maximum(w_run, x + step_max, out=w_run)
             z = np.exp(x + x_new)
             b_w = np.asarray(b(w_run), dtype=float)
             w_j = h if step_idx < n_steps else 0.5 * h
@@ -372,13 +264,11 @@ def _j_engine(p, model, r, b, x, y, scales, n, rng, step, t_max, workers):
                 j_acc[k] += w_j * d_j * np.asarray(evaluate(p, z, c_k), dtype=float)
                 pv_acc[k] += d_left * (c_k - c_prev[k])
                 c_prev[k] = c_k
-        j_out[:, lo:hi] = j_acc - pv_acc
-        pv_out[:, lo:hi] = pv_acc
-        arg_hi[0] = max(arg_hi[0], float(w_run.max()))
+        return j_acc - pv_acc, pv_acc, float(w_run.max())
 
-    _run_chunks(n, rng, workers, chunk)
-    _warn_if_extrapolated(b, x, float(arg_hi[0]))
-    return j_out, pv_out, h, t_max
+    j_parts, pv_parts, w_max = zip(*_run_engine(n, rng, workers, chunk))
+    _warn_if_extrapolated(b, x, max(w_max))
+    return np.concatenate(j_parts, axis=1), np.concatenate(pv_parts, axis=1), h, t_max
 
 
 def evaluate_profit(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -394,7 +284,7 @@ def evaluate_profit(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     """
     if not y > 0:
         raise DomainError(f"initial capacity must be > 0, got {y!r}")
-    growth = _growth_exponent(p, model, r)
+    growth = _certified_growth(p, model, r)
     j_rows, pv_rows, h, t_eff = _j_engine(p, model, r, b, x, y, (1.0,), n_paths,
                                           rng, step, t_max, workers)
     j, pv = j_rows[0], pv_rows[0]
@@ -425,7 +315,7 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
         raise DomainError("policy scales must be > 0")
     if 1.0 not in scales:
         scales = [1.0] + scales
-    growth = _growth_exponent(p, model, r)
+    growth = _certified_growth(p, model, r)
     j_rows, pv_rows, h, t_eff = _j_engine(p, model, r, b, x, y, tuple(scales),
                                           n_paths, rng, step, t_max, workers)
     base = j_rows[scales.index(1.0)]
@@ -467,7 +357,7 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     rules = tuple(rules)
     if not rules:
         raise DomainError("need at least one stopping rule")
-    _growth_exponent(p, model, r)
+    _certified_growth(p, model, r)
     h, t_eff, n_steps = _resolve_grid(r, step, t_max)
     n_rules = len(rules)
     fixed_idx = np.array([int(round(rule.at / h)) if rule.kind == "fixed" else -1
@@ -476,15 +366,11 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
         raise DomainError("fixed stopping times must lie within the truncation horizon")
     disc = np.exp(-r * h * np.arange(n_steps + 1))
 
-    supergrad = np.zeros((n_rules, n_paths))
-    hit_all = np.zeros((n_rules, n_paths), dtype=bool)
-    slackness = np.zeros(n_paths)
-    arg_hi = np.full(1, -np.inf)
     pi_c0 = float(np.asarray(marginal_profit(p, math.exp(x), y), dtype=float))
 
-    def chunk(lo: int, hi: int, sub: np.random.Generator) -> None:
+    def chunk(lo: int, hi: int, sub: np.random.Generator):
         m = hi - lo
-        stepper = _Stepper(model, m, h)
+        x_new = np.zeros(m)
         w_run = np.full(m, x)
         f_prev = np.full(m, disc[0] * pi_c0)
         p_prev = np.zeros(m)          # plain left sum of h * f before current index
@@ -498,26 +384,27 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
         f_rec = np.zeros((n_rules, m))
         d_rec = np.zeros((n_rules, m))
 
-        def record(rk: int, newly: np.ndarray, p_now, f_now, d_now) -> None:
-            if newly.any():
-                p_rec[rk][newly] = p_now[newly] if isinstance(p_now, np.ndarray) else p_now
-                f_rec[rk][newly] = f_now[newly] if isinstance(f_now, np.ndarray) else f_now
-                d_rec[rk][newly] = d_now
-                hit[rk][newly] = True
+        def record_stops(step_idx: int, p_now, f_now) -> None:
+            # paths whose rule first triggers at this grid index, where the
+            # shock is x_new and the suffix sums stand at p_now, f_now
+            for rk, rule in enumerate(rules):
+                if rule.kind == "fixed":
+                    stops = fixed_idx[rk] == step_idx
+                elif rule.kind == "hit_above":
+                    stops = x_new >= rule.at
+                else:
+                    stops = x_new <= rule.at
+                newly = ~hit[rk] & stops
+                if newly.any():
+                    p_rec[rk][newly] = p_now[newly]
+                    f_rec[rk][newly] = f_now[newly]
+                    d_rec[rk][newly] = disc[step_idx]
+                    hit[rk][newly] = True
 
-        # index 0: X = 0, C = y
-        for rk, rule in enumerate(rules):
-            if rule.kind == "fixed" and fixed_idx[rk] == 0:
-                record(rk, np.ones(m, dtype=bool), p_prev, f_prev, disc[0])
-            elif rule.kind == "hit_above" and 0.0 >= rule.at:
-                record(rk, np.ones(m, dtype=bool), p_prev, f_prev, disc[0])
-            elif rule.kind == "hit_below" and 0.0 <= rule.at:
-                record(rk, np.ones(m, dtype=bool), p_prev, f_prev, disc[0])
-
+        record_stops(0, p_prev, f_prev)  # index 0: X = 0, C = y
         for step_idx in range(1, n_steps + 1):
-            x_new, seg_max = stepper.advance(sub)
-            np.maximum(w_run, x + seg_max, out=w_run)
-            np.maximum(w_run, x + x_new, out=w_run)
+            x_new, step_max = _increment(model, x_new, h, sub)
+            np.maximum(w_run, x + step_max, out=w_run)
             z = np.exp(x + x_new)
             c_new = np.maximum(y, np.asarray(b(w_run), dtype=float))
             f_new = disc[step_idx] * np.asarray(marginal_profit(p, z, c_new), dtype=float)
@@ -527,31 +414,22 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
             slack_a += (p_prev + 0.5 * h * f_prev) * dc
             slack_pv += disc[step_idx - 1] * dc
             dc_tot += dc
-            for rk, rule in enumerate(rules):
-                if rule.kind == "fixed":
-                    if fixed_idx[rk] == step_idx:
-                        record(rk, ~hit[rk], p_new, f_new, disc[step_idx])
-                elif rule.kind == "hit_above":
-                    record(rk, (~hit[rk]) & (x_new >= rule.at), p_new, f_new,
-                           disc[step_idx])
-                else:
-                    record(rk, (~hit[rk]) & (x_new <= rule.at), p_new, f_new,
-                           disc[step_idx])
+            record_stops(step_idx, p_new, f_new)
             f_prev, p_prev, c_cur = f_new, p_new, c_new
         total_f += h * f_prev  # last index
         f_last = f_prev
 
         # suffix trapezoid from index j: T_j = total - P_j - h/2 (f_j + f_last)
         slack1 = total_f * dc_tot - slack_a - 0.5 * h * f_last * dc_tot
-        slackness[lo:hi] = slack1 - slack_pv
-        for rk in range(n_rules):
-            t_tau = total_f - p_rec[rk] - 0.5 * h * (f_rec[rk] + f_last)
-            supergrad[rk, lo:hi] = np.where(hit[rk], t_tau - d_rec[rk], 0.0)
-        hit_all[:, lo:hi] = hit
-        arg_hi[0] = max(arg_hi[0], float(w_run.max()))
+        t_tau = total_f - p_rec - 0.5 * h * (f_rec + f_last)
+        supergrad = np.where(hit, t_tau - d_rec, 0.0)
+        return slack1 - slack_pv, supergrad, hit, float(w_run.max())
 
-    _run_chunks(n_paths, rng, workers, chunk)
-    _warn_if_extrapolated(b, x, float(arg_hi[0]))
+    slack_parts, sg_parts, hit_parts, w_max = zip(*_run_engine(n_paths, rng, workers, chunk))
+    _warn_if_extrapolated(b, x, max(w_max))
+    slackness = np.concatenate(slack_parts)
+    supergrad = np.concatenate(sg_parts, axis=1)
+    hit_all = np.concatenate(hit_parts, axis=1)
     root_n = math.sqrt(n_paths)
     entries = tuple(
         FOCEntry(rule=rule,
@@ -587,19 +465,20 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     if b_at_start >= y:
         return 1.0, 0.0
     disc = np.exp(-r * h * np.arange(n_steps + 1))
-    values = np.empty(n_paths)
-    arg_lo = np.full(1, np.inf)
-    arg_hi = np.full(1, -np.inf)
     pi_c0 = float(np.asarray(marginal_profit(p, math.exp(x), y), dtype=float))
 
-    def chunk(lo: int, hi: int, sub: np.random.Generator) -> None:
+    def chunk(lo: int, hi: int, sub: np.random.Generator):
         m = hi - lo
-        stepper = _Stepper(model, m, h)
+        x_new = np.zeros(m)
+        x_lo = np.zeros(m)   # range of the shock, i.e. of b's arguments
+        x_hi = np.zeros(m)
         v = np.zeros(m)
         active = np.ones(m, dtype=bool)
         g_prev = np.full(m, disc[0] * pi_c0)
         for step_idx in range(1, n_steps + 1):
-            x_new, _ = stepper.advance(sub)
+            x_new, _ = _increment(model, x_new, h, sub)
+            np.minimum(x_lo, x_new, out=x_lo)
+            np.maximum(x_hi, x_new, out=x_hi)
             z = np.exp(x + x_new)
             g_new = disc[step_idx] * np.asarray(marginal_profit(p, z, y), dtype=float)
             v[active] += 0.5 * h * (g_prev + g_new)[active]
@@ -607,11 +486,10 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
             v[newly] += disc[step_idx]
             active &= ~newly
             g_prev = g_new
-        values[lo:hi] = v
-        arg_lo[0] = min(arg_lo[0], x + float(stepper.x_vals.min()))
-        arg_hi[0] = max(arg_hi[0], x + float(stepper.x_vals.max()))
+        return v, x + float(x_lo.min()), x + float(x_hi.max())
 
-    _run_chunks(n_paths, rng, workers, chunk)
-    _warn_if_extrapolated(b, float(arg_lo[0]), float(arg_hi[0]))
+    parts, arg_lo, arg_hi = zip(*_run_engine(n_paths, rng, workers, chunk))
+    _warn_if_extrapolated(b, min(arg_lo), max(arg_hi))
+    values = np.concatenate(parts)
     return (float(values.mean()),
             float(values.std(ddof=1) / math.sqrt(n_paths)))

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .levy import Family, LevyModel, laplace_exponent, _jump_sizes, _stable_standard
+from .levy import LevyModel, _increment, laplace_exponent
 
 __all__ = [
     "ProfitFunction",
@@ -172,31 +172,42 @@ class AssumptionReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+def _growth_exponent(p: ProfitFunction, model: LevyModel) -> float | None:
+    """Exponential growth rate of pi(e^X, c) along the shock: max(0, psi(lam)).
+
+    lam runs over alpha/(1-beta) and alpha+beta for cobb_douglas, and is 1
+    for ces and log.  None for custom profits, which have no closed form.
+    DomainError when a needed exponential moment does not exist (stable
+    family, or a kou rate beyond its jump decay).
+    """
+    if p.kind == "cobb_douglas":
+        exponents = (p.alpha / (1.0 - p.beta), p.alpha + p.beta)
+    elif p.kind in ("ces", "log"):
+        exponents = (1.0,)
+    else:
+        return None
+    return max(0.0, *(laplace_exponent(model, lam) for lam in exponents))
+
+
 def _moment_condition(p: ProfitFunction, model: LevyModel, r: float) -> AssumptionCheck:
     """The exponential moments the discounted problem needs, family-allowing.
 
-    cobb_douglas: r > max(0, psi(alpha/(1-beta)), psi(alpha+beta)); ces and
-    log: r > psi(1).  A missing moment (stable family, or a kou rate beyond
-    its jump decay) fails the check outright.
+    r must exceed the growth exponent; a missing moment fails the check
+    outright.
     """
     name = "moment_condition"
-    if p.kind == "custom":
+    try:
+        worst = _growth_exponent(p, model)
+    except DomainError as exc:
+        return AssumptionCheck(
+            name, False, "fail",
+            f"a needed exponential moment does not exist for family "
+            f"{model.family.value} ({exc}); discounted profit integrals cannot be "
+            f"certified")
+    if worst is None:
         return AssumptionCheck(name, True, "warn",
                                "custom profit: no closed-form moment condition; verify "
                                "discounted integrability externally")
-    if p.kind == "cobb_douglas":
-        exponents = (p.alpha / (1.0 - p.beta), p.alpha + p.beta)
-    else:
-        exponents = (1.0,)
-    worst = 0.0
-    for lam in exponents:
-        try:
-            worst = max(worst, laplace_exponent(model, lam))
-        except DomainError:
-            return AssumptionCheck(
-                name, False, "fail",
-                f"exponential moment psi({lam!r}) does not exist for family "
-                f"{model.family.value}; discounted profit integrals cannot be certified")
     if r > worst:
         return AssumptionCheck(name, True, "fail",
                                f"r > max growth exponent holds: r={r!r} > {worst!r}")
@@ -258,18 +269,8 @@ def _integrability_spot_check(p: ProfitFunction, model: LevyModel, r: float,
     x = np.zeros(n)
     total = np.zeros(n)
     tail = np.zeros(n)
-    ok = True
     for j in range(1, steps + 1):
-        if model.family is Family.STABLE:
-            inc = (model.mu * h + model.stable_scale * h ** (1.0 / model.stable_index)
-                   * _stable_standard(model.stable_index, n, rng))
-        else:
-            inc = model.mu * h + model.sigma * math.sqrt(h) * rng.standard_normal(n)
-            if model.jump_intensity > 0.0:
-                counts = rng.poisson(model.jump_intensity * h, size=n)
-                for i in np.nonzero(counts)[0]:
-                    inc[i] += _jump_sizes(model, int(counts[i]), rng).sum()
-        x += inc
+        x, _ = _increment(model, x, h, rng)
         term = math.exp(-r * j * h) * np.asarray(evaluate(p, np.exp(x), 1.0), dtype=float) * h
         total += term
         if j > steps * 3 // 4:

@@ -236,6 +236,16 @@ def sup_moment_diagnostics(factors: WienerHopfFactors, lam: float) -> dict:
     }
 
 
+def _identity_target(model: LevyModel, r: float) -> float:
+    """r / (r - psi(1)); DomainError if psi(1) does not exist or r <= psi(1)."""
+    psi1 = laplace_exponent(model, 1.0)
+    if r <= psi1:
+        raise DomainError(
+            f"identity needs r > psi(1); got r={r!r}, psi(1)={psi1!r}"
+        )
+    return r / (r - psi1)
+
+
 def wh_identity_residual(model: LevyModel, r: float, n: int,
                          rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo check of E[e^M] * E[e^I] = r / (r - psi(1)).
@@ -243,14 +253,12 @@ def wh_identity_residual(model: LevyModel, r: float, n: int,
     Draws n extrema samples, forms the product of the two sample means, and
     returns (product - target, propagated standard error).  The propagation
     keeps the covariance between the two means since both come from the same
-    replicates.  DomainError if psi(1) does not exist or r <= psi(1).
+    replicates; that covariance inherits the pool's approximate joint law of
+    (M, I), whose per-segment bridge maximum and minimum are drawn
+    independently (see levy.sample_extrema).  DomainError if psi(1) does not
+    exist or r <= psi(1).
     """
-    psi1 = laplace_exponent(model, 1.0)
-    if r <= psi1:
-        raise DomainError(
-            f"identity needs r > psi(1); got r={r!r}, psi(1)={psi1!r}"
-        )
-    target = r / (r - psi1)
+    target = _identity_target(model, r)
     pool = sample_extrema(model, r, n, rng)
     a = np.exp(pool.running_max)
     b = np.exp(pool.running_min)

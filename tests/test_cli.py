@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+import levyinvest.boundary
+import levyinvest.cli
+import levyinvest.levy
+import levyinvest.wiener_hopf
 from levyinvest.cli import main
 
 FAST_CONFIG = {
@@ -142,6 +146,32 @@ class TestErrorHandling:
         assert rc == 1
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] in ("BracketFailure", "DomainError")
+
+    @pytest.mark.parametrize("command, error_type", [
+        ("simulate", "ConditionViolation"), ("compare", "ConditionViolation"),
+        ("wh-check", "DomainError")])
+    def test_infeasible_input_rejected_before_work(self, command, error_type,
+                                                   tmp_path, capsys, monkeypatch):
+        # the stable family has no exponential moments: no growth certificate
+        # for the policy engines and no psi(1) for the factorization identity
+        doc = dict(FAST_CONFIG,
+                   model={"family": "symmetric_stable", "mu": 0.0,
+                          "stable_index": 1.5, "stable_scale": 0.5})
+        path = tmp_path / "stable.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def expensive(*args, **kwargs):
+            raise AssertionError("expensive work started before the feasibility check")
+
+        for module in (levyinvest.cli, levyinvest.boundary):
+            monkeypatch.setattr(module, "solve_boundary_grid", expensive)
+        for module in (levyinvest.levy, levyinvest.wiener_hopf, levyinvest.boundary):
+            monkeypatch.setattr(module, "sample_extrema", expensive)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == error_type
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

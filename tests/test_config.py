@@ -4,7 +4,7 @@ import pytest
 
 from levyinvest.config import load_config, parse_config
 from levyinvest.errors import ParseError, ValidationError
-from levyinvest.levy import Family
+from levyinvest.levy import Family, default_step, default_t_max
 
 MINIMAL = {
     "model": {"family": "brownian_drift", "mu": 0.0, "sigma": 1.0},
@@ -23,8 +23,8 @@ class TestDefaults:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(cfg_text())
         assert cfg.seed == 0
-        assert cfg.step is None and cfg.effective_step == pytest.approx(1e-3 / 2.0)
-        assert cfg.t_max is None and cfg.effective_t_max == pytest.approx(10.0)
+        assert cfg.step is None and default_step(cfg.r) == pytest.approx(1e-3 / 2.0)
+        assert cfg.t_max is None and default_t_max(cfg.r) == pytest.approx(10.0)
         assert cfg.u_min == -2.0 and cfg.u_max == 2.0 and cfg.grid_n == 41
         assert cfg.x == 0.0 and cfg.y == 1.0
         assert cfg.scales == (0.5, 0.8, 1.0, 1.25, 2.0)

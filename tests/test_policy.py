@@ -1,12 +1,14 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from levyinvest.boundary import closed_form_boundary_table
+from levyinvest.boundary import ExtrapolationWarning, closed_form_boundary_table
 from levyinvest.errors import ConditionViolation, DomainError
-from levyinvest.levy import LevyModel, SamplePath, laplace_exponent
-from levyinvest.policy import (StoppingRule, compare_policies, default_t_max,
-                               evaluate_profit, foc_residuals, simulate_policy,
-                               stopping_value)
+from levyinvest.levy import LevyModel, default_t_max, laplace_exponent
+from levyinvest.policy import (StoppingRule, compare_policies, evaluate_profit,
+                               foc_residuals, stopping_value)
 from levyinvest.profit import cobb_douglas, custom
 from levyinvest.wiener_hopf import exact_factors
 
@@ -18,37 +20,6 @@ STABLE = LevyModel.stable(0.0, 1.5, 0.5)
 N = 4096
 H = 0.02
 TM = 2.0
-
-
-def make_path(values, dt=1.0):
-    values = np.asarray(values, dtype=float)
-    times = dt * np.arange(len(values))
-    return SamplePath(times=times, values=values, jump_times=np.array([]))
-
-
-class TestSimulatePolicy:
-    def test_left_open_running_supremum(self):
-        path = make_path([0.0, 0.5, -0.2, 1.0])
-        c = simulate_policy(lambda u: np.exp(u), 0.0, 1.2, path)
-        assert c[0] == 1.2
-        assert c[1] == pytest.approx(max(1.2, 1.0))
-        assert c[2] == pytest.approx(max(1.2, np.exp(0.5)))
-        assert c[3] == pytest.approx(max(1.2, np.exp(0.5)))
-
-    def test_high_start_never_invests(self):
-        path = make_path([0.0, 0.1, 0.2])
-        c = simulate_policy(lambda u: np.exp(u), 0.0, 50.0, path)
-        assert (c == 50.0).all()
-
-    def test_nondecreasing(self):
-        rng = np.random.default_rng(0)
-        path = make_path(np.cumsum(rng.normal(size=200)) * 0.1, dt=0.01)
-        c = simulate_policy(TABLE, 0.0, 0.01, path)
-        assert (np.diff(c) >= 0).all()
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(DomainError):
-            simulate_policy(TABLE, 0.0, 0.0, make_path([0.0, 1.0]))
 
 
 class TestStoppingRule:
@@ -186,3 +157,36 @@ class TestStoppingValue:
         b = stopping_value(*args, np.random.default_rng(18), step=H, t_max=TM,
                            workers=3)
         assert a == b
+
+
+class TestExtrapolationReport:
+    # 40000 paths run as three chunks; the warning's range is reduced from
+    # per-chunk results after the join, so threads cannot lose an update.
+    # A short switch interval makes the threads interleave as often as they can.
+    @pytest.mark.parametrize("engine", ["evaluate_profit", "foc_residuals",
+                                        "stopping_value"])
+    def test_warning_text_worker_invariant(self, engine):
+        bx = float(TABLE(0.0))
+        texts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 4):
+                kwargs = dict(step=H, t_max=TM, workers=workers)
+                rng = np.random.default_rng(19)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    if engine == "evaluate_profit":
+                        evaluate_profit(CD, BD, R, TABLE, 0.0, 0.05, 40000, rng, **kwargs)
+                    elif engine == "foc_residuals":
+                        foc_residuals(CD, BD, R, TABLE, 0.0, bx,
+                                      (StoppingRule.fixed(0.5),), 40000, rng, **kwargs)
+                    else:
+                        stopping_value(CD, BD, R, TABLE, 0.0, 2.0 * bx, 40000, rng,
+                                       **kwargs)
+                texts.append([str(w.message) for w in caught
+                              if issubclass(w.category, ExtrapolationWarning)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(texts[0]) == 1
+        assert texts[0] == texts[1]
