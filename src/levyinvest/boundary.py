@@ -1,26 +1,20 @@
 """Solvers for the optimal investment boundary.
 
-The boundary maps the log-shock u to the capacity level b(u) at which
-investing one more marginal unit breaks even.  It is characterized
-pointwise: b(u) is the unique positive root in y of
+The boundary b(u) is the capacity at which one more marginal unit breaks
+even at log-shock u: the unique positive root in y of
 
     gap(u, y) = E[ pi_c(exp(u + I), y) ] - r = 0,
 
 where I is the running minimum of the shock process over an independent
 Exp(r) horizon.  The gap is strictly decreasing in y, blows up as y -> 0,
-and tends to kappa - r < 0 as y -> infinity, so a geometric bracket search
-plus bisection always lands on the root when r > kappa.
+and tends to kappa - r < 0 as y -> infinity, so bracketing by decades from
+y = 1 plus bisection in log y always lands on the root when r > kappa.
 
-The expectation is computed either by adaptive quadrature against the exact
-exponential-mixture density of -I (exact factor mode) or as a sample mean
-over a fixed pool of simulated minima (Monte Carlo mode).  Reusing one pool
-for every gap evaluation keeps the empirical gap monotone in both arguments,
-so solved grids inherit the monotonicity of the true boundary.
-
-Closed forms are available as independent cross-checks: the cobb_douglas
-boundary is an explicit power of exp(u), the ces boundary is K * exp(u)
-with K solving a scalar equation (polynomial when gamma = 1/n), and the
-log-profit boundary is proportional to exp(u).
+The expectation is a fixed weighted sum over nodes of I: Gauss-Laguerre per
+component of the exact exponential mixture of -I (exact mode, where all grid
+points are solved at once), or a fixed pool of simulated minima (Monte Carlo
+mode; one pool keeps the empirical gap, and so the grid, monotone).  Closed
+forms for cobb_douglas, ces and log profit serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -28,10 +22,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.laguerre import laggauss
 
 from .errors import (BracketFailure, DomainError, MonotonicityViolation,
                      UnsupportedModel)
@@ -56,9 +49,11 @@ __all__ = [
 
 GENERIC_SOLVER = "generic_solver"
 
-_QUAD_ABS_TOL = 1e-10
 _ROOT_REL_TOL = 1e-10
-# floor for exp(u + I) inside quadratures: keeps marginal_profit off the
+_LAGUERRE_NODES = 32  # per mixture component of -I
+_DECADE = math.log(10.0)
+_MAX_DECADES = 60
+# floor for exp(u + I) at the nodes: keeps marginal_profit off the
 # z = 0 domain edge while preserving its limit value to double precision
 _Z_FLOOR = 1e-300
 
@@ -75,12 +70,14 @@ class BoundaryTable:
     the grid it continues with the nearest edge slope and emits an
     ExtrapolationWarning.  Construction enforces strict grid increase,
     strictly positive values, and nondecreasing values (to 1e-9 relative).
+    `solver` holds the generic solver's passes and largest |gap| at the roots.
     """
 
     grid: np.ndarray
     values: np.ndarray
     provenance: str
     ses: np.ndarray | None = None
+    solver: dict | None = None
     _log_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -116,8 +113,9 @@ class BoundaryTable:
         above = u_arr > g[-1]
         if below.any() or above.any():
             warnings.warn(
-                f"boundary evaluated outside solved grid [{g[0]!r}, {g[-1]!r}]; "
-                f"continuing with edge slopes", ExtrapolationWarning, stacklevel=2)
+                f"boundary evaluated outside solved grid "
+                f"[{float(g[0])!r}, {float(g[-1])!r}]; continuing with edge slopes",
+                ExtrapolationWarning, stacklevel=2)
             if below.any():
                 slope = (lv[1] - lv[0]) / (g[1] - g[0])
                 out[below] = lv[0] + slope * (u_arr[below] - g[0])
@@ -128,87 +126,119 @@ class BoundaryTable:
         return float(res[0]) if np.isscalar(u) or np.asarray(u).ndim == 0 else res
 
 
+def _rule(factors: WienerHopfFactors):
+    """Nodes i, weights w with E[f(I)] = sum_j w_j f(i_j); w None: the pool mean.
+
+    Exact mode: -I has density sum_k w_k rho_k e^{-rho_k s}, so Gauss-Laguerre
+    nodes (t_j, a_j) give E[f(I)] = sum_k w_k sum_j a_j f(-t_j / rho_k)."""
+    if not factors.is_exact:
+        return factors.pool.running_min, None
+    t, a = laggauss(_LAGUERRE_NODES)
+    rates = np.asarray(factors.min_rates, dtype=float)[:, None]
+    return (-t / rates).ravel(), (np.asarray(factors.min_weights)[:, None] * a).ravel()
+
+
+def _gap(p: ProfitFunction, r: float, z: np.ndarray, w, y: np.ndarray, with_se=False):
+    """Gap per row of shocks z at capacities y, and its SE if asked (MC only)."""
+    terms = np.asarray(marginal_profit(p, z, y[:, None]), dtype=float)
+    if w is not None:
+        return (terms * w).sum(axis=1) - r, None
+    se = terms.std(ddof=1, axis=1) / math.sqrt(terms.shape[1]) if with_se else None
+    return terms.mean(axis=1) - r, se
+
+
+def _log_roots(gap, n: int) -> tuple[np.ndarray, int]:
+    """Roots x = log y of n gaps decreasing in y, bracketed and bisected in
+    lockstep; also returns the number of passes (gap evaluations)."""
+    edge = np.zeros(n)
+    above = gap(edge) > 0.0  # the root lies above y = 1
+    step = np.where(above, _DECADE, -_DECADE)
+    open_ = np.ones(n, dtype=bool)
+    passes = 1
+    while open_.any() and passes <= _MAX_DECADES:
+        edge = edge + step * open_
+        open_ &= (gap(edge) > 0.0) == above
+        passes += 1
+    if open_.any():
+        raise BracketFailure(f"the marginal gap keeps its sign for y in [1e-{_MAX_DECADES}, "
+                             f"1e{_MAX_DECADES}] at {int(open_.sum())} of {n} points")
+    lo = np.where(above, edge - _DECADE, edge)
+    hi = lo + _DECADE
+    while (hi - lo).max() > _ROOT_REL_TOL:
+        mid = 0.5 * (lo + hi)
+        positive = gap(mid) > 0.0
+        lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
+        passes += 1
+    return 0.5 * (lo + hi), passes
+
+
+def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
+    """Roots b(us), their SEs (None in exact mode) and solver diagnostics.
+
+    Exact mode solves all points in lockstep; Monte Carlo mode one point at
+    a time, so that each gap evaluation holds one pool-length row."""
+    if factors.r <= kappa(p):
+        # the gap is bounded below by kappa - r >= 0, so there is no root;
+        # the guard keeps roundoff near the floor from faking a sign change
+        raise BracketFailure(f"no boundary exists at r={factors.r!r}: the marginal "
+                             f"profit never falls below {kappa(p)!r}")
+    (nodes, w), r = _rule(factors), factors.r
+    parts = []
+    for block in [us] if w is not None else np.split(us, len(us)):
+        z = np.maximum(np.exp(np.add.outer(block, nodes)), _Z_FLOOR)
+        x, passes = _log_roots(lambda x: _gap(p, r, z, w, np.exp(x))[0], len(block))
+        root = np.exp(x)
+        gap, se = _gap(p, r, z, w, root, with_se=True)
+        if se is not None:  # SE of the root: SE of the gap over its slope in y
+            dy = 0.01 * root
+            slope = (_gap(p, r, z, w, root + dy)[0]
+                     - _gap(p, r, z, w, root - dy)[0]) / (2.0 * dy)
+            se = np.abs(se / slope) if slope[0] != 0.0 else np.full(1, np.inf)
+        parts.append((root, se, np.abs(gap), passes))
+    roots, ses, gaps, passes = zip(*parts)
+    solver = {"iterations": max(passes), "max_abs_gap": float(np.concatenate(gaps).max())}
+    return np.concatenate(roots), None if w is not None else np.concatenate(ses), solver
+
+
 def marginal_gap(p: ProfitFunction, factors: WienerHopfFactors, u: float,
                  y: float) -> tuple[float, float]:
     """E[pi_c(exp(u + I), y)] - r with its standard error (0 in exact mode)."""
     if not y > 0:
         raise DomainError(f"capacity must be > 0, got {y!r}")
-    r = factors.r
-    if factors.is_exact:
-        weights, rates = factors.min_weights, factors.min_rates
-
-        def integrand(s: float) -> float:
-            z = max(math.exp(u - s), _Z_FLOOR)
-            dens = 0.0
-            for w, rho in zip(weights, rates):
-                dens += w * rho * math.exp(-rho * s)
-            return float(marginal_profit(p, z, y)) * dens
-
-        value, _ = integrate.quad(integrand, 0.0, np.inf,
-                                  epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-        return value - r, 0.0
-    mins = factors.pool.running_min
-    terms = np.asarray(marginal_profit(p, np.maximum(np.exp(u + mins), _Z_FLOOR), y),
-                       dtype=float)
-    n = len(terms)
-    return float(terms.mean()) - r, float(terms.std(ddof=1) / math.sqrt(n))
+    nodes, w = _rule(factors)
+    z = np.maximum(np.exp(np.add.outer(np.array([float(u)]), nodes)), _Z_FLOOR)
+    gap, se = _gap(p, factors.r, z, w, np.array([float(y)]), with_se=True)
+    return float(gap[0]), 0.0 if se is None else float(se[0])
 
 
-def _solve_point(p: ProfitFunction, factors: WienerHopfFactors, u: float,
-                 rel_tol: float = _ROOT_REL_TOL) -> tuple[float, float]:
-    k = kappa(p)
-    if factors.r <= k:
-        # the gap is bounded below by kappa - r >= 0, so there is no root;
-        # without this guard, roundoff in the quadrature near the kappa
-        # floor can fake a sign change at astronomically large y
-        raise BracketFailure(
-            f"no boundary exists at r={factors.r!r}: the marginal profit "
-            f"never falls below {k!r}")
-    gap = lambda y: marginal_gap(p, factors, u, y)[0]
-    lo, hi = expand_bracket_geometric(gap, 1.0, factor=10.0, max_steps=60)
-    root = bisect(gap, lo, hi, rel_tol=rel_tol)
-    if factors.is_exact:
-        return root, 0.0
-    # delta method: SE of the root = SE of the gap / local slope in y
-    _, se_gap = marginal_gap(p, factors, u, root)
-    dy = 0.01 * root
-    slope = (marginal_gap(p, factors, u, root + dy)[0]
-             - marginal_gap(p, factors, u, root - dy)[0]) / (2.0 * dy)
-    se = abs(se_gap / slope) if slope != 0.0 else float("inf")
-    return root, se
-
-
-def solve_boundary_point(p: ProfitFunction, factors: WienerHopfFactors, u: float,
-                         *, rel_tol: float = _ROOT_REL_TOL) -> float:
+def solve_boundary_point(p: ProfitFunction, factors: WienerHopfFactors,
+                         u: float) -> float:
     """The boundary value b(u): unique positive root of the marginal gap.
 
     Brackets by multiplying/dividing y = 1 by 10 (at most 60 times each way,
     else BracketFailure - in particular whenever r <= kappa, where the gap
-    never turns negative), then bisects to relative tolerance 1e-10.
+    never turns negative), then bisects in log y to relative tolerance 1e-10.
     """
-    return _solve_point(p, factors, u, rel_tol)[0]
+    return float(_solve(p, factors, np.array([float(u)]))[0][0])
 
 
 def solve_boundary_grid(p: ProfitFunction, factors: WienerHopfFactors,
                         u_min: float, u_max: float, n: int) -> BoundaryTable:
     """Solve the boundary on n evenly spaced log-shock points.
 
-    Monte Carlo factors reuse one fixed pool of minima for every point
-    (common random numbers), which keeps the empirical gap - and hence the
-    solved grid - monotone; per-point delta-method standard errors are
-    stored in that mode.
+    Exact factors solve all points at once.  Monte Carlo factors reuse one
+    pool of minima for every point (common random numbers), which keeps the
+    empirical gap - and so the grid - monotone, and store per-point
+    delta-method standard errors.  `solver` records passes and final |gap|.
     """
     if not n >= 2:
         raise DomainError(f"grid needs at least 2 points, got {n!r}")
     if not u_max > u_min:
         raise DomainError(f"need u_max > u_min, got [{u_min!r}, {u_max!r}]")
     us = np.linspace(u_min, u_max, n)
-    roots = np.empty(n)
-    ses = np.empty(n)
-    for k, u in enumerate(us):
-        roots[k], ses[k] = _solve_point(p, factors, float(u))
+    roots, ses, solver = _solve(p, factors, us)
     return BoundaryTable(grid=us, values=roots, provenance=GENERIC_SOLVER,
-                         ses=None if factors.is_exact else ses)
+                         ses=ses, solver=solver)
 
 
 def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
@@ -264,41 +294,14 @@ def ces_boundary_constant(p: ProfitFunction, factors: WienerHopfFactors) -> floa
         E[(1 + (alpha/(1-alpha)) * e^{gamma I} * K^{-gamma}) ** ((1-gamma)/gamma)]
             = r / (1 - alpha) ** (1/gamma),
 
-    evaluated by quadrature against the exact law of I (exact factors) or as
-    a pooled sample mean (Monte Carlo factors).
+    which is the marginal gap at u = 0, y = K over kappa: the generic solver
+    finds it with the same rule.
     """
     if p.kind != "ces":
         raise UnsupportedModel(f"ces_boundary_constant needs a ces profit, got {p.kind!r}")
-    g = p.gamma
-    ratio = p.alpha / (1.0 - p.alpha)
-    target = factors.r / kappa(p)
-    expo = (1.0 - g) / g
-    if target <= 1.0:
-        raise DomainError(
-            f"requires r > kappa: r={factors.r!r} <= kappa={kappa(p)!r}")
-
-    if factors.is_exact:
-        weights, rates = factors.min_weights, factors.min_rates
-
-        def expectation(k_val: float) -> float:
-            def integrand(s: float) -> float:
-                dens = 0.0
-                for w, rho in zip(weights, rates):
-                    dens += w * rho * math.exp(-rho * s)
-                return (1.0 + ratio * math.exp(-g * s) * k_val ** (-g)) ** expo * dens
-
-            val, _ = integrate.quad(integrand, 0.0, np.inf,
-                                    epsabs=_QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-            return val
-    else:
-        e_gi = np.exp(g * factors.pool.running_min)
-
-        def expectation(k_val: float) -> float:
-            return float(np.mean((1.0 + ratio * e_gi * k_val ** (-g)) ** expo))
-
-    f = lambda k_val: expectation(k_val) - target
-    lo, hi = expand_bracket_geometric(f, 1.0, factor=10.0, max_steps=60)
-    return bisect(f, lo, hi, rel_tol=_ROOT_REL_TOL)
+    if factors.r <= kappa(p):
+        raise DomainError(f"requires r > kappa: r={factors.r!r} <= kappa={kappa(p)!r}")
+    return float(_solve(p, factors, np.zeros(1))[0][0])
 
 
 def ces_polynomial_constant(alpha: float, n: int, moments, r: float) -> float:
@@ -328,7 +331,7 @@ def ces_polynomial_constant(alpha: float, n: int, moments, r: float) -> float:
         raise DomainError(
             f"requires r > kappa: r={r!r} <= kappa={(1.0 - alpha) ** n!r}")
     ratio = alpha / (1.0 - alpha)
-    coef = [comb(n - 1, j) * moments[j - 1] * ratio ** j for j in range(1, n)]
+    coef = [math.comb(n - 1, j) * moments[j - 1] * ratio ** j for j in range(1, n)]
 
     def f(w: float) -> float:
         return sum(c * w ** j for j, c in enumerate(coef, start=1)) - rhs
@@ -344,14 +347,11 @@ def closed_form_boundary_table(p: ProfitFunction, factors: WienerHopfFactors,
     us = np.linspace(u_min, u_max, n)
     if p.kind == "cobb_douglas":
         vals = cobb_douglas_boundary(p, factors, us)
-        provenance = "cobb_douglas_closed_form"
     elif p.kind == "ces":
         vals = ces_boundary_constant(p, factors) * np.exp(us)
-        provenance = "ces_closed_form"
     elif p.kind == "log":
         vals = log_boundary(p, factors, us)
-        provenance = "log_closed_form"
     else:
         raise UnsupportedModel(f"no closed-form boundary for {p.kind!r} profit")
     return BoundaryTable(grid=us, values=np.asarray(vals, dtype=float),
-                         provenance=provenance)
+                         provenance=f"{p.kind}_closed_form")

@@ -229,9 +229,9 @@ def _run_engine(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> lis
 def _warn_if_extrapolated(b, lo: float, hi: float) -> None:
     if isinstance(b, BoundaryTable) and (lo < b.grid[0] or hi > b.grid[-1]):
         warnings.warn(
-            f"policy engine evaluated the boundary on [{lo!r}, {hi!r}], beyond its "
-            f"solved grid [{b.grid[0]!r}, {b.grid[-1]!r}]; edge-slope extrapolation "
-            f"was used", ExtrapolationWarning, stacklevel=3)
+            f"policy engine evaluated the boundary on [{float(lo)!r}, {float(hi)!r}], "
+            f"beyond its solved grid [{float(b.grid[0])!r}, {float(b.grid[-1])!r}]; "
+            f"edge-slope extrapolation was used", ExtrapolationWarning, stacklevel=3)
 
 
 # -- value estimation -----------------------------------------------------------

@@ -116,12 +116,22 @@ def marginal_profit(p: ProfitFunction, z, c):
     """
     _check_positive("z", z)
     _check_positive("c", c)
+    # the in-place steps keep to two pool-sized temporaries per call: a
+    # third one makes malloc trim and re-fault the heap on every gap
+    # evaluation of the Monte Carlo boundary solver
     if p.kind == "cobb_douglas":
-        return p.beta * z ** p.alpha * c ** (p.beta - 1.0)
+        t = z ** p.alpha
+        t *= p.beta
+        return t * c ** (p.beta - 1.0)
     if p.kind == "ces":
         g = p.gamma
-        inner = p.alpha * z ** g + (1.0 - p.alpha) * c ** g
-        return (1.0 - p.alpha) * c ** (g - 1.0) * inner ** ((1.0 - g) / g)
+        t = z ** g
+        t *= p.alpha
+        inner = t + (1.0 - p.alpha) * c ** g
+        del t
+        inner **= (1.0 - g) / g
+        inner *= (1.0 - p.alpha) * c ** (g - 1.0)
+        return inner
     if p.kind == "log":
         return z / c
     if p.custom_marginal is not None:

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,3 +20,9 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"levyinvest.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_import_does_not_load_scipy():
+    code = "import levyinvest, sys; assert 'scipy' not in sys.modules"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr

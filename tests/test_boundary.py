@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning,
+from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning, _rule,
                                  ces_boundary_constant, ces_polynomial_constant,
                                  closed_form_boundary_table, cobb_douglas_boundary,
                                  integral_equation_residual, log_boundary,
@@ -9,6 +11,7 @@ from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning,
                                  solve_boundary_point)
 from levyinvest.errors import BracketFailure, DomainError, MonotonicityViolation
 from levyinvest.levy import LevyModel
+from levyinvest.policy import _warn_if_extrapolated
 from levyinvest.profit import ces, cobb_douglas, log_profit
 from levyinvest.wiener_hopf import exact_factors, inf_moment, sample_triplet
 
@@ -16,6 +19,8 @@ BD = LevyModel.brownian(0.0, np.sqrt(2.0))
 R = 2.0
 WH = exact_factors(BD, R)
 CD = cobb_douglas(0.5, 0.5)
+KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
+WH_KOU = exact_factors(KOU, 0.5)
 
 
 class TestBoundaryTable:
@@ -39,6 +44,18 @@ class TestBoundaryTable:
         with pytest.warns(ExtrapolationWarning):
             high = tab(3.0)
         assert high == pytest.approx(np.exp(3.0))
+
+    def test_extrapolation_warning_shows_plain_floats(self):
+        tab = BoundaryTable(grid=np.array([-2.0, 2.0]), values=np.array([1.0, 2.0]),
+                            provenance="test")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tab(3.0)
+            _warn_if_extrapolated(tab, np.float64(0.0), np.float64(3.0))
+        texts = [str(w.message) for w in caught]
+        assert len(texts) == 2
+        for text in texts:
+            assert "[-2.0, 2.0]" in text and "np.float64" not in text
 
     def test_vector_and_scalar_calls(self):
         tab = BoundaryTable(grid=np.array([0.0, 1.0]),
@@ -93,6 +110,8 @@ class TestSolvers:
         assert np.allclose(tab.values, ref.values, rtol=1e-8)
         assert tab.provenance == "generic_solver"
         assert tab.ses is None
+        assert 30 < tab.solver["iterations"] < 60
+        assert 0.0 <= tab.solver["max_abs_gap"] < 1e-8
 
     def test_mc_mode_keeps_ses(self):
         pool = sample_triplet(BD, R, 20000, np.random.default_rng(0))
@@ -108,6 +127,33 @@ class TestSolvers:
     def test_grid_needs_two_points(self):
         with pytest.raises(DomainError):
             solve_boundary_grid(CD, WH, -1.0, 1.0, 1)
+
+
+class TestRule:
+    @pytest.mark.parametrize("wh", [WH, WH_KOU], ids=["brownian", "kou"])
+    def test_exponential_moments_match_exact(self, wh):
+        nodes, weights = _rule(wh)
+        for lam in (0.25, 0.5, 1.0, 2.0):
+            got = float(np.sum(weights * np.exp(lam * nodes)))
+            assert got == pytest.approx(inf_moment(wh, lam), abs=1e-13)
+
+    @pytest.mark.parametrize("prof", [CD, ces(0.5, 0.5), log_profit()],
+                             ids=["cobb_douglas", "ces", "log"])
+    def test_kou_grid_matches_closed_form(self, prof):
+        tab = solve_boundary_grid(prof, WH_KOU, -1.5, 1.5, 31)
+        ref = closed_form_boundary_table(prof, WH_KOU, -1.5, 1.5, 31)
+        assert np.allclose(tab.values, ref.values, rtol=1e-8, atol=0.0)
+
+    def test_kou_ces_constant_matches_polynomial(self):
+        k = ces_boundary_constant(ces(0.5, 0.5), WH_KOU)
+        k_poly = ces_polynomial_constant(0.5, 2, [inf_moment(WH_KOU, 0.5)], 0.5)
+        assert k == pytest.approx(k_poly, rel=1e-8)
+
+    def test_mc_grid_equals_point_solves(self):
+        pool = sample_triplet(BD, R, 5000, np.random.default_rng(4))
+        tab = solve_boundary_grid(CD, pool, -0.5, 0.5, 5)
+        points = [solve_boundary_point(CD, pool, u) for u in tab.grid]
+        assert np.allclose(tab.values, points, rtol=1e-12, atol=0.0)
 
 
 class TestClosedForms:

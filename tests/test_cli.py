@@ -68,6 +68,28 @@ class TestSubcommands:
         for point in doc["integral_equation"]:
             assert {"u0", "y", "residual", "se", "ratio"} <= set(point)
 
+    def test_boundary_solver_block(self, config_path, tmp_path):
+        out = str(tmp_path / "art")
+        assert main(["boundary", "--config", config_path, "--out", out]) == 0
+        solver = json.loads(read(out + "/boundary.json"))["solver"]
+        assert set(solver) == {"iterations", "max_abs_gap"}
+        assert solver["iterations"] > 0 and 0.0 <= solver["max_abs_gap"] < 1e-8
+
+    @pytest.mark.parametrize("model, profit, independent", [
+        (FAST_CONFIG["model"], FAST_CONFIG["profit"], True),
+        (FAST_CONFIG["model"], {"kind": "ces", "alpha": 0.5, "gamma": 0.5}, False),
+        ({"family": "merton", "mu": 0.0, "sigma": 0.3, "jump_intensity": 2.0,
+          "jump_mean": -0.05, "jump_sd": 0.2}, FAST_CONFIG["profit"], False),
+    ], ids=["exact_cobb_douglas", "exact_ces", "monte_carlo"])
+    def test_verify_labels_independence(self, tmp_path, model, profit, independent):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(FAST_CONFIG, model=model, profit=profit, r=1.0)),
+                        encoding="utf-8")
+        out = str(tmp_path / "art")
+        assert main(["verify", "--config", str(path), "--out", out]) == 0
+        agreement = json.loads(read(out + "/verify.json"))["closed_form_agreement"]
+        assert agreement["independent"] is independent
+
     def test_wh_check_artifact(self, config_path, tmp_path):
         out = str(tmp_path / "art")
         assert main(["wh-check", "--config", config_path, "--out", out]) == 0
