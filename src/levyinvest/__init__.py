@@ -20,7 +20,7 @@ from .errors import (BracketFailure, ConditionViolation, ConstructionError,
                      DomainError, LevyInvestError, MonotonicityViolation,
                      ParseError, UnsupportedModel, ValidationError)
 from .levy import (ExtremaPool, Family, LevyModel, default_step, default_t_max,
-                   laplace_exponent, sample_extrema, sample_horizon)
+                   laplace_exponent, sample_extrema)
 from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
                      PolicyEvaluation, StoppingRule, compare_policies,
                      evaluate_profit, foc_residuals, stopping_value)
@@ -30,7 +30,7 @@ from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
 from .roots import bisect, expand_bracket_geometric
 from .wiener_hopf import (EXACT_RATIONAL, MONTE_CARLO, WienerHopfFactors,
                           cramer_roots, exact_factors, inf_moment,
-                          inf_moment_with_se, sample_triplet, sup_moment,
+                          inf_moment_with_se, sample_triplet,
                           sup_moment_diagnostics, sup_moment_with_se,
                           wh_identity_residual)
 
@@ -44,11 +44,11 @@ __all__ = [
     "ParseError", "ValidationError",
     # shock models
     "Family", "LevyModel", "ExtremaPool", "laplace_exponent", "default_step",
-    "default_t_max", "sample_horizon", "sample_extrema",
+    "default_t_max", "sample_extrema",
     # factorization
     "WienerHopfFactors", "EXACT_RATIONAL", "MONTE_CARLO", "cramer_roots",
     "exact_factors", "sample_triplet", "inf_moment", "inf_moment_with_se",
-    "sup_moment", "sup_moment_with_se", "sup_moment_diagnostics",
+    "sup_moment_with_se", "sup_moment_diagnostics",
     "wh_identity_residual",
     # profit
     "ProfitFunction", "cobb_douglas", "ces", "log_profit", "custom",

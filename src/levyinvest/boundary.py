@@ -28,7 +28,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .errors import (BracketFailure, DomainError, MonotonicityViolation,
                      UnsupportedModel)
-from .levy import LevyModel, sample_extrema
+from .levy import LevyModel, _mean_se, sample_extrema
 from .profit import ProfitFunction, kappa, marginal_profit
 from .roots import bisect, expand_bracket_geometric
 from .wiener_hopf import WienerHopfFactors, inf_moment
@@ -143,8 +143,8 @@ def _gap(p: ProfitFunction, r: float, z: np.ndarray, w, y: np.ndarray, with_se=F
     terms = np.asarray(marginal_profit(p, z, y[:, None]), dtype=float)
     if w is not None:
         return (terms * w).sum(axis=1) - r, None
-    se = terms.std(ddof=1, axis=1) / math.sqrt(terms.shape[1]) if with_se else None
-    return terms.mean(axis=1) - r, se
+    mean, se = _mean_se(terms) if with_se else (terms.mean(axis=1), None)
+    return mean - r, se
 
 
 def _log_roots(gap, n: int) -> tuple[np.ndarray, int]:
@@ -242,8 +242,8 @@ def solve_boundary_grid(p: ProfitFunction, factors: WienerHopfFactors,
 
 
 def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
-                               u0: float, n: int,
-                               rng: np.random.Generator) -> tuple[float, float]:
+                               u0: float, n: int, rng: np.random.Generator, *,
+                               workers: int = 1) -> tuple[float, float]:
     """Monte Carlo residual of the boundary's integral characterization.
 
     Averages pi_c(exp(u0 + m + i), b(u0 + m)) - r over n draws, where m and
@@ -252,15 +252,15 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
     so independent pools sample the correct joint law).  `b` is any callable
     boundary, typically a BoundaryTable; sampled maxima routinely leave the
     solved grid, which extrapolates by its edge slope (with a warning).
+    The result does not depend on `workers`.
     """
     child_max, child_min = rng.spawn(2)
-    maxima = sample_extrema(model, r, n, child_max).running_max
-    minima = sample_extrema(model, r, n, child_min).running_min
+    maxima = sample_extrema(model, r, n, child_max, workers=workers).running_max
+    minima = sample_extrema(model, r, n, child_min, workers=workers).running_min
     cap = b(u0 + maxima)
     z = np.maximum(np.exp(u0 + maxima + minima), _Z_FLOOR)
-    terms = np.asarray(marginal_profit(p, z, cap), dtype=float)
-    return (float(terms.mean()) - r,
-            float(terms.std(ddof=1) / math.sqrt(len(terms))))
+    mean, se = _mean_se(np.asarray(marginal_profit(p, z, cap), dtype=float))
+    return float(mean) - r, float(se)
 
 
 # -- closed forms -------------------------------------------------------------

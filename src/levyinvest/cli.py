@@ -117,7 +117,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
     points = []
     for u0 in cfg.verify_u0:
         res, se = integral_equation_residual(table, cfg.profit, cfg.model, cfg.r,
-                                             u0, cfg.n_paths, rng)
+                                             u0, cfg.n_paths, rng, workers=workers)
         points.append({"u0": float(u0), "y": float(table(u0)),
                        "residual": res, "se": se,
                        "ratio": res / se if se > 0 else 0.0})
@@ -158,7 +158,7 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     mc = sample_triplet(model, r, cfg.n_paths, rng, step=cfg.step, workers=workers)
     inf_est, inf_se = inf_moment_with_se(mc, 1.0)
     sup = sup_moment_diagnostics(mc, 1.0)
-    residual, res_se = wh_identity_residual(model, r, cfg.n_paths, rng)
+    residual, res_se = wh_identity_residual(model, r, cfg.n_paths, rng, workers=workers)
     payload = dict(_identity(cfg))
     payload.update({
         "family": model.family.value,

@@ -16,14 +16,15 @@ compound-Poisson jumps land at the step's right end, and the stable family
 is drawn by Chambers-Mallows-Stuck.  `sample_extrema` steps the diffusive
 families from one exact jump arrival to the next, so its running extrema
 at an independent exponential horizon carry no discretization bias.
-Replicates run in fixed chunks through `_run_chunks`.
+Replicates run in fixed chunks through `_run_chunks` and are reduced to a
+mean and standard error by `_mean_se`.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "LevyModel",
     "ExtremaPool",
     "laplace_exponent",
-    "sample_horizon",
     "sample_extrema",
     "default_step",
     "default_t_max",
@@ -67,9 +67,7 @@ class LevyModel:
 
     Use the classmethod constructors (`brownian`, `merton`, `kou`, `stable`)
     rather than filling fields by hand; they validate the family-specific
-    parameter ranges.  `allow_degenerate` admits the deterministic pure-drift
-    process (sigma = 0, no jumps), which is rejected by default and exists
-    only as an analytic oracle for tests.
+    parameter ranges.
     """
 
     family: Family
@@ -83,7 +81,6 @@ class LevyModel:
     eta_minus: float = 0.0   # kou: rate of downward exponential jump sizes
     stable_index: float = 0.0
     stable_scale: float = 0.0
-    allow_degenerate: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite("mu", self.mu)
@@ -92,11 +89,8 @@ class LevyModel:
             raise ConstructionError(f"sigma must be >= 0, got {self.sigma!r}")
         fam = self.family
         if fam is Family.BROWNIAN_DRIFT:
-            if self.sigma == 0.0 and not self.allow_degenerate:
-                raise ConstructionError(
-                    "sigma = 0 gives a deterministic drift; pass allow_degenerate=True "
-                    "only for test oracles"
-                )
+            if self.sigma == 0.0:
+                raise ConstructionError("brownian_drift requires sigma > 0, got 0.0")
         elif fam in (Family.MERTON, Family.KOU):
             if self.sigma <= 0.0:
                 raise ConstructionError(f"{fam.value} requires sigma > 0, got {self.sigma!r}")
@@ -132,8 +126,8 @@ class LevyModel:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def brownian(cls, mu: float, sigma: float, *, allow_degenerate: bool = False) -> "LevyModel":
-        return cls(Family.BROWNIAN_DRIFT, mu=mu, sigma=sigma, allow_degenerate=allow_degenerate)
+    def brownian(cls, mu: float, sigma: float) -> "LevyModel":
+        return cls(Family.BROWNIAN_DRIFT, mu=mu, sigma=sigma)
 
     @classmethod
     def merton(cls, mu: float, sigma: float, jump_intensity: float,
@@ -151,13 +145,6 @@ class LevyModel:
     def stable(cls, mu: float, stable_index: float, stable_scale: float) -> "LevyModel":
         return cls(Family.STABLE, mu=mu, stable_index=stable_index,
                    stable_scale=stable_scale)
-
-    # -- classification -----------------------------------------------------
-
-    @property
-    def is_degenerate(self) -> bool:
-        return (self.family is Family.BROWNIAN_DRIFT and self.sigma == 0.0
-                and self.allow_degenerate)
 
 
 def laplace_exponent(model: LevyModel, lam: float) -> float:
@@ -201,13 +188,6 @@ def default_step(r: float) -> float:
 def default_t_max(r: float) -> float:
     """Truncation horizon: twenty mean discount horizons (e^{-20} tail order)."""
     return 20.0 / r
-
-
-def sample_horizon(r: float, rng: np.random.Generator) -> float:
-    """One draw of the exponential killing horizon with rate r > 0."""
-    if not r > 0:
-        raise DomainError(f"discount rate must be > 0, got {r!r}")
-    return float(rng.exponential(1.0 / r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,6 +299,11 @@ def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> lis
         return [run(ci) for ci in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(n_chunks)))
+
+
+def _mean_se(a: np.ndarray):
+    """Mean and standard error std(ddof=1) / sqrt(n) of `a` over its last axis."""
+    return a.mean(axis=-1), a.std(ddof=1, axis=-1) / math.sqrt(a.shape[-1])
 
 
 # -- extrema at an exponential horizon -----------------------------------------

@@ -4,12 +4,7 @@ A boundary b turns into an irreversible investment policy by reflection: the
 capacity at time t is the starting level or the largest boundary value seen
 strictly before t, whichever is bigger.  The policy's value is
 
-    J = E[ integral_0^inf e^{-rt} pi(z_t, C_t) dt - integral_0^inf e^{-rt} dC_t ],
-
-estimated here by trapezoidal time discretization truncated at t_max (with
-the truncation order e^{-(r - growth) * t_max} reported, where `growth` is
-the certified exponential growth rate of the integrand) and a left-endpoint
-Stieltjes sum for the investment account.
+    J = E[ integral_0^inf e^{-rt} pi(z_t, C_t) dt - integral_0^inf e^{-rt} dC_t ].
 
 The first-order conditions give two testable statements for an optimal
 policy: for every stopping rule tau the "supergradient"
@@ -17,8 +12,19 @@ policy: for every stopping rule tau the "supergradient"
     E[ integral_tau^inf e^{-rs} pi_c(z_s, C_s) ds - e^{-r tau} ]
 
 is nonpositive, and it integrates to zero against the investment increments
-(complementary slackness).  Both are estimated pathwise in a single forward
-pass per replicate.
+(complementary slackness).  Holding the capacity at y until b(x + X) first
+reaches it gives the stopping value, which never exceeds 1.
+
+All of these come from one forward pass, `_forward`, on the grid t_j = j * step
+up to t_max, with one of two accumulators.  The value accumulator integrates
+each policy's profit flow by the trapezoid rule and its investment by a
+left-endpoint Stieltjes sum, and the truncation order e^{-(r - growth) t_max}
+is reported for the certified growth rate of the integrand.  The first-hit
+accumulator keeps the running trapezoid A_j of e^{-rs} pi_c(z_s, C_s) and
+records A_j and e^{-r t_j} where a stop mask first turns true.  Then the
+supergradient is A_N - A_tau - e^{-r tau} (0 if tau never occurs before
+t_max), the slackness sum_j (A_N - A_{j-1} - e^{-r t_{j-1}}) dC_j, and the
+stopping value A_tau + e^{-r tau} (A_N if tau never occurs).
 
 All estimators reuse common random numbers across policy scales and run in
 fixed-size replicate chunks with spawned substreams, so results depend only
@@ -32,14 +38,17 @@ compound-Poisson jumps are binned to the right end of their step.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .boundary import BoundaryTable, ExtrapolationWarning
 from .errors import ConditionViolation, DomainError
-from .levy import LevyModel, _increment, _run_chunks, default_step, default_t_max
+from .levy import (LevyModel, _increment, _mean_se, _run_chunks, default_step,
+                   default_t_max)
 from .profit import ProfitFunction, _growth_exponent, evaluate, marginal_profit
 
 __all__ = [
@@ -198,77 +207,143 @@ def _certified_growth(p: ProfitFunction, model: LevyModel, r: float) -> float:
     return worst
 
 
-# -- shared engine plumbing -----------------------------------------------------
-
-
-def _resolve_grid(r: float, step, t_max) -> tuple[float, float, int]:
-    if step is None:
-        step = default_step(r)
-    if t_max is None:
-        t_max = default_t_max(r)
-    if not step > 0:
-        raise DomainError(f"step must be > 0, got {step!r}")
-    if not t_max > step:
-        raise DomainError(f"t_max must exceed the step, got {t_max!r} <= {step!r}")
-    n_steps = math.ceil(t_max / step)
-    return float(step), n_steps * float(step), n_steps
-
-
-def _run_engine(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> list:
-    if n < 1_000:
-        raise DomainError(f"need at least 1000 replicates, got {n!r}")
-    # tables are extrapolated by design inside the engines; coverage is
-    # reported once by the caller instead of once per step, and the filter is
-    # installed before any worker thread starts (catch_warnings touches
-    # process-global state, so it must not run inside the pool)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        return _run_chunks(n, rng, workers, chunk_fn)
+# -- the forward pass -----------------------------------------------------------
 
 
 def _warn_if_extrapolated(b, lo: float, hi: float) -> None:
     if isinstance(b, BoundaryTable) and (lo < b.grid[0] or hi > b.grid[-1]):
+        # name the first caller outside this module, however deep the engine
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"policy engine evaluated the boundary on [{float(lo)!r}, {float(hi)!r}], "
             f"beyond its solved grid [{float(b.grid[0])!r}, {float(b.grid[-1])!r}]; "
-            f"edge-slope extrapolation was used", ExtrapolationWarning, stacklevel=3)
+            f"edge-slope extrapolation was used", ExtrapolationWarning, stacklevel=level)
+
+
+class _Seen:
+    """The boundary b, recording the range of its arguments (from [x, x] on)."""
+
+    def __init__(self, b, x: float):
+        self.b, self.lo, self.hi = b, x, x
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        self.lo, self.hi = min(self.lo, float(u.min())), max(self.hi, float(u.max()))
+        return np.asarray(self.b(u), dtype=float)
+
+
+def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
+    """Advance n replicate shock paths over the grid t_j = j * h, j = 0..N.
+
+    `start(h, disc)` (disc[j] = e^{-r t_j}) returns the factory `new(m, b)`
+    of a chunk's accumulator, which takes index 0 when built, then
+    `step(j, x_j, w_j, z_j)` until `done`: x_j = X_{t_j}, w_j = x + sup X
+    (with each step's bridge maximum) and z_j = e^{x + x_j}.  Returns the
+    `result()` arrays joined along the replicate (last) axis, h and N * h.
+    """
+    if not y > 0:
+        raise DomainError(f"initial capacity must be > 0, got {y!r}")
+    step = default_step(r) if step is None else step
+    t_max = default_t_max(r) if t_max is None else t_max
+    if not step > 0:
+        raise DomainError(f"step must be > 0, got {step!r}")
+    if not t_max > step:
+        raise DomainError(f"t_max must exceed the step, got {t_max!r} <= {step!r}")
+    h, n_steps = float(step), math.ceil(t_max / step)
+    new = start(h, np.exp(-r * h * np.arange(n_steps + 1)))
+    if n < 1_000:
+        raise DomainError(f"need at least 1000 replicates, got {n!r}")
+
+    def chunk(lo: int, hi: int, sub: np.random.Generator):
+        seen = _Seen(b, x)
+        acc = new(hi - lo, seen)
+        x_j, w_j = np.zeros(hi - lo), np.full(hi - lo, x)
+        for j in range(1, n_steps + 1):
+            if acc.done:
+                break
+            x_j, step_max = _increment(model, x_j, h, sub)
+            np.maximum(w_j, x + step_max, out=w_j)
+            acc.step(j, x_j, w_j, np.exp(x + x_j))
+        return acc.result(), seen.lo, seen.hi
+
+    # tables are extrapolated by design; coverage is reported once after the
+    # join, and the filter is set before any worker thread starts
+    # (catch_warnings touches process-global state, so not inside the pool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        results, lows, highs = zip(*_run_chunks(n, rng, workers, chunk))
+    _warn_if_extrapolated(b, min(lows), max(highs))
+    return [np.concatenate(col, axis=-1) for col in zip(*results)], h, n_steps * h
+
+
+class _Value:
+    """Value J and investment PV of the policy max(y, s * b) per scale s."""
+
+    done = False
+
+    def __init__(self, p, x, y, scales, h, disc, m, b):
+        self.p, self.y, self.scales, self.h, self.disc, self.b = p, y, scales, h, disc, b
+        pi0 = float(np.asarray(evaluate(p, math.exp(x), y), dtype=float))
+        self.j_acc = np.full((len(scales), m), 0.5 * h * disc[0] * pi0)  # C_0 = y
+        self.pv_acc = np.zeros((len(scales), m))
+        self.c_prev = np.full((len(scales), m), float(y))
+
+    def step(self, j, x_j, w_j, z):
+        b_w = self.b(w_j)
+        w = self.h if j < len(self.disc) - 1 else 0.5 * self.h
+        for k, s in enumerate(self.scales):
+            c_k = np.maximum(self.y, s * b_w)
+            self.j_acc[k] += w * self.disc[j] * np.asarray(evaluate(self.p, z, c_k), dtype=float)
+            self.pv_acc[k] += self.disc[j - 1] * (c_k - self.c_prev[k])
+            self.c_prev[k] = c_k
+
+    def result(self):
+        return self.j_acc - self.pv_acc, self.pv_acc
+
+
+class _FirstHits:
+    """Running trapezoid A_j of e^{-rs} pi_c(z_s, C_s); A_j and e^{-r t_j} at the
+    first index where each of `stops(j, x_j, b)` holds.  `reflect`: C is
+    max(y, b(w_j)), and the slackness is summed by parts, so that no terms
+    growing with C cancel; else C = y, and stepping ends once all paths stop."""
+
+    def __init__(self, p, x, y, reflect, stops, h, disc, m, b):
+        self.p, self.y, self.reflect, self.stops = p, y, reflect, stops
+        self.h, self.disc, self.b = h, disc, b
+        self.c = np.full(m, float(y)) if reflect else float(y)
+        pi_c0 = float(np.asarray(marginal_profit(p, math.exp(x), y), dtype=float))
+        self.f = np.full(m, disc[0] * pi_c0)
+        self.a, self.slack = np.zeros(m), np.zeros(m)
+        masks = stops(0, np.zeros(m), b)
+        self.hit = np.zeros((len(masks), m), dtype=bool)
+        self.a_tau, self.d_tau = np.zeros((len(masks), m)), np.zeros((len(masks), m))
+        self._record(0, masks)
+
+    def step(self, j, x_j, w_j, z):
+        c = np.maximum(self.y, self.b(w_j)) if self.reflect else self.c
+        f = self.disc[j] * np.asarray(marginal_profit(self.p, z, c), dtype=float)
+        da = 0.5 * self.h * (self.f + f)
+        if self.reflect:
+            # sum_j (A_N - A_{j-1}) dC_j = sum_j (A_j - A_{j-1}) (C_j - y)
+            self.slack += da * (c - self.y) - self.disc[j - 1] * (c - self.c)
+        self.a = self.a + da
+        self.f, self.c = f, c
+        self._record(j, self.stops(j, x_j, self.b))
+
+    def _record(self, j: int, masks) -> None:
+        for k, stops in enumerate(masks):
+            newly = stops & ~self.hit[k]
+            self.a_tau[k][newly] = self.a[newly]
+            self.d_tau[k][newly] = self.disc[j]
+            self.hit[k] |= newly
+        self.done = not self.reflect and bool(self.hit.all())
+
+    def result(self):
+        return self.a, self.a_tau, self.d_tau, self.hit, self.slack
 
 
 # -- value estimation -----------------------------------------------------------
-
-
-def _j_engine(p, model, r, b, x, y, scales, n, rng, step, t_max, workers):
-    h, t_max, n_steps = _resolve_grid(r, step, t_max)
-    k_scales = len(scales)
-    disc = np.exp(-r * h * np.arange(n_steps + 1))
-    pi0 = float(np.asarray(evaluate(p, math.exp(x), y), dtype=float))
-
-    def chunk(lo: int, hi: int, sub: np.random.Generator):
-        m = hi - lo
-        x_new = np.zeros(m)
-        w_run = np.full(m, x)
-        c_prev = np.full((k_scales, m), float(y))
-        j_acc = np.zeros((k_scales, m))
-        pv_acc = np.zeros((k_scales, m))
-        j_acc += 0.5 * h * disc[0] * pi0  # C_0 = y exactly; empty pre-0 supremum
-        for step_idx in range(1, n_steps + 1):
-            x_new, step_max = _increment(model, x_new, h, sub)
-            np.maximum(w_run, x + step_max, out=w_run)
-            z = np.exp(x + x_new)
-            b_w = np.asarray(b(w_run), dtype=float)
-            w_j = h if step_idx < n_steps else 0.5 * h
-            d_j = disc[step_idx]
-            d_left = disc[step_idx - 1]
-            for k in range(k_scales):
-                c_k = np.maximum(y, scales[k] * b_w)
-                j_acc[k] += w_j * d_j * np.asarray(evaluate(p, z, c_k), dtype=float)
-                pv_acc[k] += d_left * (c_k - c_prev[k])
-                c_prev[k] = c_k
-        return j_acc - pv_acc, pv_acc, float(w_run.max())
-
-    j_parts, pv_parts, w_max = zip(*_run_engine(n, rng, workers, chunk))
-    _warn_if_extrapolated(b, x, max(w_max))
-    return np.concatenate(j_parts, axis=1), np.concatenate(pv_parts, axis=1), h, t_max
 
 
 def evaluate_profit(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -282,20 +357,13 @@ def evaluate_profit(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     exp(-(r - growth) * t_max).  ConditionViolation when no growth
     certificate exists for the (profit, model) pair.
     """
-    if not y > 0:
-        raise DomainError(f"initial capacity must be > 0, got {y!r}")
-    growth = _certified_growth(p, model, r)
-    j_rows, pv_rows, h, t_eff = _j_engine(p, model, r, b, x, y, (1.0,), n_paths,
-                                          rng, step, t_max, workers)
-    j, pv = j_rows[0], pv_rows[0]
-    root_n = math.sqrt(n_paths)
+    res = compare_policies(p, model, r, b, x, y, (1.0,), n_paths, rng,
+                           step=step, t_max=t_max, workers=workers)
+    row = res.rows[0]
     return PolicyEvaluation(
-        j_value=float(j.mean()), j_se=float(j.std(ddof=1) / root_n),
-        pv_investment=float(pv.mean()),
-        pv_investment_se=float(pv.std(ddof=1) / root_n),
-        n_paths=n_paths, step=h, t_max=t_eff,
-        tail_bound=math.exp(-(r - growth) * t_eff),
-    )
+        j_value=row.j_value, j_se=row.j_se, pv_investment=row.pv_investment,
+        pv_investment_se=row.pv_investment_se, n_paths=n_paths, step=res.step,
+        t_max=res.t_max, tail_bound=res.tail_bound)
 
 
 def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -308,35 +376,28 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     paired differences J(base) - J(scale) carry far smaller standard errors
     than the individual levels.  The base scale 1.0 is added if missing.
     """
-    if not y > 0:
-        raise DomainError(f"initial capacity must be > 0, got {y!r}")
     scales = [float(s) for s in scales]
     if any(s <= 0 for s in scales):
         raise DomainError("policy scales must be > 0")
     if 1.0 not in scales:
         scales = [1.0] + scales
     growth = _certified_growth(p, model, r)
-    j_rows, pv_rows, h, t_eff = _j_engine(p, model, r, b, x, y, tuple(scales),
-                                          n_paths, rng, step, t_max, workers)
-    base = j_rows[scales.index(1.0)]
-    root_n = math.sqrt(n_paths)
-    rows = []
-    for k, s in enumerate(scales):
-        diff = base - j_rows[k]
-        rows.append(ComparisonRow(
-            scale=s,
-            j_value=float(j_rows[k].mean()),
-            j_se=float(j_rows[k].std(ddof=1) / root_n),
-            pv_investment=float(pv_rows[k].mean()),
-            pv_investment_se=float(pv_rows[k].std(ddof=1) / root_n),
-            base_minus_this=float(diff.mean()),
-            base_minus_this_se=float(diff.std(ddof=1) / root_n),
-        ))
-    return ComparisonResult(rows=tuple(rows), n_paths=n_paths, step=h, t_max=t_eff,
+    (j_rows, pv_rows), h, t_eff = _forward(
+        model, r, b, x, y, n_paths, rng, step, t_max, workers,
+        lambda h, disc: partial(_Value, p, x, y, scales, h, disc))
+    j, j_se = _mean_se(j_rows)
+    pv, pv_se = _mean_se(pv_rows)
+    diff, diff_se = _mean_se(j_rows[scales.index(1.0)] - j_rows)
+    rows = tuple(
+        ComparisonRow(scale=s, j_value=float(j[k]), j_se=float(j_se[k]),
+                      pv_investment=float(pv[k]), pv_investment_se=float(pv_se[k]),
+                      base_minus_this=float(diff[k]), base_minus_this_se=float(diff_se[k]))
+        for k, s in enumerate(scales))
+    return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=t_eff,
                             tail_bound=math.exp(-(r - growth) * t_eff))
 
 
-# -- first-order conditions ------------------------------------------------------
+# -- first-order conditions and stopping value -------------------------------------
 
 
 def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -352,98 +413,32 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     increments; both should vanish at the optimal boundary, and the
     supergradients must never be significantly positive.
     """
-    if not y > 0:
-        raise DomainError(f"initial capacity must be > 0, got {y!r}")
     rules = tuple(rules)
     if not rules:
         raise DomainError("need at least one stopping rule")
     _certified_growth(p, model, r)
-    h, t_eff, n_steps = _resolve_grid(r, step, t_max)
-    n_rules = len(rules)
-    fixed_idx = np.array([int(round(rule.at / h)) if rule.kind == "fixed" else -1
-                          for rule in rules])
-    if (fixed_idx > n_steps).any():
-        raise DomainError("fixed stopping times must lie within the truncation horizon")
-    disc = np.exp(-r * h * np.arange(n_steps + 1))
 
-    pi_c0 = float(np.asarray(marginal_profit(p, math.exp(x), y), dtype=float))
+    def start(h, disc):
+        # a fixed rule stops at the grid index nearest its time
+        at = [round(rule.at / h) if rule.kind == "fixed" else rule.at for rule in rules]
+        if any(rule.kind == "fixed" and k >= len(disc) for rule, k in zip(rules, at)):
+            raise DomainError("fixed stopping times must lie within the truncation horizon")
 
-    def chunk(lo: int, hi: int, sub: np.random.Generator):
-        m = hi - lo
-        x_new = np.zeros(m)
-        w_run = np.full(m, x)
-        f_prev = np.full(m, disc[0] * pi_c0)
-        p_prev = np.zeros(m)          # plain left sum of h * f before current index
-        c_cur = np.full(m, float(y))
-        total_f = np.zeros(m)          # running plain sum of h * f
-        slack_a = np.zeros(m)          # sum (P_j + h/2 f_j) dC_j
-        slack_pv = np.zeros(m)         # sum disc_j dC_j
-        dc_tot = np.zeros(m)
-        hit = np.zeros((n_rules, m), dtype=bool)
-        p_rec = np.zeros((n_rules, m))
-        f_rec = np.zeros((n_rules, m))
-        d_rec = np.zeros((n_rules, m))
+        def stops(j, x_j, b):
+            return [j == k if rule.kind == "fixed" else
+                    x_j >= k if rule.kind == "hit_above" else x_j <= k
+                    for rule, k in zip(rules, at)]
+        return partial(_FirstHits, p, x, y, True, stops, h, disc)
 
-        def record_stops(step_idx: int, p_now, f_now) -> None:
-            # paths whose rule first triggers at this grid index, where the
-            # shock is x_new and the suffix sums stand at p_now, f_now
-            for rk, rule in enumerate(rules):
-                if rule.kind == "fixed":
-                    stops = fixed_idx[rk] == step_idx
-                elif rule.kind == "hit_above":
-                    stops = x_new >= rule.at
-                else:
-                    stops = x_new <= rule.at
-                newly = ~hit[rk] & stops
-                if newly.any():
-                    p_rec[rk][newly] = p_now[newly]
-                    f_rec[rk][newly] = f_now[newly]
-                    d_rec[rk][newly] = disc[step_idx]
-                    hit[rk][newly] = True
-
-        record_stops(0, p_prev, f_prev)  # index 0: X = 0, C = y
-        for step_idx in range(1, n_steps + 1):
-            x_new, step_max = _increment(model, x_new, h, sub)
-            np.maximum(w_run, x + step_max, out=w_run)
-            z = np.exp(x + x_new)
-            c_new = np.maximum(y, np.asarray(b(w_run), dtype=float))
-            f_new = disc[step_idx] * np.asarray(marginal_profit(p, z, c_new), dtype=float)
-            p_new = p_prev + h * f_prev
-            total_f += h * f_prev
-            dc = c_new - c_cur
-            slack_a += (p_prev + 0.5 * h * f_prev) * dc
-            slack_pv += disc[step_idx - 1] * dc
-            dc_tot += dc
-            record_stops(step_idx, p_new, f_new)
-            f_prev, p_prev, c_cur = f_new, p_new, c_new
-        total_f += h * f_prev  # last index
-        f_last = f_prev
-
-        # suffix trapezoid from index j: T_j = total - P_j - h/2 (f_j + f_last)
-        slack1 = total_f * dc_tot - slack_a - 0.5 * h * f_last * dc_tot
-        t_tau = total_f - p_rec - 0.5 * h * (f_rec + f_last)
-        supergrad = np.where(hit, t_tau - d_rec, 0.0)
-        return slack1 - slack_pv, supergrad, hit, float(w_run.max())
-
-    slack_parts, sg_parts, hit_parts, w_max = zip(*_run_engine(n_paths, rng, workers, chunk))
-    _warn_if_extrapolated(b, x, max(w_max))
-    slackness = np.concatenate(slack_parts)
-    supergrad = np.concatenate(sg_parts, axis=1)
-    hit_all = np.concatenate(hit_parts, axis=1)
-    root_n = math.sqrt(n_paths)
-    entries = tuple(
-        FOCEntry(rule=rule,
-                 supergradient=float(supergrad[rk].mean()),
-                 se=float(supergrad[rk].std(ddof=1) / root_n),
-                 hit_fraction=float(hit_all[rk].mean()))
-        for rk, rule in enumerate(rules))
-    return FOCReport(entries=entries,
-                     slackness=float(slackness.mean()),
-                     slackness_se=float(slackness.std(ddof=1) / root_n),
-                     n_paths=n_paths, step=h, t_max=t_eff)
-
-
-# -- stopping value ----------------------------------------------------------------
+    (a_end, a_tau, d_tau, hit, slack), h, t_eff = _forward(
+        model, r, b, x, y, n_paths, rng, step, t_max, workers, start)
+    sg, sg_se = _mean_se(np.where(hit, a_end - a_tau - d_tau, 0.0))
+    slackness, slackness_se = _mean_se(slack)
+    entries = tuple(FOCEntry(rule=rule, supergradient=float(sg[k]), se=float(sg_se[k]),
+                             hit_fraction=float(hit[k].mean()))
+                    for k, rule in enumerate(rules))
+    return FOCReport(entries=entries, slackness=float(slackness),
+                     slackness_se=float(slackness_se), n_paths=n_paths, step=h, t_max=t_eff)
 
 
 def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -456,40 +451,9 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     with e^{-r tau} = 0 when tau never occurs before t_max.  Returns exactly
     (1.0, 0.0) when y <= b(x), where tau = 0.  Never exceeds 1 beyond noise.
     """
-    if not y > 0:
-        raise DomainError(f"initial capacity must be > 0, got {y!r}")
-    h, t_eff, n_steps = _resolve_grid(r, step, t_max)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        b_at_start = float(np.asarray(b(x), dtype=float))
-    if b_at_start >= y:
-        return 1.0, 0.0
-    disc = np.exp(-r * h * np.arange(n_steps + 1))
-    pi_c0 = float(np.asarray(marginal_profit(p, math.exp(x), y), dtype=float))
-
-    def chunk(lo: int, hi: int, sub: np.random.Generator):
-        m = hi - lo
-        x_new = np.zeros(m)
-        x_lo = np.zeros(m)   # range of the shock, i.e. of b's arguments
-        x_hi = np.zeros(m)
-        v = np.zeros(m)
-        active = np.ones(m, dtype=bool)
-        g_prev = np.full(m, disc[0] * pi_c0)
-        for step_idx in range(1, n_steps + 1):
-            x_new, _ = _increment(model, x_new, h, sub)
-            np.minimum(x_lo, x_new, out=x_lo)
-            np.maximum(x_hi, x_new, out=x_hi)
-            z = np.exp(x + x_new)
-            g_new = disc[step_idx] * np.asarray(marginal_profit(p, z, y), dtype=float)
-            v[active] += 0.5 * h * (g_prev + g_new)[active]
-            newly = active & (np.asarray(b(x + x_new), dtype=float) >= y)
-            v[newly] += disc[step_idx]
-            active &= ~newly
-            g_prev = g_new
-        return v, x + float(x_lo.min()), x + float(x_hi.max())
-
-    parts, arg_lo, arg_hi = zip(*_run_engine(n_paths, rng, workers, chunk))
-    _warn_if_extrapolated(b, min(arg_lo), max(arg_hi))
-    values = np.concatenate(parts)
-    return (float(values.mean()),
-            float(values.std(ddof=1) / math.sqrt(n_paths)))
+    stops = lambda j, x_j, b: [b(x + x_j) >= y]  # noqa: E731
+    (a_end, a_tau, d_tau, hit, _), _, _ = _forward(
+        model, r, b, x, y, n_paths, rng, step, t_max, workers,
+        lambda h, disc: partial(_FirstHits, p, x, y, False, stops, h, disc))
+    mean, se = _mean_se(np.where(hit[0], a_tau[0] + d_tau[0], a_end))
+    return float(mean), float(se)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .levy import ExtremaPool, Family, LevyModel, laplace_exponent, sample_extrema
+from .levy import (ExtremaPool, Family, LevyModel, _mean_se, laplace_exponent,
+                   sample_extrema)
 from .roots import bisect, expand_bracket_upward
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "sample_triplet",
     "inf_moment",
     "inf_moment_with_se",
-    "sup_moment",
     "sup_moment_with_se",
     "sup_moment_diagnostics",
     "wh_identity_residual",
@@ -69,9 +69,6 @@ class WienerHopfFactors:
     def is_exact(self) -> bool:
         return self.mode == EXACT_RATIONAL
 
-    def sample_size(self) -> int:
-        return 0 if self.pool is None else len(self.pool)
-
 
 def _psi_rational(model: LevyModel, lam: float) -> float:
     """The Laplace exponent continued as a rational function of lam.
@@ -105,8 +102,6 @@ def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
     fam = model.family
     if fam is Family.BROWNIAN_DRIFT:
         sig2 = model.sigma ** 2
-        if sig2 == 0.0:
-            raise UnsupportedModel("degenerate drift has at most one root; not supported")
         disc = math.sqrt(model.mu ** 2 + 2.0 * sig2 * r)
         return ((-model.mu - disc) / sig2, (-model.mu + disc) / sig2)
     if fam is Family.KOU:
@@ -188,22 +183,17 @@ def inf_moment_with_se(factors: WienerHopfFactors, lam: float) -> tuple[float, f
         raise DomainError(f"inf_moment requires lambda >= 0, got {lam!r}")
     if factors.is_exact:
         return _mixture_moment(factors.min_weights, factors.min_rates, lam, sign=-1), 0.0
-    terms = np.exp(lam * factors.pool.running_min)
-    n = len(terms)
-    return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(n))
+    mean, se = _mean_se(np.exp(lam * factors.pool.running_min))
+    return float(mean), float(se)
 
 
-def sup_moment(factors: WienerHopfFactors, lam: float) -> float:
-    """E[exp(lam * M)].
+def sup_moment_with_se(factors: WienerHopfFactors, lam: float) -> tuple[float, float]:
+    """E[exp(lam * M)] and its standard error (0 in exact mode).
 
     Exact mode requires lam below the smallest positive root of psi = r
     (the moment diverges there); Monte Carlo mode evaluates any lam but the
     estimate may be heavy-tailed - see sup_moment_diagnostics.
     """
-    return sup_moment_with_se(factors, lam)[0]
-
-
-def sup_moment_with_se(factors: WienerHopfFactors, lam: float) -> tuple[float, float]:
     lam = float(lam)
     if factors.is_exact:
         smallest = min(factors.max_rates)
@@ -212,9 +202,8 @@ def sup_moment_with_se(factors: WienerHopfFactors, lam: float) -> tuple[float, f
                 f"sup moment diverges for lambda >= {smallest!r}, got {lam!r}"
             )
         return _mixture_moment(factors.max_weights, factors.max_rates, lam, sign=+1), 0.0
-    terms = np.exp(lam * factors.pool.running_max)
-    n = len(terms)
-    return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(n))
+    mean, se = _mean_se(np.exp(lam * factors.pool.running_max))
+    return float(mean), float(se)
 
 
 def sup_moment_diagnostics(factors: WienerHopfFactors, lam: float) -> dict:
@@ -228,9 +217,10 @@ def sup_moment_diagnostics(factors: WienerHopfFactors, lam: float) -> dict:
         raise UnsupportedModel("diagnostics apply to Monte Carlo factors only")
     terms = np.exp(float(lam) * factors.pool.running_max)
     total = float(terms.sum())
+    mean, se = _mean_se(terms)
     return {
-        "estimate": float(terms.mean()),
-        "se": float(terms.std(ddof=1) / math.sqrt(len(terms))),
+        "estimate": float(mean),
+        "se": float(se),
         "max_term_share": float(terms.max() / total) if total > 0 else float("nan"),
         "n": int(len(terms)),
     }
@@ -246,8 +236,8 @@ def _identity_target(model: LevyModel, r: float) -> float:
     return r / (r - psi1)
 
 
-def wh_identity_residual(model: LevyModel, r: float, n: int,
-                         rng: np.random.Generator) -> tuple[float, float]:
+def wh_identity_residual(model: LevyModel, r: float, n: int, rng: np.random.Generator,
+                         *, workers: int = 1) -> tuple[float, float]:
     """Monte Carlo check of E[e^M] * E[e^I] = r / (r - psi(1)).
 
     Draws n extrema samples, forms the product of the two sample means, and
@@ -256,10 +246,10 @@ def wh_identity_residual(model: LevyModel, r: float, n: int,
     replicates; that covariance inherits the pool's approximate joint law of
     (M, I), whose per-segment bridge maximum and minimum are drawn
     independently (see levy.sample_extrema).  DomainError if psi(1) does not
-    exist or r <= psi(1).
+    exist or r <= psi(1).  The result does not depend on `workers`.
     """
     target = _identity_target(model, r)
-    pool = sample_extrema(model, r, n, rng)
+    pool = sample_extrema(model, r, n, rng, workers=workers)
     a = np.exp(pool.running_max)
     b = np.exp(pool.running_min)
     mean_a = float(a.mean())

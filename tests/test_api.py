@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -26,3 +27,8 @@ def test_import_does_not_load_scipy():
     code = "import levyinvest, sys; assert 'scipy' not in sys.modules"
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
+
+
+def test_policy_steps_paths_in_one_place():
+    import levyinvest.policy
+    assert inspect.getsource(levyinvest.policy).count("_increment(") == 1

@@ -132,6 +132,31 @@ class TestDeterminism:
         assert read(a + "/compare.csv") == read(b + "/compare.csv")
         assert read(a + "/compare.json") == read(b + "/compare.json")
 
+    def test_residual_samplers_get_workers(self, tmp_path, monkeypatch):
+        # 20000 draws make two chunks, so the pools really run on two workers
+        path = tmp_path / "config.json"
+        doc = dict(FAST_CONFIG, mc=dict(FAST_CONFIG["mc"], n_paths=20000))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        seen = []
+        original = levyinvest.levy.sample_extrema
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return original(*args, **kwargs)
+
+        for module in (levyinvest.boundary, levyinvest.wiener_hopf):
+            monkeypatch.setattr(module, "sample_extrema", recording)
+        verify = {}
+        for workers in (1, 2):
+            seen.clear()
+            out = str(tmp_path / f"w{workers}")
+            for command in ("verify", "wh-check"):
+                assert main([command, "--config", str(path), "--out", out,
+                             "--workers", str(workers)]) == 0
+            assert seen and set(seen) == {workers}
+            verify[workers] = read(out + "/verify.json")
+        assert verify[1] == verify[2]
+
     def test_seed_override_changes_results(self, config_path, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--config", config_path, "--out", a])

@@ -3,8 +3,7 @@ import pytest
 
 from levyinvest.errors import ConstructionError, DomainError
 from levyinvest.levy import (Family, LevyModel, _increment, _jump_sizes, _jump_sums,
-                             default_step, laplace_exponent, sample_extrema,
-                             sample_horizon)
+                             default_step, laplace_exponent, sample_extrema)
 
 
 BD = LevyModel.brownian(0.5, 1.0)
@@ -25,11 +24,6 @@ class TestConstruction:
             LevyModel.brownian(0.0, 0.0)
         with pytest.raises(ConstructionError):
             LevyModel.brownian(0.0, -1.0)
-
-    def test_degenerate_drift_opt_in(self):
-        m = LevyModel.brownian(1.0, 0.0, allow_degenerate=True)
-        assert m.is_degenerate
-        assert not BD.is_degenerate
 
     def test_jump_families_need_diffusion_and_jumps(self):
         with pytest.raises(ConstructionError):
@@ -91,12 +85,6 @@ class TestLaplaceExponent:
 class TestSampling:
     def test_default_step(self):
         assert default_step(2.0) == pytest.approx(5e-4)
-
-    def test_horizon_is_exponential(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_horizon(3.0, rng) for _ in range(4000)])
-        assert draws.mean() == pytest.approx(1 / 3.0, rel=0.1)
-        assert (draws > 0).all()
 
 
 def run_steps(model, n, h, k, seed):

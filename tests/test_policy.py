@@ -17,6 +17,7 @@ R = 2.0
 CD = cobb_douglas(0.5, 0.5)
 TABLE = closed_form_boundary_table(CD, exact_factors(BD, R), -2.0, 2.0, 41)
 STABLE = LevyModel.stable(0.0, 1.5, 0.5)
+KOU = LevyModel.kou(0.0, 0.2, 1.0, 0.4, 8.0, 6.0)
 N = 4096
 H = 0.02
 TM = 2.0
@@ -159,12 +160,27 @@ class TestStoppingValue:
         assert a == b
 
 
+@pytest.mark.parametrize("model", [BD, KOU], ids=["brownian", "kou"])
+def test_stopping_value_is_one_plus_supergradient_at_zero(model):
+    # a boundary that never binds keeps C = y and never stops the stopping
+    # rule, so both estimators integrate the same flow on the same paths:
+    # v = A_N and the supergradient at tau = 0 is A_N - 1
+    never = lambda u: np.full_like(u, 1e-12)  # noqa: E731
+    kwargs = dict(step=H, t_max=TM)
+    v, _ = stopping_value(CD, model, R, never, 0.0, 1.0, N, np.random.default_rng(24),
+                          **kwargs)
+    rep = foc_residuals(CD, model, R, never, 0.0, 1.0, (StoppingRule.fixed(0.0),), N,
+                        np.random.default_rng(24), **kwargs)
+    assert abs(v - (1.0 + rep.entries[0].supergradient)) <= 1e-12
+
+
 class TestExtrapolationReport:
     # 40000 paths run as three chunks; the warning's range is reduced from
     # per-chunk results after the join, so threads cannot lose an update.
     # A short switch interval makes the threads interleave as often as they can.
-    @pytest.mark.parametrize("engine", ["evaluate_profit", "foc_residuals",
-                                        "stopping_value"])
+    # Every engine attributes its warning to the line that called it.
+    @pytest.mark.parametrize("engine", ["evaluate_profit", "compare_policies",
+                                        "foc_residuals", "stopping_value"])
     def test_warning_text_worker_invariant(self, engine):
         bx = float(TABLE(0.0))
         texts = []
@@ -178,15 +194,18 @@ class TestExtrapolationReport:
                     warnings.simplefilter("always")
                     if engine == "evaluate_profit":
                         evaluate_profit(CD, BD, R, TABLE, 0.0, 0.05, 40000, rng, **kwargs)
+                    elif engine == "compare_policies":
+                        compare_policies(CD, BD, R, TABLE, 0.0, 0.05, [0.5, 2.0], 40000,
+                                         rng, **kwargs)
                     elif engine == "foc_residuals":
                         foc_residuals(CD, BD, R, TABLE, 0.0, bx,
                                       (StoppingRule.fixed(0.5),), 40000, rng, **kwargs)
                     else:
                         stopping_value(CD, BD, R, TABLE, 0.0, 2.0 * bx, 40000, rng,
                                        **kwargs)
-                texts.append([str(w.message) for w in caught
-                              if issubclass(w.category, ExtrapolationWarning)])
+                ours = [w for w in caught if issubclass(w.category, ExtrapolationWarning)]
+                assert [w.filename for w in ours] == [__file__]
+                texts.append([str(w.message) for w in ours])
         finally:
             sys.setswitchinterval(interval)
-        assert len(texts[0]) == 1
         assert texts[0] == texts[1]

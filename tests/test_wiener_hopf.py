@@ -7,8 +7,8 @@ from levyinvest.errors import DomainError, UnsupportedModel
 from levyinvest.levy import LevyModel, laplace_exponent
 from levyinvest.wiener_hopf import (EXACT_RATIONAL, MONTE_CARLO, cramer_roots,
                                     exact_factors, inf_moment, inf_moment_with_se,
-                                    sample_triplet, sup_moment,
-                                    sup_moment_diagnostics, sup_moment_with_se,
+                                    sample_triplet, sup_moment_diagnostics,
+                                    sup_moment_with_se,
                                     wh_identity_residual)
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
@@ -73,19 +73,19 @@ class TestMoments:
         wh = exact_factors(BD, R_BD)
         b = math.sqrt(2.0)
         assert inf_moment(wh, 1.0) == pytest.approx(b / (b + 1.0))
-        assert sup_moment(wh, 1.0) == pytest.approx(b / (b - 1.0))
+        assert sup_moment_with_se(wh, 1.0)[0] == pytest.approx(b / (b - 1.0))
 
     def test_identity_from_exact_moments(self):
         for model, r in ((BD, R_BD), (KOU, R_KOU)):
             wh = exact_factors(model, r)
-            product = sup_moment(wh, 1.0) * inf_moment(wh, 1.0)
+            product = sup_moment_with_se(wh, 1.0)[0] * inf_moment(wh, 1.0)
             assert product == pytest.approx(r / (r - laplace_exponent(model, 1.0)),
                                             rel=1e-12)
 
     def test_moment_limits(self):
         wh = exact_factors(BD, R_BD)
         assert inf_moment(wh, 0.0) == pytest.approx(1.0)
-        assert sup_moment(wh, 0.0) == pytest.approx(1.0)
+        assert sup_moment_with_se(wh, 0.0)[0] == pytest.approx(1.0)
 
     def test_negative_lambda_rejected(self):
         wh = exact_factors(BD, R_BD)
@@ -95,9 +95,9 @@ class TestMoments:
     def test_sup_moment_divergence_guard(self):
         wh = exact_factors(BD, R_BD)
         with pytest.raises(DomainError):
-            sup_moment(wh, math.sqrt(2.0))
+            sup_moment_with_se(wh, math.sqrt(2.0))
         with pytest.raises(DomainError):
-            sup_moment(wh, 5.0)
+            sup_moment_with_se(wh, 5.0)
 
     def test_exact_moments_have_zero_se(self):
         wh = exact_factors(KOU, R_KOU)
@@ -116,7 +116,7 @@ class TestMonteCarlo:
     def test_mc_mode_flag_and_size(self):
         wh = sample_triplet(KOU, R_KOU, 5000, np.random.default_rng(2))
         assert wh.mode == MONTE_CARLO and not wh.is_exact
-        assert wh.sample_size() == 5000
+        assert len(wh.pool) == 5000
 
     def test_diagnostics_fields(self):
         wh = sample_triplet(BD, R_BD, 5000, np.random.default_rng(3))
