@@ -20,6 +20,7 @@ forms for cobb_douglas, ces and log profit serve as cross-checks.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,6 +61,16 @@ _Z_FLOOR = 1e-300
 
 class ExtrapolationWarning(UserWarning):
     """A boundary table was evaluated outside its solved grid."""
+
+
+def _warn_extrapolated(message: str) -> None:
+    """Issue an ExtrapolationWarning attributed to the first caller outside
+    the module that calls this, however deep that module's own frames go."""
+    frame, level = sys._getframe(1), 2
+    module = frame.f_globals.get("__name__")
+    while frame.f_globals.get("__name__") == module:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, ExtrapolationWarning, stacklevel=level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +123,9 @@ class BoundaryTable:
         below = u_arr < g[0]
         above = u_arr > g[-1]
         if below.any() or above.any():
-            warnings.warn(
+            _warn_extrapolated(
                 f"boundary evaluated outside solved grid "
-                f"[{float(g[0])!r}, {float(g[-1])!r}]; continuing with edge slopes",
-                ExtrapolationWarning, stacklevel=2)
+                f"[{float(g[0])!r}, {float(g[-1])!r}]; continuing with edge slopes")
             if below.any():
                 slope = (lv[1] - lv[0]) / (g[1] - g[0])
                 out[below] = lv[0] + slope * (u_arr[below] - g[0])

@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from .boundary import closed_form_boundary_table, integral_equation_residual, solve_boundary_grid
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _as_seed, load_config
 from .errors import DomainError, LevyInvestError, ValidationError
 from .levy import Family
 from .profit import check_assumptions
@@ -186,7 +186,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str, workers: int) -> int:
                          workers=workers)
     payload = dict(_identity(cfg))
     payload.update({"state": {"x": cfg.x, "y": cfg.y}})
-    payload.update(ev.to_dict())
+    payload.update(dataclasses.asdict(ev))
     _dump_json(os.path.join(out, "simulate.json"), payload)
     return 0
 
@@ -208,7 +208,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: str, workers: int) -> int:
     _dump_csv(os.path.join(out, "compare.csv"), ident, header, rows)
     payload = dict(ident)
     payload.update({"state": {"x": cfg.x, "y": cfg.y}})
-    payload.update(result.to_dict())
+    payload.update(dataclasses.asdict(result))
     _dump_json(os.path.join(out, "compare.json"), payload)
     return 0
 
@@ -255,9 +255,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ValidationError("seed", f"must fit in 64 bits, got {args.seed!r}")
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            cfg = dataclasses.replace(cfg, seed=_as_seed(args.seed))
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         if args.workers < 1:

@@ -18,9 +18,12 @@ Schema (JSON object; unknown keys are rejected so typos fail loudly):
                         default: quartile points of the grid interval
     outputs  optional  artifact directory, default "out"
 
-Families: "brownian_drift" (mu, sigma), "merton" (mu, sigma, jump_intensity,
-jump_mean, jump_sd), "kou" (mu, sigma, jump_intensity, p_up, eta_plus,
-eta_minus), "symmetric_stable" (mu, stable_index, stable_scale).
+Families and profit kinds take the parameters that `_MODELS` and `_PROFITS`
+name; a model's `mu` is optional and defaults to 0.  This module checks only
+the shape of the input (JSON types, finite numbers, required and unknown
+keys) and fills defaults.  The ranges of model and profit parameters are
+checked by their constructors (LevyModel's classmethods, cobb_douglas, ces),
+whose ConstructionError names the parameter.
 
 Every validation failure raises ValidationError naming the offending key by
 its dotted path (e.g. "model.sigma").
@@ -101,96 +104,48 @@ def _as_int(value, path: str, *, minimum: int | None = None) -> int:
     return value
 
 
-def _parse_model(raw) -> LevyModel:
-    d = _require_mapping(raw, "model")
-    family = _get(d, "family", "model")
-    common = {"family"}
-    try:
-        if family == "brownian_drift":
-            _reject_unknown(d, common | {"mu", "sigma"}, "model")
-            return LevyModel.brownian(
-                mu=_as_float(_get(d, "mu", "model", 0.0), "model.mu"),
-                sigma=_as_float(_get(d, "sigma", "model"), "model.sigma", positive=True))
-        if family == "merton":
-            _reject_unknown(d, common | {"mu", "sigma", "jump_intensity",
-                                         "jump_mean", "jump_sd"}, "model")
-            return LevyModel.merton(
-                mu=_as_float(_get(d, "mu", "model", 0.0), "model.mu"),
-                sigma=_as_float(_get(d, "sigma", "model"), "model.sigma", positive=True),
-                jump_intensity=_as_float(_get(d, "jump_intensity", "model"),
-                                         "model.jump_intensity", positive=True),
-                jump_mean=_as_float(_get(d, "jump_mean", "model"), "model.jump_mean"),
-                jump_sd=_as_float(_get(d, "jump_sd", "model"), "model.jump_sd",
-                                  positive=True))
-        if family == "kou":
-            _reject_unknown(d, common | {"mu", "sigma", "jump_intensity", "p_up",
-                                         "eta_plus", "eta_minus"}, "model")
-            p_up = _as_float(_get(d, "p_up", "model"), "model.p_up")
-            if not 0.0 < p_up < 1.0:
-                raise ValidationError("model.p_up", f"must lie in (0, 1), got {p_up!r}")
-            return LevyModel.kou(
-                mu=_as_float(_get(d, "mu", "model", 0.0), "model.mu"),
-                sigma=_as_float(_get(d, "sigma", "model"), "model.sigma", positive=True),
-                jump_intensity=_as_float(_get(d, "jump_intensity", "model"),
-                                         "model.jump_intensity", positive=True),
-                p_up=p_up,
-                eta_plus=_as_float(_get(d, "eta_plus", "model"), "model.eta_plus",
-                                   positive=True),
-                eta_minus=_as_float(_get(d, "eta_minus", "model"), "model.eta_minus",
-                                    positive=True))
-        if family == "symmetric_stable":
-            _reject_unknown(d, common | {"mu", "stable_index", "stable_scale"}, "model")
-            idx = _as_float(_get(d, "stable_index", "model"), "model.stable_index")
-            if not 1.0 < idx < 2.0:
-                raise ValidationError("model.stable_index",
-                                      f"must lie in (1, 2), got {idx!r}")
-            return LevyModel.stable(
-                mu=_as_float(_get(d, "mu", "model", 0.0), "model.mu"),
-                stable_index=idx,
-                stable_scale=_as_float(_get(d, "stable_scale", "model"),
-                                       "model.stable_scale", positive=True))
-    except ConstructionError as exc:
-        raise ValidationError("model", str(exc)) from exc
-    raise ValidationError(
-        "model.family",
-        f"unknown family {family!r}; expected one of brownian_drift, merton, "
-        f"kou, symmetric_stable")
+def _as_seed(value) -> int:
+    seed = _as_int(value, "seed", minimum=0)
+    if seed >= 2 ** 64:
+        raise ValidationError("seed", f"must fit in 64 bits, got {seed!r}")
+    return seed
 
 
-def _parse_profit(raw) -> ProfitFunction:
-    d = _require_mapping(raw, "profit")
-    kind = _get(d, "kind", "profit")
+# each family's constructor and its parameters besides `mu`
+_MODELS = {
+    "brownian_drift": (LevyModel.brownian, ("sigma",)),
+    "merton": (LevyModel.merton, ("sigma", "jump_intensity", "jump_mean", "jump_sd")),
+    "kou": (LevyModel.kou, ("sigma", "jump_intensity", "p_up", "eta_plus", "eta_minus")),
+    "symmetric_stable": (LevyModel.stable, ("stable_index", "stable_scale")),
+}
+_PROFITS = {
+    "cobb_douglas": (cobb_douglas, ("alpha", "beta")),
+    "ces": (ces, ("alpha", "gamma")),
+    "log": (log_profit, ()),
+}
+
+
+def _parse_block(raw, path: str, tag_key: str, table: dict, optional: dict):
+    """Build the object a {tag_key: tag, parameter: number, ...} block describes.
+
+    table[tag] gives the constructor and its required parameter names;
+    `optional` maps further parameter names to their defaults.
+    """
+    d = _require_mapping(raw, path)
+    tag = _get(d, tag_key, path)
+    if not isinstance(tag, str) or tag not in table:
+        raise ValidationError(f"{path}.{tag_key}",
+                              f"unknown {tag_key} {tag!r}; expected one of "
+                              f"{', '.join(table)}")
+    build, names = table[tag]
+    _reject_unknown(d, {tag_key, *optional, *names}, path)
+    params = {name: _as_float(_get(d, name, path, optional.get(name, _MISSING)),
+                              f"{path}.{name}")
+              for name in (*optional, *names)}
     try:
-        if kind == "cobb_douglas":
-            _reject_unknown(d, {"kind", "alpha", "beta"}, "profit")
-            alpha = _as_float(_get(d, "alpha", "profit"), "profit.alpha")
-            beta = _as_float(_get(d, "beta", "profit"), "profit.beta")
-            if not 0.0 < alpha < 1.0:
-                raise ValidationError("profit.alpha",
-                                      f"must lie in (0, 1), got {alpha!r}")
-            if not 0.0 < beta < 1.0:
-                raise ValidationError("profit.beta",
-                                      f"must lie in (0, 1), got {beta!r}")
-            return cobb_douglas(alpha, beta)
-        if kind == "ces":
-            _reject_unknown(d, {"kind", "alpha", "gamma"}, "profit")
-            alpha = _as_float(_get(d, "alpha", "profit"), "profit.alpha")
-            gamma = _as_float(_get(d, "gamma", "profit"), "profit.gamma")
-            if not 0.0 < alpha < 1.0:
-                raise ValidationError("profit.alpha",
-                                      f"must lie in (0, 1), got {alpha!r}")
-            if not 0.0 < gamma < 1.0:
-                raise ValidationError("profit.gamma",
-                                      f"gamma must lie in (0, 1), got {gamma!r}")
-            return ces(alpha, gamma)
-        if kind == "log":
-            _reject_unknown(d, {"kind"}, "profit")
-            return log_profit()
+        return build(**params)
     except ConstructionError as exc:
-        raise ValidationError("profit", str(exc)) from exc
-    raise ValidationError("profit.kind",
-                          f"unknown kind {kind!r}; expected one of cobb_douglas, "
-                          f"ces, log")
+        raise ValidationError(f"{path}.{exc.key}", exc.message) from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -204,14 +159,13 @@ def parse_config(text: str) -> ExperimentConfig:
     _reject_unknown(raw, {"model", "profit", "r", "seed", "mc", "grid", "state",
                           "scales", "verify", "outputs"}, "")
 
-    model = _parse_model(_get(raw, "model", ""))
-    profit = _parse_profit(_get(raw, "profit", ""))
+    model = _parse_block(_get(raw, "model", ""), "model", "family", _MODELS,
+                         {"mu": 0.0})
+    profit = _parse_block(_get(raw, "profit", ""), "profit", "kind", _PROFITS, {})
     r = _as_float(_get(raw, "r", ""), "r")
     if not r > 0:
         raise ValidationError("r", f"must be > 0, got {r!r}")
-    seed = _as_int(_get(raw, "seed", "", 0), "seed", minimum=0)
-    if seed >= 2 ** 64:
-        raise ValidationError("seed", f"must fit in 64 bits, got {seed!r}")
+    seed = _as_seed(_get(raw, "seed", "", 0))
 
     mc = _require_mapping(_get(raw, "mc", "", {}), "mc")
     _reject_unknown(mc, {"n_paths", "step", "t_max"}, "mc")

@@ -13,7 +13,16 @@ class LevyInvestError(Exception):
 
 
 class ConstructionError(LevyInvestError, ValueError):
-    """Invalid parameters passed to a model or profit-function constructor."""
+    """Invalid parameters passed to a model or profit-function constructor.
+
+    Carries the offending parameter's name so the config parser can report
+    it by its dotted path.
+    """
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+        self.message = message
 
 
 class DomainError(LevyInvestError, ValueError):

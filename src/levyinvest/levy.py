@@ -54,11 +54,14 @@ class Family(str, Enum):
     STABLE = "symmetric_stable"
 
 
-def _require_finite(name: str, value: float) -> float:
+def _require(ok: bool, name: str, value: float, rule: str) -> None:
+    if not ok:
+        raise ConstructionError(name, f"{name} must {rule}, got {value!r}")
+
+
+def _require_finite(name: str, value: float) -> None:
     value = float(value)
-    if not math.isfinite(value):
-        raise ConstructionError(f"{name} must be finite, got {value!r}")
-    return value
+    _require(math.isfinite(value), name, value, "be finite")
 
 
 @dataclass(frozen=True)
@@ -83,45 +86,32 @@ class LevyModel:
     stable_scale: float = 0.0
 
     def __post_init__(self):
+        fam = self.family
+        if not isinstance(fam, Family):
+            raise ConstructionError("family", f"unknown family {fam!r}")
         _require_finite("mu", self.mu)
         _require_finite("sigma", self.sigma)
-        if self.sigma < 0:
-            raise ConstructionError(f"sigma must be >= 0, got {self.sigma!r}")
-        fam = self.family
-        if fam is Family.BROWNIAN_DRIFT:
-            if self.sigma == 0.0:
-                raise ConstructionError("brownian_drift requires sigma > 0, got 0.0")
-        elif fam in (Family.MERTON, Family.KOU):
-            if self.sigma <= 0.0:
-                raise ConstructionError(f"{fam.value} requires sigma > 0, got {self.sigma!r}")
-            if not self.jump_intensity > 0.0:
-                raise ConstructionError(
-                    f"{fam.value} requires jump_intensity > 0 (use brownian_drift for "
-                    f"a pure diffusion), got {self.jump_intensity!r}"
-                )
+        # diffusive families need a Gaussian part; the stable family has none
+        if fam is Family.STABLE:
+            _require(self.sigma == 0.0, "sigma", self.sigma, "be 0 for symmetric_stable")
+        else:
+            _require(self.sigma > 0.0, "sigma", self.sigma, f"be > 0 for {fam.value}")
+        if fam in (Family.MERTON, Family.KOU):
+            _require(self.jump_intensity > 0.0, "jump_intensity", self.jump_intensity,
+                     f"be > 0 for {fam.value} (use brownian_drift for a pure diffusion)")
             if fam is Family.MERTON:
                 _require_finite("jump_mean", self.jump_mean)
-                if self.jump_sd < 0:
-                    raise ConstructionError(f"jump_sd must be >= 0, got {self.jump_sd!r}")
+                _require(self.jump_sd >= 0.0, "jump_sd", self.jump_sd, "be >= 0")
             else:
-                if not 0.0 < self.p_up < 1.0:
-                    raise ConstructionError(f"p_up must lie in (0, 1), got {self.p_up!r}")
-                if not (self.eta_plus > 0.0 and self.eta_minus > 0.0):
-                    raise ConstructionError("eta_plus and eta_minus must be > 0")
+                _require(0.0 < self.p_up < 1.0, "p_up", self.p_up, "lie in (0, 1)")
+                _require(self.eta_plus > 0.0, "eta_plus", self.eta_plus, "be > 0")
+                _require(self.eta_minus > 0.0, "eta_minus", self.eta_minus, "be > 0")
         elif fam is Family.STABLE:
-            if not 1.0 < self.stable_index < 2.0:
-                raise ConstructionError(
-                    f"stable_index must lie in (1, 2), got {self.stable_index!r}"
-                )
-            if not self.stable_scale > 0.0:
-                raise ConstructionError(f"stable_scale must be > 0, got {self.stable_scale!r}")
-            if self.sigma != 0.0 or self.jump_intensity != 0.0:
-                raise ConstructionError(
-                    "symmetric_stable carries its own jump structure; sigma and "
-                    "jump_intensity must be 0"
-                )
-        else:  # pragma: no cover - enum is exhaustive
-            raise ConstructionError(f"unknown family {fam!r}")
+            _require(1.0 < self.stable_index < 2.0, "stable_index", self.stable_index,
+                     "lie in (1, 2)")
+            _require(self.stable_scale > 0.0, "stable_scale", self.stable_scale, "be > 0")
+            _require(self.jump_intensity == 0.0, "jump_intensity", self.jump_intensity,
+                     "be 0: symmetric_stable carries its own jump structure")
 
     # -- constructors -------------------------------------------------------
 
@@ -147,6 +137,24 @@ class LevyModel:
                    stable_scale=stable_scale)
 
 
+def _psi(model: LevyModel, lam: float) -> float:
+    """The closed form of the Laplace exponent, with no domain check.
+
+    For kou it is continued as a rational function across its poles at
+    eta_plus and -eta_minus, which the root bookkeeping of cramer_roots
+    needs; for symmetric_stable it is meaningful only at lam = 0.
+    """
+    base = model.mu * lam + 0.5 * model.sigma ** 2 * lam * lam
+    if model.family is Family.MERTON:
+        jump_mgf = math.exp(model.jump_mean * lam + 0.5 * (model.jump_sd * lam) ** 2)
+        return base + model.jump_intensity * (jump_mgf - 1.0)
+    if model.family is Family.KOU:
+        jump_mgf = (model.p_up * model.eta_plus / (model.eta_plus - lam)
+                    + (1.0 - model.p_up) * model.eta_minus / (model.eta_minus + lam))
+        return base + model.jump_intensity * (jump_mgf - 1.0)
+    return base
+
+
 def laplace_exponent(model: LevyModel, lam: float) -> float:
     """log E[exp(lam * X_1)] where the exponential moment exists.
 
@@ -157,27 +165,14 @@ def laplace_exponent(model: LevyModel, lam: float) -> float:
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    fam = model.family
-    base = model.mu * lam + 0.5 * model.sigma ** 2 * lam * lam
-    if fam is Family.BROWNIAN_DRIFT:
-        return base
-    if fam is Family.MERTON:
-        jump_mgf = math.exp(model.jump_mean * lam + 0.5 * (model.jump_sd * lam) ** 2)
-        return base + model.jump_intensity * (jump_mgf - 1.0)
-    if fam is Family.KOU:
-        if not (-model.eta_minus < lam < model.eta_plus):
-            raise DomainError(
-                f"kou exponential moment requires lambda in ({-model.eta_minus!r}, "
-                f"{model.eta_plus!r}), got {lam!r}"
-            )
-        jump_mgf = (model.p_up * model.eta_plus / (model.eta_plus - lam)
-                    + (1.0 - model.p_up) * model.eta_minus / (model.eta_minus + lam))
-        return base + model.jump_intensity * (jump_mgf - 1.0)
-    if fam is Family.STABLE:
-        if lam != 0.0:
-            raise DomainError("symmetric_stable has no exponential moments away from 0")
-        return 0.0
-    raise DomainError(f"unknown family {fam!r}")  # pragma: no cover
+    if model.family is Family.KOU and not (-model.eta_minus < lam < model.eta_plus):
+        raise DomainError(
+            f"kou exponential moment requires lambda in ({-model.eta_minus!r}, "
+            f"{model.eta_plus!r}), got {lam!r}"
+        )
+    if model.family is Family.STABLE and lam != 0.0:
+        raise DomainError("symmetric_stable has no exponential moments away from 0")
+    return _psi(model, lam)
 
 
 def default_step(r: float) -> float:

@@ -38,14 +38,13 @@ compound-Poisson jumps are binned to the right end of their step.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryTable, ExtrapolationWarning
+from .boundary import BoundaryTable, ExtrapolationWarning, _warn_extrapolated
 from .errors import ConditionViolation, DomainError
 from .levy import (LevyModel, _increment, _mean_se, _run_chunks, default_step,
                    default_t_max)
@@ -112,15 +111,6 @@ class PolicyEvaluation:
     t_max: float
     tail_bound: float
 
-    def to_dict(self) -> dict:
-        return {
-            "j_value": self.j_value, "j_se": self.j_se,
-            "pv_investment": self.pv_investment,
-            "pv_investment_se": self.pv_investment_se,
-            "n_paths": self.n_paths, "step": self.step, "t_max": self.t_max,
-            "tail_bound": self.tail_bound,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -132,15 +122,6 @@ class ComparisonRow:
     base_minus_this: float       # paired J(base) - J(this scale)
     base_minus_this_se: float
 
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale, "j_value": self.j_value, "j_se": self.j_se,
-            "pv_investment": self.pv_investment,
-            "pv_investment_se": self.pv_investment_se,
-            "base_minus_this": self.base_minus_this,
-            "base_minus_this_se": self.base_minus_this_se,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonResult:
@@ -149,11 +130,6 @@ class ComparisonResult:
     step: float
     t_max: float
     tail_bound: float
-
-    def to_dict(self) -> dict:
-        return {"rows": [row.to_dict() for row in self.rows],
-                "n_paths": self.n_paths, "step": self.step,
-                "t_max": self.t_max, "tail_bound": self.tail_bound}
 
 
 @dataclass(frozen=True)
@@ -212,14 +188,10 @@ def _certified_growth(p: ProfitFunction, model: LevyModel, r: float) -> float:
 
 def _warn_if_extrapolated(b, lo: float, hi: float) -> None:
     if isinstance(b, BoundaryTable) and (lo < b.grid[0] or hi > b.grid[-1]):
-        # name the first caller outside this module, however deep the engine
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
+        _warn_extrapolated(
             f"policy engine evaluated the boundary on [{float(lo)!r}, {float(hi)!r}], "
             f"beyond its solved grid [{float(b.grid[0])!r}, {float(b.grid[-1])!r}]; "
-            f"edge-slope extrapolation was used", ExtrapolationWarning, stacklevel=level)
+            f"edge-slope extrapolation was used")
 
 
 class _Seen:

@@ -18,7 +18,7 @@ the marginal falls back to a central finite difference when not supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,18 +58,18 @@ class ProfitFunction:
 
 def cobb_douglas(alpha: float, beta: float) -> ProfitFunction:
     if not 0.0 < alpha < 1.0:
-        raise ConstructionError(f"cobb_douglas needs alpha in (0, 1), got {alpha!r}")
+        raise ConstructionError("alpha", f"cobb_douglas needs alpha in (0, 1), got {alpha!r}")
     if not 0.0 < beta < 1.0:
-        raise ConstructionError(f"cobb_douglas needs beta in (0, 1), got {beta!r}")
+        raise ConstructionError("beta", f"cobb_douglas needs beta in (0, 1), got {beta!r}")
     return ProfitFunction(kind="cobb_douglas", alpha=float(alpha), beta=float(beta))
 
 
 def ces(alpha: float, gamma: float) -> ProfitFunction:
     if not 0.0 < alpha < 1.0:
-        raise ConstructionError(f"ces needs alpha in (0, 1), got {alpha!r}")
+        raise ConstructionError("alpha", f"ces needs alpha in (0, 1), got {alpha!r}")
     if not 0.0 < gamma < 1.0:
         raise ConstructionError(
-            f"ces needs gamma in (0, 1) (the marginal floor (1-alpha)**(1/gamma) "
+            "gamma", f"ces needs gamma in (0, 1) (the marginal floor (1-alpha)**(1/gamma) "
             f"is undefined or the concavity fails otherwise), got {gamma!r}"
         )
     return ProfitFunction(kind="ces", alpha=float(alpha), gamma=float(gamma))
@@ -82,9 +82,10 @@ def log_profit() -> ProfitFunction:
 def custom(eval_fn: Callable, marginal_fn: Callable | None = None,
            kappa_value: float = 0.0) -> ProfitFunction:
     if not callable(eval_fn):
-        raise ConstructionError("custom profit needs a callable eval_fn(z, c)")
+        raise ConstructionError("eval_fn", "custom profit needs a callable eval_fn(z, c)")
     if not (math.isfinite(kappa_value) and kappa_value >= 0.0):
-        raise ConstructionError(f"kappa_value must be finite and >= 0, got {kappa_value!r}")
+        raise ConstructionError("kappa_value",
+                                f"kappa_value must be finite and >= 0, got {kappa_value!r}")
     return ProfitFunction(kind="custom", custom_eval=eval_fn,
                           custom_marginal=marginal_fn, custom_kappa=float(kappa_value))
 
@@ -159,10 +160,6 @@ class AssumptionCheck:
     severity: str  # "fail" blocks, "warn" is advisory
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "severity": self.severity,
-                "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -179,7 +176,7 @@ class AssumptionReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def _growth_exponent(p: ProfitFunction, model: LevyModel) -> float | None:

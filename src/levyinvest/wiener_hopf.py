@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .levy import (ExtremaPool, Family, LevyModel, _mean_se, laplace_exponent,
+from .levy import (ExtremaPool, Family, LevyModel, _mean_se, _psi, laplace_exponent,
                    sample_extrema)
 from .roots import bisect, expand_bracket_upward
 
@@ -70,25 +70,6 @@ class WienerHopfFactors:
         return self.mode == EXACT_RATIONAL
 
 
-def _psi_rational(model: LevyModel, lam: float) -> float:
-    """The Laplace exponent continued as a rational function of lam.
-
-    Agrees with laplace_exponent on its finiteness domain but is defined on
-    all of R minus the poles, which is what the root bookkeeping needs for
-    the kou family.  Only meaningful for brownian_drift and kou.
-    """
-    base = model.mu * lam + 0.5 * model.sigma ** 2 * lam * lam
-    if model.family is Family.BROWNIAN_DRIFT:
-        return base
-    if model.family is Family.KOU:
-        jump_mgf = (model.p_up * model.eta_plus / (model.eta_plus - lam)
-                    + (1.0 - model.p_up) * model.eta_minus / (model.eta_minus + lam))
-        return base + model.jump_intensity * (jump_mgf - 1.0)
-    raise UnsupportedModel(
-        f"{model.family.value} has no rational Laplace exponent"
-    )
-
-
 def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
     """All real roots of psi(lam) = r, sorted ascending.
 
@@ -105,7 +86,7 @@ def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
         disc = math.sqrt(model.mu ** 2 + 2.0 * sig2 * r)
         return ((-model.mu - disc) / sig2, (-model.mu + disc) / sig2)
     if fam is Family.KOU:
-        g = lambda lam: _psi_rational(model, lam) - r
+        g = lambda lam: _psi(model, lam) - r
         ep, em = model.eta_plus, model.eta_minus
         # one root strictly between each pair of adjacent poles of g, plus one
         # beyond each outer pole where the sigma^2 term takes over

@@ -57,6 +57,17 @@ class TestBoundaryTable:
         for text in texts:
             assert "[-2.0, 2.0]" in text and "np.float64" not in text
 
+    def test_extrapolation_warning_names_the_caller(self):
+        tab = BoundaryTable(grid=np.array([-0.1, 0.1]), values=np.array([1.0, 1.1]),
+                            provenance="test")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tab(3.0)
+            integral_equation_residual(tab, CD, BD, R, 0.0, 2000,
+                                       np.random.default_rng(0))
+        assert len(caught) == 2
+        assert all(w.filename == __file__ for w in caught)
+
     def test_vector_and_scalar_calls(self):
         tab = BoundaryTable(grid=np.array([0.0, 1.0]),
                             values=np.array([1.0, 2.0]),

@@ -178,6 +178,12 @@ class TestErrorHandling:
         assert err["error"]["type"] == "ValidationError"
         assert err["error"]["key"] == "r"
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_override_range(self, seed, config_path, capsys):
+        rc = main(["boundary", "--config", config_path, "--seed", str(seed)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["error"]["key"] == "seed"
+
     def test_missing_file_exits_one(self, capsys):
         rc = main(["boundary", "--config", "/nonexistent/cfg.json"])
         assert rc == 1

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from levyinvest.config import load_config, parse_config
+from levyinvest.config import _MODELS, _PROFITS, load_config, parse_config
 from levyinvest.errors import ParseError, ValidationError
 from levyinvest.levy import Family, default_step, default_t_max
 
@@ -11,6 +13,34 @@ MINIMAL = {
     "profit": {"kind": "cobb_douglas", "alpha": 0.5, "beta": 0.5},
     "r": 2.0,
 }
+
+
+# one valid parameter set per family and profit kind
+MODELS = {
+    "brownian_drift": {"sigma": 1.0},
+    "merton": {"sigma": 0.3, "jump_intensity": 2.0, "jump_mean": -0.05, "jump_sd": 0.2},
+    "kou": {"sigma": 0.2, "jump_intensity": 1.0, "p_up": 0.5, "eta_plus": 10.0,
+            "eta_minus": 10.0},
+    "symmetric_stable": {"stable_index": 1.5, "stable_scale": 0.5},
+}
+PROFITS = {"cobb_douglas": {"alpha": 0.5, "beta": 0.5},
+           "ces": {"alpha": 0.5, "gamma": 0.5},
+           "log": {}}
+MODEL_OUT_OF_RANGE = [
+    ("brownian_drift", "sigma", 0.0), ("brownian_drift", "sigma", -1.0),
+    ("merton", "sigma", 0.0), ("merton", "jump_intensity", 0.0),
+    ("merton", "jump_sd", -0.1),
+    ("kou", "sigma", -0.2), ("kou", "jump_intensity", -1.0), ("kou", "p_up", 0.0),
+    ("kou", "p_up", 1.0), ("kou", "eta_plus", 0.0), ("kou", "eta_minus", -1.0),
+    ("symmetric_stable", "stable_index", 0.5), ("symmetric_stable", "stable_index", 2.0),
+    ("symmetric_stable", "stable_scale", 0.0),
+]
+PROFIT_OUT_OF_RANGE = [
+    ("cobb_douglas", "alpha", 0.0), ("cobb_douglas", "alpha", 1.0),
+    ("cobb_douglas", "beta", -0.5), ("cobb_douglas", "beta", 1.5),
+    ("ces", "alpha", 1.0), ("ces", "gamma", 0.0), ("ces", "gamma", 1.5),
+]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def cfg_text(**overrides) -> str:
@@ -145,3 +175,72 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(tmp_path / "nope.json")
+
+
+class TestParameterTables:
+    def test_tables_cover_every_family_and_kind(self):
+        assert {f: tuple(p) for f, p in MODELS.items()} == {
+            f: names for f, (_, names) in _MODELS.items()}
+        assert {k: tuple(p) for k, p in PROFITS.items()} == {
+            k: names for k, (_, names) in _PROFITS.items()}
+
+    @pytest.mark.parametrize("family", sorted(MODELS))
+    def test_every_family_parses(self, family):
+        cfg = parse_config(cfg_text(model={"family": family, **MODELS[family]}))
+        assert cfg.model.family.value == family and cfg.model.mu == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(PROFITS))
+    def test_every_kind_parses(self, kind):
+        cfg = parse_config(cfg_text(profit={"kind": kind, **PROFITS[kind]}))
+        assert cfg.profit.kind == kind
+
+    @pytest.mark.parametrize("family, name, value", MODEL_OUT_OF_RANGE)
+    def test_model_range_names_key(self, family, name, value):
+        model = {"family": family, **MODELS[family], name: value}
+        with pytest.raises(ValidationError) as err:
+            parse_config(cfg_text(model=model))
+        assert err.value.key == f"model.{name}"
+        assert name in err.value.message
+
+    @pytest.mark.parametrize("kind, name, value", PROFIT_OUT_OF_RANGE)
+    def test_profit_range_names_key(self, kind, name, value):
+        profit = {"kind": kind, **PROFITS[kind], name: value}
+        with pytest.raises(ValidationError) as err:
+            parse_config(cfg_text(profit=profit))
+        assert err.value.key == f"profit.{name}"
+        assert name in err.value.message
+
+    @pytest.mark.parametrize("family", sorted(MODELS))
+    def test_model_shape_names_key(self, family):
+        for name in ("mu", *MODELS[family]):
+            model = {"family": family, **MODELS[family], name: "1.0"}
+            with pytest.raises(ValidationError) as err:
+                parse_config(cfg_text(model=model))
+            assert err.value.key == f"model.{name}"
+        for name in MODELS[family]:
+            model = {"family": family, **MODELS[family]}
+            del model[name]
+            with pytest.raises(ValidationError) as err:
+                parse_config(cfg_text(model=model))
+            assert err.value.key == f"model.{name}"
+
+    @pytest.mark.parametrize("tag", [["kou"], 1, None, {"kind": "ces"}])
+    def test_non_string_family_and_kind(self, tag):
+        with pytest.raises(ValidationError) as err:
+            parse_config(cfg_text(model={"family": tag, "sigma": 1.0}))
+        assert err.value.key == "model.family"
+        with pytest.raises(ValidationError) as err:
+            parse_config(cfg_text(profit={"kind": tag, "alpha": 0.5, "beta": 0.5}))
+        assert err.value.key == "profit.kind"
+
+    def test_degenerate_merton_jumps_parse(self):
+        # the constructor's rule is jump_sd >= 0: fixed-size jumps are allowed
+        model = {"family": "merton", **MODELS["merton"], "jump_sd": 0.0}
+        assert parse_config(cfg_text(model=model)).model.jump_sd == 0.0
+
+    def test_readme_family_table_matches_parser(self):
+        text = README.read_text(encoding="utf-8")
+        table = text[text.index("| family "):].split("\n\n")[0]
+        rows = re.findall(r"^\| `(\w+)`\s*\|(.*)\|\s*$", table, flags=re.MULTILINE)
+        listed = {family: re.findall(r"`(\w+)", cell) for family, cell in rows}
+        assert listed == {f: ["mu", *names] for f, (_, names) in _MODELS.items()}

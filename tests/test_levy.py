@@ -40,6 +40,11 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             LevyModel.kou(0.1, 0.2, 1.0, 0.5, -1.0, 10.0)
 
+    def test_nan_jump_sd_rejected(self):
+        with pytest.raises(ConstructionError) as err:
+            LevyModel.merton(0.0, 0.3, 2.0, -0.05, float("nan"))
+        assert err.value.key == "jump_sd"
+
     def test_stable_index_range(self):
         for bad in (1.0, 2.0, 0.5, 2.5):
             with pytest.raises(ConstructionError):
