@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -33,23 +34,28 @@ import numpy as np
 
 from .boundary import closed_form_boundary_table, integral_equation_residual, solve_boundary_grid
 from .config import ExperimentConfig, _as_seed, load_config
-from .errors import DomainError, LevyInvestError, ValidationError
-from .levy import Family
+from .errors import DomainError, LevyInvestError, UnsupportedModel, ValidationError
 from .profit import check_assumptions
 from .policy import _certified_growth, compare_policies, evaluate_profit
-from .wiener_hopf import (_identity_target, cramer_roots, exact_factors,
-                          inf_moment_with_se, sample_triplet, sup_moment_diagnostics,
-                          sup_moment_with_se, wh_identity_residual)
+from .wiener_hopf import (_identity_target, exact_factors, inf_moment_with_se,
+                          sample_triplet, sup_moment_diagnostics, sup_moment_with_se,
+                          wh_identity_residual)
 
 __all__ = ["main"]
 
 _SUBCOMMANDS = ("boundary", "verify", "wh-check", "simulate", "compare",
                 "check-assumptions")
-_EXACT_FAMILIES = (Family.BROWNIAN_DRIFT, Family.KOU)
 
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
+
+
+def _ratio(residual: float, se: float) -> float:
+    """residual / se; NaN unless both are finite, 0 when the SE is 0."""
+    if not (math.isfinite(residual) and math.isfinite(se)):
+        return math.nan
+    return residual / se if se > 0 else 0.0
 
 
 def _dump_json(path: str, payload: dict) -> None:
@@ -73,11 +79,12 @@ def _identity(cfg: ExperimentConfig) -> dict:
 
 
 def _factors(cfg: ExperimentConfig, rng: np.random.Generator, workers: int):
-    """Exact factorization when the family has one, otherwise sampled."""
-    if cfg.model.family in _EXACT_FAMILIES:
+    """Exact factorization when the model has one, otherwise sampled."""
+    try:
         return exact_factors(cfg.model, cfg.r)
-    return sample_triplet(cfg.model, cfg.r, cfg.n_paths, rng,
-                          step=cfg.step, workers=workers)
+    except UnsupportedModel:
+        return sample_triplet(cfg.model, cfg.r, cfg.n_paths, rng,
+                              step=cfg.step, workers=workers)
 
 
 def _solve_table(cfg: ExperimentConfig, rng: np.random.Generator, workers: int):
@@ -120,7 +127,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
                                              u0, cfg.n_paths, rng, workers=workers)
         points.append({"u0": float(u0), "y": float(table(u0)),
                        "residual": res, "se": se,
-                       "ratio": res / se if se > 0 else 0.0})
+                       "ratio": _ratio(res, se)})
     # every config profit kind has a closed form
     closed = closed_form_boundary_table(cfg.profit, factors,
                                         cfg.u_min, cfg.u_max, cfg.grid_n)
@@ -141,11 +148,13 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     rng = np.random.default_rng(cfg.seed)
     model, r = cfg.model, cfg.r
     _identity_target(model, r)  # fail before any pool is sampled
-    if model.family in _EXACT_FAMILIES:
+    try:
         exact = exact_factors(model, r)
-        roots = [float(v) for v in cramer_roots(model, r)]
+    except UnsupportedModel:
+        exact_block = None
+    else:
         exact_block = {
-            "roots": roots,
+            "roots": list(exact.roots),
             "inf_moment_at_1": inf_moment_with_se(exact, 1.0)[0],
         }
         try:
@@ -153,8 +162,6 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
         except DomainError as exc:
             exact_block["sup_moment_at_1"] = None
             exact_block["sup_moment_note"] = str(exc)
-    else:
-        exact_block = None
     mc = sample_triplet(model, r, cfg.n_paths, rng, step=cfg.step, workers=workers)
     inf_est, inf_se = inf_moment_with_se(mc, 1.0)
     sup = sup_moment_diagnostics(mc, 1.0)
@@ -171,7 +178,7 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
                                 "max_term_share": sup["max_term_share"]},
         },
         "identity": {"residual": residual, "se": res_se,
-                     "ratio": residual / res_se if res_se > 0 else 0.0},
+                     "ratio": _ratio(residual, res_se)},
     })
     _dump_json(os.path.join(out, "wh_check.json"), payload)
     return 0

@@ -18,12 +18,12 @@ Schema (JSON object; unknown keys are rejected so typos fail loudly):
                         default: quartile points of the grid interval
     outputs  optional  artifact directory, default "out"
 
-Families and profit kinds take the parameters that `_MODELS` and `_PROFITS`
-name; a model's `mu` is optional and defaults to 0.  This module checks only
-the shape of the input (JSON types, finite numbers, required and unknown
-keys) and fills defaults.  The ranges of model and profit parameters are
-checked by their constructors (LevyModel's classmethods, cobb_douglas, ces),
-whose ConstructionError names the parameter.
+Families take the parameters that `levy._PARAMETERS` names and profit kinds
+those `_PROFITS` names; a model's `mu` is optional and defaults to 0.  This
+module checks only the shape of the input (JSON types, finite numbers,
+required and unknown keys) and fills defaults.  The ranges of model and
+profit parameters are checked by their constructors (LevyModel,
+cobb_douglas, ces), whose ConstructionError names the parameter.
 
 Every validation failure raises ValidationError naming the offending key by
 its dotted path (e.g. "model.sigma").
@@ -34,9 +34,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ConstructionError, ParseError, ValidationError
-from .levy import LevyModel
+from .levy import _PARAMETERS, LevyModel
 from .profit import ProfitFunction, cobb_douglas, ces, log_profit
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config"]
@@ -112,12 +113,7 @@ def _as_seed(value) -> int:
 
 
 # each family's constructor and its parameters besides `mu`
-_MODELS = {
-    "brownian_drift": (LevyModel.brownian, ("sigma",)),
-    "merton": (LevyModel.merton, ("sigma", "jump_intensity", "jump_mean", "jump_sd")),
-    "kou": (LevyModel.kou, ("sigma", "jump_intensity", "p_up", "eta_plus", "eta_minus")),
-    "symmetric_stable": (LevyModel.stable, ("stable_index", "stable_scale")),
-}
+_MODELS = {fam.value: (partial(LevyModel, fam), names) for fam, names in _PARAMETERS.items()}
 _PROFITS = {
     "cobb_douglas": (cobb_douglas, ("alpha", "beta")),
     "ces": (ces, ("alpha", "gamma")),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -59,9 +59,13 @@ def _require(ok: bool, name: str, value: float, rule: str) -> None:
         raise ConstructionError(name, f"{name} must {rule}, got {value!r}")
 
 
-def _require_finite(name: str, value: float) -> None:
-    value = float(value)
-    _require(math.isfinite(value), name, value, "be finite")
+# each family's parameters besides `mu`; every other field must be 0
+_PARAMETERS = {
+    Family.BROWNIAN_DRIFT: ("sigma",),
+    Family.MERTON: ("sigma", "jump_intensity", "jump_mean", "jump_sd"),
+    Family.KOU: ("sigma", "jump_intensity", "p_up", "eta_plus", "eta_minus"),
+    Family.STABLE: ("stable_index", "stable_scale"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,8 @@ class LevyModel:
     """Parameter bundle for one Levy process.
 
     Use the classmethod constructors (`brownian`, `merton`, `kou`, `stable`)
-    rather than filling fields by hand; they validate the family-specific
-    parameter ranges.
+    rather than filling fields by hand; every field must be finite, and every
+    field the family does not use (see `_PARAMETERS`) must be 0.
     """
 
     family: Family
@@ -89,29 +93,27 @@ class LevyModel:
         fam = self.family
         if not isinstance(fam, Family):
             raise ConstructionError("family", f"unknown family {fam!r}")
-        _require_finite("mu", self.mu)
-        _require_finite("sigma", self.sigma)
-        # diffusive families need a Gaussian part; the stable family has none
-        if fam is Family.STABLE:
-            _require(self.sigma == 0.0, "sigma", self.sigma, "be 0 for symmetric_stable")
-        else:
+        used = _PARAMETERS[fam]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            _require(math.isfinite(value), f.name, value, "be finite")
+            if f.name != "mu" and f.name not in used:
+                _require(value == 0.0, f.name, value, f"be 0: {fam.value} does not use it")
+        if "sigma" in used:
             _require(self.sigma > 0.0, "sigma", self.sigma, f"be > 0 for {fam.value}")
-        if fam in (Family.MERTON, Family.KOU):
+        if "jump_intensity" in used:
             _require(self.jump_intensity > 0.0, "jump_intensity", self.jump_intensity,
                      f"be > 0 for {fam.value} (use brownian_drift for a pure diffusion)")
-            if fam is Family.MERTON:
-                _require_finite("jump_mean", self.jump_mean)
-                _require(self.jump_sd >= 0.0, "jump_sd", self.jump_sd, "be >= 0")
-            else:
-                _require(0.0 < self.p_up < 1.0, "p_up", self.p_up, "lie in (0, 1)")
-                _require(self.eta_plus > 0.0, "eta_plus", self.eta_plus, "be > 0")
-                _require(self.eta_minus > 0.0, "eta_minus", self.eta_minus, "be > 0")
+        if fam is Family.MERTON:
+            _require(self.jump_sd >= 0.0, "jump_sd", self.jump_sd, "be >= 0")
+        elif fam is Family.KOU:
+            _require(0.0 < self.p_up < 1.0, "p_up", self.p_up, "lie in (0, 1)")
+            _require(self.eta_plus > 0.0, "eta_plus", self.eta_plus, "be > 0")
+            _require(self.eta_minus > 0.0, "eta_minus", self.eta_minus, "be > 0")
         elif fam is Family.STABLE:
             _require(1.0 < self.stable_index < 2.0, "stable_index", self.stable_index,
                      "lie in (1, 2)")
             _require(self.stable_scale > 0.0, "stable_scale", self.stable_scale, "be > 0")
-            _require(self.jump_intensity == 0.0, "jump_intensity", self.jump_intensity,
-                     "be 0: symmetric_stable carries its own jump structure")
 
     # -- constructors -------------------------------------------------------
 
@@ -141,8 +143,9 @@ def _psi(model: LevyModel, lam: float) -> float:
     """The closed form of the Laplace exponent, with no domain check.
 
     For kou it is continued as a rational function across its poles at
-    eta_plus and -eta_minus, which the root bookkeeping of cramer_roots
-    needs; for symmetric_stable it is meaningful only at lam = 0.
+    eta_plus and -eta_minus, because cramer_roots bisects it for the roots
+    of psi = r beyond the poles; for symmetric_stable it is meaningful only
+    at lam = 0.
     """
     base = model.mu * lam + 0.5 * model.sigma ** 2 * lam * lam
     if model.family is Family.MERTON:

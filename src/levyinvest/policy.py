@@ -79,6 +79,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "hit_above", "hit_below"):
             raise DomainError(f"unknown stopping rule kind {self.kind!r}")
+        if not math.isfinite(self.at):
+            raise DomainError(f"stopping rule level or time must be finite, got {self.at!r}")
         if self.kind == "fixed" and self.at < 0:
             raise DomainError(f"fixed stopping time must be >= 0, got {self.at!r}")
 

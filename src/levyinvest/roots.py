@@ -12,7 +12,7 @@ from typing import Callable
 
 from .errors import BracketFailure
 
-__all__ = ["bisect", "expand_bracket_geometric", "expand_bracket_upward"]
+__all__ = ["bisect", "expand_bracket_geometric"]
 
 
 def bisect(
@@ -87,26 +87,3 @@ def expand_bracket_geometric(
         f"no sign change within [{lo!r}, {hi!r}] after {max_steps} geometric "
         f"expansions each way from {start!r} (f stays {'positive' if f0 > 0 else 'negative'})"
     )
-
-
-def expand_bracket_upward(
-    f: Callable[[float], float],
-    a: float,
-    step: float,
-    *,
-    factor: float = 2.0,
-    max_steps: int = 200,
-) -> tuple[float, float]:
-    """Bracket a root in (a, inf) by growing steps; f(a) sets the reference sign."""
-    fa = f(a)
-    if fa == 0.0:
-        return (a, a)
-    b = a + step
-    for _ in range(max_steps):
-        fb = f(b)
-        if fb == 0.0 or math.copysign(1.0, fb) != math.copysign(1.0, fa):
-            return (a, b)
-        a, fa = b, fb
-        step *= factor
-        b = a + step
-    raise BracketFailure(f"no sign change above {a!r} after {max_steps} expansions")

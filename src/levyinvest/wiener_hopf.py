@@ -5,12 +5,13 @@ running maximum and minimum over [0, T].  The factorization identity
 
     E[exp(M)] * E[exp(I)] = r / (r - psi(1)),    psi(1) = log E[exp(X_1)] < r,
 
-holds with M independent of X_T - M, the latter distributed like I.  For the
-brownian_drift and kou families both factors are rational: M and -I are
-finite mixtures of exponentials whose rates are the positive respectively
-(sign-flipped) negative roots of psi(lam) = r, where psi is continued as a
-rational function across its poles in the kou case.  Everything else falls
-back to Monte Carlo over exact extrema samples.
+holds with M independent of X_T - M, the latter distributed like I.  With
+exponential jump components (`_exponential_jumps`: brownian_drift and kou)
+both factors are rational: M and -I are finite mixtures of exponentials
+whose rates are the positive respectively (sign-flipped) negative roots of
+psi(lam) = r, psi continued across its poles, and whose weights follow from
+one product formula (Lewis & Mordecki, J. Appl. Prob. 2008).  Everything
+else falls back to Monte Carlo over extrema samples.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, UnsupportedModel
 from .levy import (ExtremaPool, Family, LevyModel, _mean_se, _psi, laplace_exponent,
                    sample_extrema)
-from .roots import bisect, expand_bracket_upward
+from .roots import bisect
 
 __all__ = [
     "WienerHopfFactors",
@@ -39,11 +41,6 @@ __all__ = [
 
 EXACT_RATIONAL = "exact_rational"
 MONTE_CARLO = "monte_carlo"
-
-# Bisection brackets stop this close (relatively) to a pole of the rational
-# exponent; the roots themselves sit at O(1) distance for sane parameters.
-_POLE_GAP = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class WienerHopfFactors:
@@ -70,63 +67,63 @@ class WienerHopfFactors:
         return self.mode == EXACT_RATIONAL
 
 
+def _exponential_jumps(model: LevyModel):
+    """Upward and downward exponential jump components, ((p, rate), ...) each;
+    UnsupportedModel for a family whose Laplace exponent is not rational."""
+    if model.family is Family.BROWNIAN_DRIFT:
+        return (), ()
+    if model.family is Family.KOU:
+        return ((model.p_up, model.eta_plus),), ((1.0 - model.p_up, model.eta_minus),)
+    raise UnsupportedModel(f"no rational Wiener-Hopf factors for {model.family.value}")
+
+
 def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
     """All real roots of psi(lam) = r, sorted ascending.
 
-    brownian_drift: two roots (one negative, one positive), in closed form.
-    kou: four roots of the rational continuation, one in each of
-    (-inf, -eta_minus), (-eta_minus, 0), (0, eta_plus), (eta_plus, inf),
-    found by bisection between the poles.  Other families: UnsupportedModel.
+    m up and n down exponential jump components give m+1 positive and n+1
+    negative roots, one between each pair of adjacent poles (0 separates the
+    signs).  They are located as the roots of the polynomial (psi - r) * pole
+    factors, then bisected on psi - r over a 1e-9 relative bracket clipped to
+    their pole interval; BracketFailure if a bracket has no sign change.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")
-    fam = model.family
-    if fam is Family.BROWNIAN_DRIFT:
-        sig2 = model.sigma ** 2
-        disc = math.sqrt(model.mu ** 2 + 2.0 * sig2 * r)
-        return ((-model.mu - disc) / sig2, (-model.mu + disc) / sig2)
-    if fam is Family.KOU:
-        g = lambda lam: _psi(model, lam) - r
-        ep, em = model.eta_plus, model.eta_minus
-        # one root strictly between each pair of adjacent poles of g, plus one
-        # beyond each outer pole where the sigma^2 term takes over
-        beta1 = bisect(g, 0.0, ep * (1.0 - _POLE_GAP))
-        a = ep * (1.0 + _POLE_GAP)
-        beta2 = bisect(g, *expand_bracket_upward(g, a, max(1.0, ep)))
-        theta1 = -bisect(g, -em * (1.0 - _POLE_GAP), 0.0)
-        h = lambda t: g(-t)
-        b = em * (1.0 + _POLE_GAP)
-        theta2 = bisect(h, *expand_bracket_upward(h, b, max(1.0, em)))
-        return (-theta2, -theta1, beta1, beta2)
-    raise UnsupportedModel(f"cramer_roots is only available for brownian_drift and kou, "
-                           f"not {fam.value}")
+    up, down = _exponential_jumps(model)
+    q = model.jump_intensity
+    # psi - r = num / den: add the jump terms q p eta / (eta -+ lam) one by one
+    num, den = np.array([-q - r, model.mu, 0.5 * model.sigma ** 2]), np.ones(1)
+    for p, eta, sign in [(p, eta, -1.0) for p, eta in up] + [(p, eta, 1.0) for p, eta in down]:
+        num = npoly.polyadd(npoly.polymul(num, (eta, sign)), q * p * eta * den)
+        den = npoly.polymul(den, (eta, sign))
+    located = np.sort(npoly.polyroots(num).real)
+    edges = [-math.inf, *sorted([0.0, *(e for _, e in up), *(-e for _, e in down)]), math.inf]
+    g = lambda lam: _psi(model, lam) - r
+    roots = []
+    for rho, lo, hi in zip(located, edges[:-1], edges[1:]):
+        a, b = np.clip((rho - 1e-9 * abs(rho), rho + 1e-9 * abs(rho)),
+                       np.nextafter(lo, hi), np.nextafter(hi, lo))
+        roots.append(float(bisect(g, a, b)))
+    return tuple(roots)
+
+
+def _mixture_weights(rates, jumps) -> tuple[float, ...]:
+    # weight of rate rho_k: prod_j (1 - rho_k/eta_j) / prod_{i != k} (1 - rho_k/rho_i)
+    return tuple(math.prod(1.0 - rho / eta for _, eta in jumps)
+                 / math.prod(1.0 - rho / other for i, other in enumerate(rates) if i != k)
+                 for k, rho in enumerate(rates))
 
 
 def exact_factors(model: LevyModel, r: float) -> WienerHopfFactors:
-    """Exact rational Wiener-Hopf factors (brownian_drift and kou only)."""
+    """Exact rational Wiener-Hopf factors, rates ascending (which fixes the node
+    order of boundary's Gauss-Laguerre rule); UnsupportedModel without them."""
     roots = cramer_roots(model, r)
-    if model.family is Family.BROWNIAN_DRIFT:
-        b_minus = -roots[0]
-        b_plus = roots[1]
-        return WienerHopfFactors(
-            model=model, r=r, mode=EXACT_RATIONAL, roots=roots,
-            min_rates=(b_minus,), min_weights=(1.0,),
-            max_rates=(b_plus,), max_weights=(1.0,),
-        )
-    # kou: -I and M are two-term exponential mixtures; the weights follow
-    # from partial fractions of the rational factors, e.g.
-    #   E[e^{lam I}] = (t1*t2/em) * (em+lam) / ((t1+lam)(t2+lam))
-    t2, t1 = -roots[0], -roots[1]
-    b1, b2 = roots[2], roots[3]
-    em, ep = model.eta_minus, model.eta_plus
-    min_w1 = t2 * (em - t1) / (em * (t2 - t1))
-    min_w2 = t1 * (t2 - em) / (em * (t2 - t1))
-    max_w1 = b2 * (ep - b1) / (ep * (b2 - b1))
-    max_w2 = b1 * (b2 - ep) / (ep * (b2 - b1))
+    up, down = _exponential_jumps(model)
+    min_rates = tuple(-x for x in reversed(roots) if x < 0)
+    max_rates = tuple(x for x in roots if x > 0)
     return WienerHopfFactors(
         model=model, r=r, mode=EXACT_RATIONAL, roots=roots,
-        min_rates=(t1, t2), min_weights=(min_w1, min_w2),
-        max_rates=(b1, b2), max_weights=(max_w1, max_w2),
+        min_rates=min_rates, min_weights=_mixture_weights(min_rates, down),
+        max_rates=max_rates, max_weights=_mixture_weights(max_rates, up),
     )
 
 

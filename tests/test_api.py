@@ -32,3 +32,14 @@ def test_import_does_not_load_scipy():
 def test_policy_steps_paths_in_one_place():
     import levyinvest.policy
     assert inspect.getsource(levyinvest.policy).count("_increment(") == 1
+
+
+def test_family_branches_in_one_place():
+    import levyinvest.cli
+    import levyinvest.wiener_hopf as wh
+    from levyinvest.levy import Family
+    cli_source = inspect.getsource(levyinvest.cli)
+    assert "Family" not in cli_source
+    assert not any(f'"{member.value}"' in cli_source for member in Family)
+    branches = inspect.getsource(wh._exponential_jumps).count("Family.")
+    assert branches > 0 and inspect.getsource(wh).count("Family.") == branches

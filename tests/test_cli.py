@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -67,6 +68,26 @@ class TestSubcommands:
         assert doc["closed_form_agreement"]["max_rel_err"] < 1e-8
         for point in doc["integral_equation"]:
             assert {"u0", "y", "residual", "se", "ratio"} <= set(point)
+
+    def test_non_finite_residual_has_nan_ratio(self, config_path, tmp_path, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(levyinvest.cli, "integral_equation_residual",
+                            lambda *args, **kwargs: (nan, nan))
+        monkeypatch.setattr(levyinvest.cli, "wh_identity_residual",
+                            lambda *args, **kwargs: (nan, nan))
+        out = str(tmp_path / "art")
+        assert main(["verify", "--config", config_path, "--out", out]) == 0
+        points = json.loads(read(out + "/verify.json"))["integral_equation"]
+        assert points and all(math.isnan(p["ratio"]) for p in points)
+        assert main(["wh-check", "--config", config_path, "--out", out]) == 0
+        assert math.isnan(json.loads(read(out + "/wh_check.json"))["identity"]["ratio"])
+
+    def test_ratio_rule(self):
+        assert levyinvest.cli._ratio(1.0, 2.0) == 0.5
+        assert levyinvest.cli._ratio(0.0, 0.0) == 0.0
+        for res, se in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
+                        (1.0, float("inf"))):
+            assert math.isnan(levyinvest.cli._ratio(res, se))
 
     def test_boundary_solver_block(self, config_path, tmp_path):
         out = str(tmp_path / "art")

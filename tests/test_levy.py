@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from levyinvest.errors import ConstructionError, DomainError
-from levyinvest.levy import (Family, LevyModel, _increment, _jump_sizes, _jump_sums,
-                             default_step, laplace_exponent, sample_extrema)
+from levyinvest.levy import (_PARAMETERS, Family, LevyModel, _increment, _jump_sizes,
+                             _jump_sums, default_step, laplace_exponent, sample_extrema)
 
 
 BD = LevyModel.brownian(0.5, 1.0)
@@ -44,6 +46,30 @@ class TestConstruction:
         with pytest.raises(ConstructionError) as err:
             LevyModel.merton(0.0, 0.3, 2.0, -0.05, float("nan"))
         assert err.value.key == "jump_sd"
+
+    def test_unused_fields_must_be_zero(self):
+        # psi would ignore these jumps while the simulator drew them
+        with pytest.raises(ConstructionError) as err:
+            LevyModel(Family.BROWNIAN_DRIFT, sigma=1.0, jump_intensity=1.0)
+        assert err.value.key == "jump_intensity"
+        for model in (BD, MERTON, KOU, STABLE):
+            used = {"family", "mu", *_PARAMETERS[model.family]}
+            for f in dataclasses.fields(LevyModel):
+                if f.name not in used:
+                    with pytest.raises(ConstructionError) as err:
+                        dataclasses.replace(model, **{f.name: 0.5})
+                    assert err.value.key == f.name
+
+    @pytest.mark.parametrize("build, key", [
+        (lambda inf: LevyModel.merton(0.0, 0.3, inf, 0.0, 0.2), "jump_intensity"),
+        (lambda inf: LevyModel.kou(0.1, 0.2, 1.0, 0.5, inf, 10.0), "eta_plus"),
+        (lambda inf: LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, inf), "eta_minus"),
+        (lambda inf: LevyModel.stable(0.0, 1.5, inf), "stable_scale"),
+    ])
+    def test_infinite_parameters_rejected(self, build, key):
+        with pytest.raises(ConstructionError) as err:
+            build(float("inf"))
+        assert err.value.key == key
 
     def test_stable_index_range(self):
         for bad in (1.0, 2.0, 0.5, 2.5):

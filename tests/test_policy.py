@@ -30,6 +30,13 @@ class TestStoppingRule:
         with pytest.raises(DomainError):
             StoppingRule.fixed(-1.0)
 
+    @pytest.mark.parametrize("rule", [StoppingRule.fixed, StoppingRule.hit_above,
+                                      StoppingRule.hit_below])
+    @pytest.mark.parametrize("at", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_level_rejected(self, rule, at):
+        with pytest.raises(DomainError):
+            rule(at)
+
     def test_labels(self):
         assert StoppingRule.fixed(0.5).label() == "t=0.5"
         assert ">=" in StoppingRule.hit_above(0.3).label()

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from levyinvest.errors import BracketFailure
-from levyinvest.roots import bisect, expand_bracket_geometric, expand_bracket_upward
+from levyinvest.roots import bisect, expand_bracket_geometric
 
 
 class TestBisect:
@@ -54,9 +54,3 @@ class TestBracketExpansion:
     def test_failure_when_no_root(self):
         with pytest.raises(BracketFailure):
             expand_bracket_geometric(lambda t: 1.0, max_steps=8)
-
-    def test_upward_expansion(self):
-        a, b = expand_bracket_upward(lambda t: t - 50.0, 1.0, 1.0)
-        assert a < 50.0 < b
-        with pytest.raises(BracketFailure):
-            expand_bracket_upward(lambda t: -1.0, 1.0, 1.0, max_steps=5)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from levyinvest.errors import DomainError, UnsupportedModel
+from levyinvest.errors import BracketFailure, DomainError, UnsupportedModel
 from levyinvest.levy import LevyModel, laplace_exponent
 from levyinvest.wiener_hopf import (EXACT_RATIONAL, MONTE_CARLO, cramer_roots,
                                     exact_factors, inf_moment, inf_moment_with_se,
@@ -39,6 +40,44 @@ class TestCramerRoots:
             base = 0.1 * t + 0.5 * 0.04 * t * t
             jump = 0.5 * 10 / (10 - t) + 0.5 * 10 / (10 + t) - 1.0
             assert base + jump == pytest.approx(R_KOU, abs=1e-10)
+
+    @pytest.mark.parametrize("mu, sigma, r", [(2.0, 0.05, 0.01), (-1.0, 0.05, 0.01),
+                                              (0.3, 1.2, 1.5), (2.0, 4.0, 10.0)])
+    def test_brownian_roots_free_of_cancellation(self, mu, sigma, r):
+        # the larger-magnitude root from the quadratic formula, the other
+        # from the product of the roots, -2 r / sigma^2
+        sig2 = sigma * sigma
+        disc = math.sqrt(mu * mu + 2.0 * sig2 * r)
+        big = (-mu - math.copysign(disc, mu)) / sig2
+        expected = sorted((big, -2.0 * r / (sig2 * big)))
+        assert cramer_roots(LevyModel.brownian(mu, sigma), r) == pytest.approx(
+            expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu, p_up, eta_plus, eta_minus, r", [
+        (0.1, 0.5, 10.0, 10.0, 0.5), (-0.3, 0.2, 3.0, 25.0, 0.05),
+        (0.8, 0.9, 40.0, 2.0, 2.0), (0.0, 0.5, 1.5, 1.5, 10.0)])
+    def test_kou_roots_interlace_and_weights_match_partial_fractions(
+            self, mu, p_up, eta_plus, eta_minus, r):
+        model = LevyModel.kou(mu, 0.3, 2.0, p_up, eta_plus, eta_minus)
+        wh = exact_factors(model, r)
+        t2, t1, b1, b2 = wh.roots
+        assert t2 < -eta_minus < t1 < 0.0 < b1 < eta_plus < b2
+        assert wh.min_rates == (-t1, -t2) and wh.max_rates == (b1, b2)
+        # the two-term partial fractions of the rational factors, e.g.
+        #   E[e^{lam I}] = (t1 t2 / em) (em + lam) / ((t1 + lam)(t2 + lam))
+        t1, t2, em, ep = -t1, -t2, eta_minus, eta_plus
+        expected = (t2 * (em - t1) / (em * (t2 - t1)), t1 * (t2 - em) / (em * (t2 - t1)),
+                    b2 * (ep - b1) / (ep * (b2 - b1)), b1 * (b2 - ep) / (ep * (b2 - b1)))
+        assert wh.min_weights + wh.max_weights == pytest.approx(expected, rel=1e-9)
+
+    def test_misplaced_root_is_never_returned(self, monkeypatch):
+        # a located root on the pole: its bracket is clipped to one side of
+        # the pole, so bisection cannot converge to the pole instead
+        located = np.array(cramer_roots(KOU, R_KOU))
+        located[-1] = KOU.eta_plus
+        monkeypatch.setattr(npoly, "polyroots", lambda c: located)
+        with pytest.raises(BracketFailure):
+            cramer_roots(KOU, R_KOU)
 
     def test_merton_unsupported(self):
         with pytest.raises(UnsupportedModel):
