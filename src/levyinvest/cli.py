@@ -83,8 +83,7 @@ def _factors(cfg: ExperimentConfig, rng: np.random.Generator, workers: int):
     try:
         return exact_factors(cfg.model, cfg.r)
     except UnsupportedModel:
-        return sample_triplet(cfg.model, cfg.r, cfg.n_paths, rng,
-                              step=cfg.step, workers=workers)
+        return sample_triplet(cfg.model, cfg.r, cfg.n_paths, rng, workers=workers)
 
 
 def _solve_table(cfg: ExperimentConfig, rng: np.random.Generator, workers: int):
@@ -162,7 +161,7 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
         except DomainError as exc:
             exact_block["sup_moment_at_1"] = None
             exact_block["sup_moment_note"] = str(exc)
-    mc = sample_triplet(model, r, cfg.n_paths, rng, step=cfg.step, workers=workers)
+    mc = sample_triplet(model, r, cfg.n_paths, rng, workers=workers)
     inf_est, inf_se = inf_moment_with_se(mc, 1.0)
     sup = sup_moment_diagnostics(mc, 1.0)
     residual, res_se = wh_identity_residual(model, r, cfg.n_paths, rng, workers=workers)

@@ -7,8 +7,8 @@ Schema (JSON object; unknown keys are rejected so typos fail loudly):
     r        required  discount rate, > 0
     seed     optional  64-bit integer, default 0
     mc       optional  {"n_paths": int >= 1, "step": > 0 or null,
-                        "t_max": > 0 or null}; null step/t_max mean the
-                        documented defaults 1e-3 / r and 20 / r
+                        "t_max": > 0 or null}; step and t_max feed only the
+                        policy engines, null meaning 1e-3 / r and 20 / r
     grid     optional  {"u_min": float, "u_max": float, "n": int >= 2},
                         default [-2, 2] with 41 points
     state    optional  {"x": float, "y": > 0}, default x=0, y=1

@@ -14,8 +14,9 @@ paths with `_increment`: the Gaussian part is exact per step, the step's
 maximum and minimum come from the Brownian-bridge law given its endpoints,
 compound-Poisson jumps land at the step's right end, and the stable family
 is drawn by Chambers-Mallows-Stuck.  `sample_extrema` steps the diffusive
-families from one exact jump arrival to the next, so its running extrema
-at an independent exponential horizon carry no discretization bias.
+families from one exact jump arrival to the next and draws the stable
+family by stick-breaking, so its running extrema at an independent
+exponential horizon carry no discretization bias.
 Replicates run in fixed chunks through `_run_chunks` and are reduced to a
 mean and standard error by `_mean_se`.
 """
@@ -45,6 +46,8 @@ __all__ = [
 # from its own spawned child generator, so results are identical no matter
 # how chunks are scheduled across workers.
 _CHUNK = 16384
+
+_STICKS = 40  # uniform sticks per stable horizon (see _stick_extrema)
 
 
 class Family(str, Enum):
@@ -192,11 +195,9 @@ def default_t_max(r: float) -> float:
 class ExtremaPool:
     """Column-wise pool of (terminal, running max, running min) draws.
 
-    One row per replicate, each at its own Exp(r) horizon T.  For the
-    diffusive families the pairs (X_T, M) and (X_T, I) follow their exact
-    joint laws, but (M, I) does not: each simulated segment draws its bridge
-    maximum and minimum independently given its endpoints (see
-    `sample_extrema`).
+    One row per replicate, each at its own Exp(r) horizon T.  The pairs
+    (X_T, M) and (X_T, I) follow their exact joint laws, but (M, I) does
+    not (see `sample_extrema`).
     """
 
     terminal: np.ndarray
@@ -307,16 +308,40 @@ def _mean_se(a: np.ndarray):
 # -- extrema at an exponential horizon -----------------------------------------
 
 
-def _extrema_chunk(model: LevyModel, r: float, n: int, step: float,
-                   rng: np.random.Generator):
+def _stick_extrema(model: LevyModel, horizon: np.ndarray, rng: np.random.Generator):
+    """(terminal, max, min) at the given horizons by stick-breaking.
+
+    Each horizon T breaks into _STICKS uniform sticks, l_k = U_k (T - l_1 -
+    ... - l_{k-1}), plus the remainder, and xi_k ~ X_{l_k} comes exactly from
+    `_increment`.  These are the faces of the concave majorant (convex
+    minorant) in law (Pitman & Uribe Bravo, AoP 2012), so X_T = sum xi_k is
+    exact, and M = sum max(xi_k, 0) and I = sum min(xi_k, 0) are exact up to
+    the sup inside the remainder piece, typically T e^{-40 +- 6} long.
+    """
+    n = len(horizon)
+    zeros, x, m, i = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    rest = horizon
+    for k in range(_STICKS + 1):
+        piece = rest * rng.random(n) if k < _STICKS else rest
+        rest = rest - piece  # not in place: the last piece is `rest` itself
+        xi = _increment(model, zeros, piece, rng)[0]
+        x += xi
+        m += np.maximum(xi, 0.0)
+        i += np.minimum(xi, 0.0)
+    return x, m, i
+
+
+def _extrema_chunk(model: LevyModel, r: float, n: int, rng: np.random.Generator):
     """(terminal, max, min) draws at n Exp(r) horizons.
 
-    Horizon first, then the path.  Diffusive families step from one jump
-    arrival to the next (or to the horizon), so each jump sits at its exact
-    time and the bridge extrema make the draw exact in law.  The stable
-    family steps on a lattice of spacing `step`.
+    Horizon first, then the path.  The stable family is drawn by
+    stick-breaking (`_stick_extrema`).  Diffusive families step from one
+    jump arrival to the next (or to the horizon), so each jump sits at its
+    exact time and the bridge extrema make the draw exact in law.
     """
     horizon = rng.exponential(1.0 / r, size=n)
+    if model.family is Family.STABLE:
+        return _stick_extrema(model, horizon, rng)
     x = np.zeros(n)
     m = np.zeros(n)
     i = np.zeros(n)
@@ -325,16 +350,10 @@ def _extrema_chunk(model: LevyModel, r: float, n: int, step: float,
     idx = np.arange(n)
     while idx.size:
         t0, end = t[idx], horizon[idx]
-        if model.family is Family.STABLE:
-            remaining = end - t0
-            done = remaining <= step
-            dt = np.where(done, remaining, step)
-            t[idx] = np.where(done, end, t0 + step)
-        else:
-            gap = rng.exponential(1.0 / q, size=idx.size) if q > 0.0 else np.inf
-            seg_end = np.minimum(t0 + gap, end)
-            dt, done = seg_end - t0, seg_end >= end
-            t[idx] = seg_end
+        gap = rng.exponential(1.0 / q, size=idx.size) if q > 0.0 else np.inf
+        seg_end = np.minimum(t0 + gap, end)
+        dt, done = seg_end - t0, seg_end >= end
+        t[idx] = seg_end
         # a path that has not reached its horizon stopped at a jump arrival
         x[idx], hi, lo = _increment(model, x[idx], dt, rng, counts=~done, with_min=True)
         np.maximum.at(m, idx, hi)
@@ -344,26 +363,24 @@ def _extrema_chunk(model: LevyModel, r: float, n: int, step: float,
 
 
 def sample_extrema(model: LevyModel, r: float, n: int, rng: np.random.Generator,
-                   *, step: float | None = None, workers: int = 1) -> ExtremaPool:
+                   *, workers: int = 1) -> ExtremaPool:
     """n independent (terminal, running max, running min) draws at Exp(r) horizons.
 
-    For brownian_drift, merton and kou the paths run from one exact jump
-    arrival to the next, with each segment's extrema drawn from the
-    Brownian-bridge law, so the joint laws of (X_T, M) and of (X_T, I) are
-    exact.  The bridge maximum and minimum of a segment are drawn
-    independently given its endpoints, so the joint law of (M, I) is not.
-    symmetric_stable steps on a lattice of spacing `step` (default 1e-3/r),
-    whose extrema understate the continuous ones.  Replicates are generated
-    in fixed-size chunks, each chunk from its own spawned substream, so
-    results depend only on `rng`'s seed and `n`, never on `workers`.
+    No time grid: brownian_drift, merton and kou run from one exact jump
+    arrival to the next with Brownian-bridge segment extrema, and
+    symmetric_stable is drawn by stick-breaking (`_stick_extrema`).  So the
+    joint laws of (X_T, M) and of (X_T, I) are exact, but that of (M, I) is
+    not: a segment's bridge maximum and minimum are drawn independently
+    given its endpoints, and stable M and I share one set of sticks.
+    Replicates come in fixed-size chunks, each from its own spawned
+    substream, so results depend only on `rng`'s seed and `n`, never on
+    `workers`.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")
     if n <= 0:
         raise DomainError(f"sample size must be > 0, got {n!r}")
-    if step is None:
-        step = default_step(r)
     parts = _run_chunks(n, rng, workers,
-                        lambda lo, hi, sub: _extrema_chunk(model, r, hi - lo, step, sub))
+                        lambda lo, hi, sub: _extrema_chunk(model, r, hi - lo, sub))
     x, m, i = (np.concatenate(col) for col in zip(*parts))
     return ExtremaPool(terminal=x, running_max=m, running_min=i)

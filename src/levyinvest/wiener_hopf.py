@@ -128,14 +128,13 @@ def exact_factors(model: LevyModel, r: float) -> WienerHopfFactors:
 
 
 def sample_triplet(model: LevyModel, r: float, n: int, rng: np.random.Generator,
-                   *, step: float | None = None, workers: int = 1) -> WienerHopfFactors:
+                   *, workers: int = 1) -> WienerHopfFactors:
     """Monte Carlo factors from n fresh (terminal, max, min) draws.
 
-    Each replicate uses its own exponential horizon.  The diffusive families
-    are sampled exactly in law; symmetric_stable uses a grid of spacing
-    `step` for its extrema (see levy.sample_extrema).
+    Each replicate uses its own exponential horizon, and M and I are each
+    exact in law, with no time grid (see levy.sample_extrema).
     """
-    pool = sample_extrema(model, r, n, rng, step=step, workers=workers)
+    pool = sample_extrema(model, r, n, rng, workers=workers)
     return WienerHopfFactors(model=model, r=r, mode=MONTE_CARLO, pool=pool)
 
 

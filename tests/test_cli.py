@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -152,6 +153,26 @@ class TestDeterminism:
         main(["compare", "--config", config_path, "--out", b, "--workers", "4"])
         assert read(a + "/compare.csv") == read(b + "/compare.csv")
         assert read(a + "/compare.json") == read(b + "/compare.json")
+
+    def test_stable_pool_ignores_step(self, tmp_path):
+        # the stable extrema pool has no time grid, so mc.step feeds only the
+        # policy engines; the artifacts differ only in the config's digest
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "stable_ces.json")
+        with open(src, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        digests, artifacts = [], []
+        for step in (2e-3, 1e-3):
+            path = tmp_path / f"stable_{step}.json"
+            path.write_text(json.dumps(dict(doc, mc=dict(doc["mc"], step=step))),
+                            encoding="utf-8")
+            out = str(tmp_path / f"out_{step}")
+            assert main(["boundary", "--config", str(path), "--out", out]) == 0
+            digest = json.loads(read(out + "/boundary.json"))["config_sha256"]
+            digests.append(digest)
+            artifacts.append([read(f"{out}/{name}").replace(digest, "")
+                              for name in ("boundary.csv", "boundary.json")])
+        assert digests[0] != digests[1]
+        assert artifacts[0] == artifacts[1]
 
     def test_residual_samplers_get_workers(self, tmp_path, monkeypatch):
         # 20000 draws make two chunks, so the pools really run on two workers

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from levyinvest import levy
 from levyinvest.errors import ConstructionError, DomainError
 from levyinvest.levy import (_PARAMETERS, Family, LevyModel, _increment, _jump_sizes,
-                             _jump_sums, default_step, laplace_exponent, sample_extrema)
+                             _jump_sums, _mean_se, _stick_extrema, default_step,
+                             laplace_exponent, sample_extrema)
 
 
 BD = LevyModel.brownian(0.5, 1.0)
@@ -180,9 +182,11 @@ class TestExtremaPool:
         assert (pool.running_min <= pool.terminal).all()
         assert (pool.terminal <= pool.running_max).all()
 
-    def test_worker_count_invariance(self):
-        a = sample_extrema(KOU, 0.5, 40000, np.random.default_rng(7), workers=1)
-        b = sample_extrema(KOU, 0.5, 40000, np.random.default_rng(7), workers=4)
+    @pytest.mark.parametrize("model", [KOU, STABLE], ids=["kou", "stable"])
+    def test_worker_count_invariance(self, model):
+        # 40000 draws make three chunks
+        a = sample_extrema(model, 0.5, 40000, np.random.default_rng(7), workers=1)
+        b = sample_extrema(model, 0.5, 40000, np.random.default_rng(7), workers=4)
         assert np.array_equal(a.running_max, b.running_max)
         assert np.array_equal(a.running_min, b.running_min)
         assert np.array_equal(a.terminal, b.terminal)
@@ -193,7 +197,7 @@ class TestExtremaPool:
         assert np.array_equal(a.terminal, b.terminal)
 
     def test_stable_pool_orders(self):
-        pool = sample_extrema(STABLE, 1.0, 2000, np.random.default_rng(9), step=0.01)
+        pool = sample_extrema(STABLE, 1.0, 2000, np.random.default_rng(9))
         assert (pool.running_min <= pool.terminal).all()
         assert (pool.terminal <= pool.running_max).all()
 
@@ -228,19 +232,86 @@ class TestExtremaPool:
             [-0.03827123275810658, -0.022383205627292305, -0.19407828419984152,
              -0.19698240919298532, -0.08601869595626006]]),
         "stable": (STABLE, [
-            [-0.3743727269093141, 0.8364848540596145, -2.508756010297794,
-             0.4148811137156369, 0.5155538284100252],
-            [0.2484100158935885, 0.8622458965697939, 0.05089263795273685,
-             0.4148811137156369, 0.6605505653389824],
-            [-0.4420398413403037, 0.0, -2.738729538764456,
-             -0.15344693689006017, -0.009146760721435452]]),
+            [-0.4137386193096483, 1.7294255139508359, 0.14514043194463236,
+             0.17469666444413412, -0.975900949633876],
+            [0.008912004241209684, 1.837265585288961, 0.2727834135461506,
+             0.27420787187177736, 0.24547867712022417],
+            [-0.42265062355085786, -0.10784007133812464, -0.12764298160151838,
+             -0.09951120742764315, -1.2213796267541]]),
     }
 
     @pytest.mark.parametrize("family", sorted(PINNED))
     def test_pinned_draws(self, family):
         model, expected = self.PINNED[family]
-        step = 0.01 if model.family is Family.STABLE else None
-        pool = sample_extrema(model, 1.0, 2000, np.random.default_rng(20241017), step=step)
+        pool = sample_extrema(model, 1.0, 2000, np.random.default_rng(20241017))
         got = [pool.terminal[:5], pool.running_max[:5], pool.running_min[:5]]
         for column, want in zip(got, expected):
             assert column == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def stable_spitzer(lam, r, scale, alpha, nq=400, nt=2000):
+    """E[e^{lam I}] at an Exp(r) horizon for driftless symmetric stable X.
+
+    Spitzer's identity: log E[e^{lam I}] = int_0^inf t^{-1} e^{-rt}
+    E[(e^{lam X_t} - 1); X_t < 0] dt, and by symmetry the inner expectation
+    is (L(s) - 1)/2 with s = lam * scale * t^{1/alpha} and
+    L(s) = E e^{-s|S|} = (2/pi) int_0^inf s e^{-u^alpha}/(s^2+u^2) du
+    = (2/pi) int_0^{pi/2} e^{-(s tan theta)^alpha} dtheta.  Gauss-Legendre
+    in theta (error ~ nq^-2), trapezoid in log t.
+    """
+    theta, w = np.polynomial.legendre.leggauss(nq)
+    theta, w = (theta + 1.0) * np.pi / 4.0, w * np.pi / 4.0
+    v = np.linspace(-60.0, np.log(60.0 / r), nt)
+    t = np.exp(v)
+    s = lam * scale * t ** (1.0 / alpha)
+    big_l = (2.0 / np.pi) * (np.exp(-(s[:, None] * np.tan(theta)) ** alpha) @ w)
+    return float(np.exp(np.trapezoid(np.exp(-r * t) * (big_l - 1.0) / 2.0, v)))
+
+
+class TestStickBreaking:
+    @pytest.mark.parametrize("lam, want", [(0.5, 0.81479), (1.0, 0.70307)])
+    def test_stable_matches_spitzer(self, lam, want):
+        # an independent route to the law of I (and, by symmetry, of -M)
+        ref = stable_spitzer(lam, 1.0, STABLE.stable_scale, STABLE.stable_index)
+        assert ref == pytest.approx(want, abs=1e-5)
+        pool = sample_extrema(STABLE, 1.0, 100000, np.random.default_rng(7))
+        for draws in (np.exp(lam * pool.running_min), np.exp(-lam * pool.running_max)):
+            est, se = _mean_se(draws)
+            assert est == pytest.approx(ref, abs=3 * se)
+
+    def test_pieces_partition_the_horizon(self, monkeypatch):
+        lengths = []
+
+        def record(model, x0, dt, rng, **kwargs):
+            lengths.append(np.array(dt))
+            return x0 + dt, x0 + dt
+
+        monkeypatch.setattr(levy, "_increment", record)
+        horizon = np.random.default_rng(10).exponential(1.0, size=1000)
+        x, _, _ = _stick_extrema(STABLE, horizon, np.random.default_rng(11))
+        assert len(lengths) == levy._STICKS + 1
+        assert (lengths[-1] > 0.0).all()
+        assert x == pytest.approx(horizon, rel=1e-13, abs=0.0)
+
+    def test_drifted_terminal_symmetric_about_drift(self):
+        model = LevyModel.stable(0.3, 1.5, 0.5)
+        n = 20000
+        horizon = np.random.default_rng(11).exponential(1.0, size=n)
+        x, m, i = _stick_extrema(model, horizon, np.random.default_rng(12))
+        above = float(np.mean(x > model.mu * horizon))
+        assert above == pytest.approx(0.5, abs=4 * 0.5 / np.sqrt(n))
+        assert (i <= np.minimum(x, 0.0)).all() and (m >= np.maximum(x, 0.0)).all()
+
+    @pytest.mark.parametrize("model", [MERTON, KOU], ids=["merton", "kou"])
+    def test_sticks_match_bridge_sampler(self, model):
+        # the stick routine on exact increments against the event-driven
+        # bridge sampler: two routes to the same laws of M and I
+        n, r = 50000, 1.0
+        horizon = np.random.default_rng(14).exponential(1.0 / r, size=n)
+        _, m, i = _stick_extrema(model, horizon, np.random.default_rng(15))
+        pool = sample_extrema(model, r, n, np.random.default_rng(16))
+        for lam in (0.5, 1.0):
+            for sticks, bridge in ((np.exp(lam * i), np.exp(lam * pool.running_min)),
+                                   (np.exp(-lam * m), np.exp(-lam * pool.running_max))):
+                (a, sa), (b, sb) = _mean_se(sticks), _mean_se(bridge)
+                assert a == pytest.approx(b, abs=4 * np.hypot(sa, sb))
