@@ -182,14 +182,20 @@ class TestExtremaPool:
         assert (pool.running_min <= pool.terminal).all()
         assert (pool.terminal <= pool.running_max).all()
 
-    @pytest.mark.parametrize("model", [KOU, STABLE], ids=["kou", "stable"])
-    def test_worker_count_invariance(self, model):
+    @staticmethod
+    def _assert_worker_count_invariant(model):
         # 40000 draws make three chunks
         a = sample_extrema(model, 0.5, 40000, np.random.default_rng(7), workers=1)
         b = sample_extrema(model, 0.5, 40000, np.random.default_rng(7), workers=4)
         assert np.array_equal(a.running_max, b.running_max)
         assert np.array_equal(a.running_min, b.running_min)
         assert np.array_equal(a.terminal, b.terminal)
+
+    def test_worker_count_invariance(self):
+        self._assert_worker_count_invariant(KOU)
+
+    def test_stable_worker_count_invariance(self):
+        self._assert_worker_count_invariant(STABLE)
 
     def test_seed_determinism(self):
         a = sample_extrema(MERTON, 1.0, 2000, np.random.default_rng(8))
