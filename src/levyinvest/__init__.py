@@ -27,7 +27,6 @@ from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
 from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
                      check_assumptions, cobb_douglas, ces, custom, evaluate,
                      kappa, log_profit, marginal_profit)
-from .roots import bisect, expand_bracket_geometric
 from .wiener_hopf import (EXACT_RATIONAL, MONTE_CARLO, WienerHopfFactors,
                           cramer_roots, exact_factors, inf_moment,
                           inf_moment_with_se, sample_triplet,
@@ -63,8 +62,6 @@ __all__ = [
     "StoppingRule", "PolicyEvaluation", "ComparisonRow", "ComparisonResult",
     "FOCEntry", "FOCReport", "evaluate_profit", "compare_policies",
     "foc_residuals", "stopping_value",
-    # numerics
-    "bisect", "expand_bracket_geometric",
     # configuration
     "ExperimentConfig", "load_config", "parse_config",
 ]

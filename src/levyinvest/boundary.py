@@ -19,8 +19,10 @@ forms for cobb_douglas, ces and log profit serve as cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,10 +52,8 @@ __all__ = [
 
 GENERIC_SOLVER = "generic_solver"
 
-_ROOT_REL_TOL = 1e-10
+_LOG_ROOT_TOL = 1e-10  # final bracket width in log y
 _LAGUERRE_NODES = 32  # per mixture component of -I
-_DECADE = math.log(10.0)
-_MAX_DECADES = 60
 # floor for exp(u + I) at the nodes: keeps marginal_profit off the
 # z = 0 domain edge while preserving its limit value to double precision
 _Z_FLOOR = 1e-300
@@ -66,11 +66,11 @@ class ExtrapolationWarning(UserWarning):
 def _warn_extrapolated(message: str) -> None:
     """Issue an ExtrapolationWarning attributed to the first caller outside
     the module that calls this, however deep that module's own frames go."""
-    frame, level = sys._getframe(1), 2
-    module = frame.f_globals.get("__name__")
-    while frame.f_globals.get("__name__") == module:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, ExtrapolationWarning, stacklevel=level)
+    caller = sys._getframe(1)
+    module = caller.f_globals.get("__name__")
+    own = itertools.takewhile(lambda fl: fl[0].f_globals.get("__name__") == module,
+                              traceback.walk_stack(caller))
+    warnings.warn(message, ExtrapolationWarning, stacklevel=2 + sum(1 for _ in own))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,40 +153,21 @@ def _gap(p: ProfitFunction, r: float, z: np.ndarray, w, y: np.ndarray, with_se=F
     terms = np.asarray(marginal_profit(p, z, y[:, None]), dtype=float)
     if w is not None:
         return (terms * w).sum(axis=1) - r, None
-    mean, se = _mean_se(terms) if with_se else (terms.mean(axis=1), None)
+    # sum / n is ndarray.mean's arithmetic without its per-call overhead,
+    # which the Monte Carlo solve pays once per pass
+    mean, se = _mean_se(terms) if with_se else (terms.sum(axis=1) / terms.shape[1], None)
     return mean - r, se
-
-
-def _log_roots(gap, n: int) -> tuple[np.ndarray, int]:
-    """Roots x = log y of n gaps decreasing in y, bracketed and bisected in
-    lockstep; also returns the number of passes (gap evaluations)."""
-    edge = np.zeros(n)
-    above = gap(edge) > 0.0  # the root lies above y = 1
-    step = np.where(above, _DECADE, -_DECADE)
-    open_ = np.ones(n, dtype=bool)
-    passes = 1
-    while open_.any() and passes <= _MAX_DECADES:
-        edge = edge + step * open_
-        open_ &= (gap(edge) > 0.0) == above
-        passes += 1
-    if open_.any():
-        raise BracketFailure(f"the marginal gap keeps its sign for y in [1e-{_MAX_DECADES}, "
-                             f"1e{_MAX_DECADES}] at {int(open_.sum())} of {n} points")
-    lo = np.where(above, edge - _DECADE, edge)
-    hi = lo + _DECADE
-    while (hi - lo).max() > _ROOT_REL_TOL:
-        mid = 0.5 * (lo + hi)
-        positive = gap(mid) > 0.0
-        lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
-        passes += 1
-    return 0.5 * (lo + hi), passes
 
 
 def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
     """Roots b(us), their SEs (None in exact mode) and solver diagnostics.
 
-    Exact mode solves all points in lockstep; Monte Carlo mode one point at
-    a time, so that each gap evaluation holds one pool-length row."""
+    The gap falls in x = log y, so roots.expand_bracket_geometric walks
+    decades from y = 1 and roots.bisect halves the brackets to width 1e-10
+    in x.  Exact mode solves all points in one lockstep block; Monte Carlo
+    mode one point per block, so that each gap evaluation holds one
+    pool-length row.  `iterations` counts the gap evaluations of the
+    longest block."""
     if factors.r <= kappa(p):
         # the gap is bounded below by kappa - r >= 0, so there is no root;
         # the guard keeps roundoff near the floor from faking a sign change
@@ -196,8 +177,15 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
     parts = []
     for block in [us] if w is not None else np.split(us, len(us)):
         z = np.maximum(np.exp(np.add.outer(block, nodes)), _Z_FLOOR)
-        x, passes = _log_roots(lambda x: _gap(p, r, z, w, np.exp(x))[0], len(block))
-        root = np.exp(x)
+        passes = 0
+
+        def gap_at(x):
+            nonlocal passes
+            passes += 1
+            return _gap(p, r, z, w, np.exp(x))[0]
+
+        lo, hi = expand_bracket_geometric(gap_at, np.zeros(len(block)))
+        root = np.exp(bisect(gap_at, lo, hi, rel_tol=0.0, abs_tol=_LOG_ROOT_TOL))
         gap, se = _gap(p, r, z, w, root, with_se=True)
         if se is not None:  # SE of the root: SE of the gap over its slope in y
             dy = 0.01 * root
@@ -225,8 +213,8 @@ def solve_boundary_point(p: ProfitFunction, factors: WienerHopfFactors,
                          u: float) -> float:
     """The boundary value b(u): unique positive root of the marginal gap.
 
-    Brackets by multiplying/dividing y = 1 by 10 (at most 60 times each way,
-    else BracketFailure - in particular whenever r <= kappa, where the gap
+    Walks by factors of 10 from y = 1 toward the root (at most 60 steps,
+    else BracketFailure - raised up front whenever r <= kappa, where the gap
     never turns negative), then bisects in log y to relative tolerance 1e-10.
     """
     return float(_solve(p, factors, np.array([float(u)]))[0][0])
@@ -325,7 +313,8 @@ def ces_polynomial_constant(alpha: float, n: int, moments, r: float) -> float:
 
     where moments[j-1] = E[exp((j/n) * I)] for j = 1..n-1.  All coefficients
     are positive, so the left side increases from 0 and the positive root is
-    unique; returns K = w ** (-n).
+    unique.  It is bracketed by decades and bisected in x = log K, where the
+    equation falls, to a bracket 1e-14 wide: K to about 1e-14 relative.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -343,12 +332,11 @@ def ces_polynomial_constant(alpha: float, n: int, moments, r: float) -> float:
     ratio = alpha / (1.0 - alpha)
     coef = [math.comb(n - 1, j) * moments[j - 1] * ratio ** j for j in range(1, n)]
 
-    def f(w: float) -> float:
+    def f(x):  # decreasing in x = log K, as w = K ** (-1/n) falls
+        w = np.exp(-x / n)
         return sum(c * w ** j for j, c in enumerate(coef, start=1)) - rhs
 
-    lo, hi = expand_bracket_geometric(f, 1.0, factor=10.0, max_steps=60)
-    w = bisect(f, lo, hi, rel_tol=1e-14)
-    return w ** (-n)
+    return math.exp(bisect(f, *expand_bracket_geometric(f), rel_tol=0.0, abs_tol=1e-14))
 
 
 def closed_form_boundary_table(p: ProfitFunction, factors: WienerHopfFactors,

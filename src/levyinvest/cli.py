@@ -35,8 +35,8 @@ import numpy as np
 from .boundary import closed_form_boundary_table, integral_equation_residual, solve_boundary_grid
 from .config import ExperimentConfig, _as_seed, load_config
 from .errors import DomainError, LevyInvestError, UnsupportedModel, ValidationError
-from .profit import check_assumptions
-from .policy import _certified_growth, compare_policies, evaluate_profit
+from .profit import _certified_growth, check_assumptions
+from .policy import compare_policies, evaluate_profit
 from .wiener_hopf import (_identity_target, exact_factors, inf_moment_with_se,
                           sample_triplet, sup_moment_diagnostics, sup_moment_with_se,
                           wh_identity_residual)

@@ -6,7 +6,7 @@ Schema (JSON object; unknown keys are rejected so typos fail loudly):
     profit   required  {"kind": "cobb_douglas"|"ces"|"log", parameters}
     r        required  discount rate, > 0
     seed     optional  64-bit integer, default 0
-    mc       optional  {"n_paths": int >= 1, "step": > 0 or null,
+    mc       optional  {"n_paths": int >= 1000, "step": > 0 or null,
                         "t_max": > 0 or null}; step and t_max feed only the
                         policy engines, null meaning 1e-3 / r and 20 / r
     grid     optional  {"u_min": float, "u_max": float, "n": int >= 2},
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import ConstructionError, ParseError, ValidationError
-from .levy import _PARAMETERS, LevyModel
+from .levy import _MIN_REPLICATES, _PARAMETERS, LevyModel
 from .profit import ProfitFunction, cobb_douglas, ces, log_profit
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config"]
@@ -165,7 +165,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     mc = _require_mapping(_get(raw, "mc", "", {}), "mc")
     _reject_unknown(mc, {"n_paths", "step", "t_max"}, "mc")
-    n_paths = _as_int(_get(mc, "n_paths", "mc", 10_000), "mc.n_paths", minimum=1)
+    n_paths = _as_int(_get(mc, "n_paths", "mc", 10_000), "mc.n_paths",
+                      minimum=_MIN_REPLICATES)
     step = _get(mc, "step", "mc", None)
     if step is not None:
         step = _as_float(step, "mc.step", positive=True)

@@ -46,6 +46,9 @@ __all__ = [
 # from its own spawned child generator, so results are identical no matter
 # how chunks are scheduled across workers.
 _CHUNK = 16384
+# fewest replicates a Monte Carlo estimate runs on: config's mc.n_paths and
+# the policy engines both enforce it
+_MIN_REPLICATES = 1_000
 
 _STICKS = 40  # uniform sticks per stable horizon (see _stick_extrema)
 

@@ -45,10 +45,10 @@ from functools import partial
 import numpy as np
 
 from .boundary import BoundaryTable, ExtrapolationWarning, _warn_extrapolated
-from .errors import ConditionViolation, DomainError
-from .levy import (LevyModel, _increment, _mean_se, _run_chunks, default_step,
-                   default_t_max)
-from .profit import ProfitFunction, _growth_exponent, evaluate, marginal_profit
+from .errors import DomainError
+from .levy import (_MIN_REPLICATES, LevyModel, _increment, _mean_se, _run_chunks,
+                   default_step, default_t_max)
+from .profit import ProfitFunction, _certified_growth, evaluate, marginal_profit
 
 __all__ = [
     "StoppingRule",
@@ -161,30 +161,6 @@ class FOCReport:
                 "n_paths": self.n_paths, "step": self.step, "t_max": self.t_max}
 
 
-# -- growth certificate --------------------------------------------------------
-
-
-def _certified_growth(p: ProfitFunction, model: LevyModel, r: float) -> float:
-    """Certified exponential growth rate of the discounted integrands.
-
-    Raises ConditionViolation when the needed exponential moment is missing
-    (e.g. the stable family) or when it reaches the discount rate, in which
-    case the truncated estimate has no decaying tail bound.
-    """
-    try:
-        worst = _growth_exponent(p, model)
-    except DomainError as exc:
-        raise ConditionViolation(f"tail bound cannot be certified: {exc}") from exc
-    if worst is None:
-        raise ConditionViolation(
-            "custom profit has no closed-form growth certificate; the truncation "
-            "tail bound cannot be certified")
-    if worst >= r:
-        raise ConditionViolation(
-            f"tail bound cannot be certified: growth exponent {worst!r} >= r={r!r}")
-    return worst
-
-
 # -- the forward pass -----------------------------------------------------------
 
 
@@ -226,8 +202,8 @@ def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
         raise DomainError(f"t_max must exceed the step, got {t_max!r} <= {step!r}")
     h, n_steps = float(step), math.ceil(t_max / step)
     new = start(h, np.exp(-r * h * np.arange(n_steps + 1)))
-    if n < 1_000:
-        raise DomainError(f"need at least 1000 replicates, got {n!r}")
+    if n < _MIN_REPLICATES:
+        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
 
     def chunk(lo: int, hi: int, sub: np.random.Generator):
         seen = _Seen(b, x)

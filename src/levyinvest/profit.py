@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConditionViolation, ConstructionError, DomainError
 from .levy import LevyModel, _increment, laplace_exponent
 
 __all__ = [
@@ -179,47 +179,47 @@ class AssumptionReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
-def _growth_exponent(p: ProfitFunction, model: LevyModel) -> float | None:
-    """Exponential growth rate of pi(e^X, c) along the shock: max(0, psi(lam)).
+def _certified_growth(p: ProfitFunction, model: LevyModel, r: float) -> float:
+    """Exponential growth rate of pi(e^X, c) along the shock, certified below r.
 
-    lam runs over alpha/(1-beta) and alpha+beta for cobb_douglas, and is 1
-    for ces and log.  None for custom profits, which have no closed form.
-    DomainError when a needed exponential moment does not exist (stable
-    family, or a kou rate beyond its jump decay).
+    The rate is max(0, psi(lam)), lam running over alpha/(1-beta) and
+    alpha+beta for cobb_douglas, and 1 for ces and log.  ConditionViolation
+    when a needed exponential moment does not exist (stable family, or a kou
+    rate beyond its jump decay), for a custom profit, which has no closed
+    form, or when the rate reaches r: discounted profit integrals then have
+    no decaying tail bound.
     """
     if p.kind == "cobb_douglas":
         exponents = (p.alpha / (1.0 - p.beta), p.alpha + p.beta)
     elif p.kind in ("ces", "log"):
         exponents = (1.0,)
     else:
-        return None
-    return max(0.0, *(laplace_exponent(model, lam) for lam in exponents))
+        raise ConditionViolation(
+            "custom profit has no closed-form growth certificate; the truncation "
+            "tail bound cannot be certified")
+    try:
+        worst = max(0.0, *(laplace_exponent(model, lam) for lam in exponents))
+    except DomainError as exc:
+        raise ConditionViolation(f"tail bound cannot be certified: {exc}") from exc
+    if worst >= r:
+        raise ConditionViolation(
+            f"tail bound cannot be certified: growth exponent {worst!r} >= r={r!r}")
+    return worst
 
 
 def _moment_condition(p: ProfitFunction, model: LevyModel, r: float) -> AssumptionCheck:
-    """The exponential moments the discounted problem needs, family-allowing.
-
-    r must exceed the growth exponent; a missing moment fails the check
-    outright.
-    """
+    """The verdict of _certified_growth; a custom profit only warns."""
     name = "moment_condition"
-    try:
-        worst = _growth_exponent(p, model)
-    except DomainError as exc:
-        return AssumptionCheck(
-            name, False, "fail",
-            f"a needed exponential moment does not exist for family "
-            f"{model.family.value} ({exc}); discounted profit integrals cannot be "
-            f"certified")
-    if worst is None:
+    if p.kind == "custom":
         return AssumptionCheck(name, True, "warn",
                                "custom profit: no closed-form moment condition; verify "
                                "discounted integrability externally")
-    if r > worst:
-        return AssumptionCheck(name, True, "fail",
-                               f"r > max growth exponent holds: r={r!r} > {worst!r}")
-    return AssumptionCheck(name, False, "fail",
-                           f"r > max growth exponent violated: r={r!r} <= {worst!r}")
+    try:
+        worst = _certified_growth(p, model, r)
+    except ConditionViolation as exc:
+        return AssumptionCheck(name, False, "fail", str(exc))
+    return AssumptionCheck(name, True, "fail",
+                           f"r > max growth exponent holds: r={r!r} > {worst!r}")
 
 
 def _sampled_shape_checks(p: ProfitFunction, rng: np.random.Generator) -> list[AssumptionCheck]:

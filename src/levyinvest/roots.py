@@ -1,8 +1,11 @@
-"""Bracketed scalar root finding.
+"""Bracketed root finding for arrays of independent monotone problems.
 
-Bisection only: every equation solved in this package is known to be
-monotone (or at least single-crossing) on the bracket, and unconditional
-convergence matters more than iteration count at these problem sizes.
+Every equation this package solves is monotone on its bracket: the marginal
+gap of the boundary in log capacity, psi - r between two poles, and the ces
+polynomial.  So one algorithm serves them all, bisection, run in lockstep
+over an array of problems (a scalar is a problem array of shape ()).  Each
+bracket is oriented, f(lo) > 0 >= f(hi), so no endpoint is ever evaluated
+and every pass makes one call of f, on all midpoints at once.
 """
 
 from __future__ import annotations
@@ -10,80 +13,64 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .errors import BracketFailure
 
 __all__ = ["bisect", "expand_bracket_geometric"]
 
+_DECADE = math.log(10.0)
+_MAX_DECADES = 60
 
-def bisect(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-15,
-    abs_tol: float = 0.0,
-    max_iter: int = 200,
-) -> float:
-    """Root of f on [a, b] by bisection; f(a) and f(b) must differ in sign.
 
-    Iterates until the interval width falls below abs_tol + rel_tol*|mid|
-    or the midpoint stops moving in floating point. A zero endpoint is
-    returned immediately.
+def _out(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def bisect(f: Callable, lo, hi, *, rel_tol: float = 1e-15, abs_tol: float = 0.0):
+    """Roots of f between lo and hi, where f(lo) > 0 >= f(hi) per problem.
+
+    lo may lie above hi.  A problem freezes once its bracket is no wider
+    than abs_tol + rel_tol * |midpoint|, once its midpoint stops moving in
+    floating point, or when f is exactly 0 at its midpoint (which is then
+    its root).  Returns the final midpoints: a float for scalar input.
     """
-    fa = f(a)
-    if fa == 0.0:
-        return a
-    fb = f(b)
-    if fb == 0.0:
-        return b
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        raise BracketFailure(f"no sign change on [{a!r}, {b!r}]: f(a)={fa!r}, f(b)={fb!r}")
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        if mid <= min(a, b) or mid >= max(a, b):
-            break  # interval no longer representable
+    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
+    mid = 0.5 * (lo + hi)
+    open_ = (mid != lo) & (mid != hi)
+    while open_.any():
         fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        if abs(b - a) <= abs_tol + rel_tol * abs(mid):
-            break
-    return 0.5 * (a + b)
+        np.copyto(lo, mid, where=open_ & (fm >= 0.0))
+        np.copyto(hi, mid, where=open_ & ~(fm > 0.0))
+        # Monte Carlo boundary blocks hold one point, where each array op costs
+        # more than its arithmetic: skip rel_tol's two ops when it is 0
+        tol = abs_tol + rel_tol * np.abs(mid) if rel_tol else abs_tol
+        open_ = open_ & (np.abs(hi - lo) > tol)
+        mid = 0.5 * (lo + hi)
+        open_ = open_ & (mid != lo) & (mid != hi)
+    return _out(np.asarray(mid))
 
 
-def expand_bracket_geometric(
-    f: Callable[[float], float],
-    start: float = 1.0,
-    *,
-    factor: float = 10.0,
-    max_steps: int = 60,
-) -> tuple[float, float]:
-    """Find a sign-change bracket on (0, inf) around a positive start point.
+def expand_bracket_geometric(f: Callable, start=0.0):
+    """Brackets (lo, lo + log 10) of the roots of f, decreasing in x = log y.
 
-    Probes alternately upward (times `factor`) and downward (divided by it)
-    from `start` until f changes sign, with at most max_steps expansions in
-    each direction.
+    Each problem walks from x = start in steps of log 10 toward its root,
+    upward while f > 0 and downward while f <= 0, and stops at the first
+    step across it; the bracket is oriented for `bisect`.  BracketFailure
+    if some problem does not cross within 60 steps (y in [1e-60, 1e60]
+    around e^start).
     """
-    f0 = f(start)
-    if f0 == 0.0:
-        return (start, start)
-    sign0 = math.copysign(1.0, f0)
-    lo, hi = start, start
-    for _ in range(max_steps):
-        nxt = hi * factor
-        f_nxt = f(nxt)
-        if f_nxt == 0.0 or math.copysign(1.0, f_nxt) != sign0:
-            return (hi, nxt)
-        hi = nxt
-        nxt = lo / factor
-        f_nxt = f(nxt)
-        if f_nxt == 0.0 or math.copysign(1.0, f_nxt) != sign0:
-            return (nxt, lo)
-        lo = nxt
-    raise BracketFailure(
-        f"no sign change within [{lo!r}, {hi!r}] after {max_steps} geometric "
-        f"expansions each way from {start!r} (f stays {'positive' if f0 > 0 else 'negative'})"
-    )
+    x = np.asarray(start, dtype=float)
+    above = f(x) > 0.0  # the root lies above start
+    step = np.where(above, _DECADE, -_DECADE)
+    open_ = np.ones(x.shape, dtype=bool)
+    for _ in range(_MAX_DECADES):
+        if not open_.any():
+            break
+        x = x + step * open_
+        open_ &= (f(x) > 0.0) == above
+    if open_.any():
+        raise BracketFailure(f"f keeps its sign within {_MAX_DECADES} decades of y "
+                             f"around e^start at {int(open_.sum())} of {open_.size} problems")
+    lo = np.where(above, x - _DECADE, x)
+    return _out(lo), _out(lo + _DECADE)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, UnsupportedModel
+from .errors import BracketFailure, DomainError, UnsupportedModel
 from .levy import (ExtremaPool, Family, LevyModel, _mean_se, _psi, laplace_exponent,
                    sample_extrema)
 from .roots import bisect
@@ -83,8 +83,11 @@ def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
     m up and n down exponential jump components give m+1 positive and n+1
     negative roots, one between each pair of adjacent poles (0 separates the
     signs).  They are located as the roots of the polynomial (psi - r) * pole
-    factors, then bisected on psi - r over a 1e-9 relative bracket clipped to
-    their pole interval; BracketFailure if a bracket has no sign change.
+    factors, each given a 1e-9 relative bracket clipped to its pole interval,
+    and then bisected on psi - r itself, all in one roots.bisect call.  psi - r
+    rises through every positive root and falls through every negative one,
+    which orients the brackets; BracketFailure if a bracket's end values do
+    not have those signs.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")
@@ -96,14 +99,18 @@ def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
         num = npoly.polyadd(npoly.polymul(num, (eta, sign)), q * p * eta * den)
         den = npoly.polymul(den, (eta, sign))
     located = np.sort(npoly.polyroots(num).real)
-    edges = [-math.inf, *sorted([0.0, *(e for _, e in up), *(-e for _, e in down)]), math.inf]
+    edges = np.array([-math.inf, *sorted([0.0, *(e for _, e in up), *(-e for _, e in down)]),
+                      math.inf])
+    inside = np.nextafter(edges[:-1], edges[1:]), np.nextafter(edges[1:], edges[:-1])
+    below = np.clip(located - 1e-9 * np.abs(located), *inside)
+    above = np.clip(located + 1e-9 * np.abs(located), *inside)
+    positive = edges[:-1] >= 0.0
+    lo, hi = np.where(positive, above, below), np.where(positive, below, above)
     g = lambda lam: _psi(model, lam) - r
-    roots = []
-    for rho, lo, hi in zip(located, edges[:-1], edges[1:]):
-        a, b = np.clip((rho - 1e-9 * abs(rho), rho + 1e-9 * abs(rho)),
-                       np.nextafter(lo, hi), np.nextafter(hi, lo))
-        roots.append(float(bisect(g, a, b)))
-    return tuple(roots)
+    if not (np.all(g(lo) > 0.0) and np.all(g(hi) <= 0.0)):
+        raise BracketFailure(f"psi - r does not change sign as expected on the brackets "
+                             f"around the located roots {located.tolist()!r}")
+    return tuple(float(x) for x in bisect(g, lo, hi))
 
 
 def _mixture_weights(rates, jumps) -> tuple[float, ...]:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -32,6 +33,15 @@ def test_import_does_not_load_scipy():
 def test_policy_steps_paths_in_one_place():
     import levyinvest.policy
     assert inspect.getsource(levyinvest.policy).count("_increment(") == 1
+
+
+def test_root_search_in_one_place():
+    import levyinvest.boundary
+    import levyinvest.wiener_hopf
+    for module in (levyinvest.boundary, levyinvest.wiener_hopf):
+        tree = ast.parse(inspect.getsource(module))
+        assert not any(isinstance(node, ast.While) for node in ast.walk(tree))
+    assert not hasattr(levyinvest.boundary, "_log_roots")
 
 
 def test_family_branches_in_one_place():

@@ -194,6 +194,15 @@ class TestClosedForms:
         k_poly = ces_polynomial_constant(0.5, 2, moments, R)
         assert k_poly == pytest.approx(k_quad, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha, moment, r", [
+        (0.5, 0.6, 0.5), (0.2, 0.05, 0.7), (0.9, 0.99, 0.02), (0.5, 1.0, 40.0)])
+    def test_ces_polynomial_closed_form_n2(self, alpha, moment, r):
+        # with n = 2 the equation is linear in w = K ** (-1/2)
+        rhs = r / (1.0 - alpha) ** 2 - 1.0
+        expected = (moment * alpha / (1.0 - alpha) / rhs) ** 2
+        k = ces_polynomial_constant(alpha, 2, [moment], r)
+        assert k == pytest.approx(expected, rel=1e-14)
+
     def test_ces_needs_rate_above_kappa(self):
         p = ces(0.5, 0.5)
         with pytest.raises(DomainError):

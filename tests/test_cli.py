@@ -268,6 +268,43 @@ class TestErrorHandling:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == error_type
 
+    @pytest.mark.parametrize("n_paths", [1, 999])
+    @pytest.mark.parametrize("command", ["boundary", "verify", "wh-check", "simulate",
+                                         "compare"])
+    def test_too_few_replicates_rejected_before_work(self, command, n_paths, tmp_path,
+                                                     capsys, monkeypatch):
+        doc = dict(FAST_CONFIG, mc=dict(FAST_CONFIG["mc"], n_paths=n_paths))
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def expensive(*args, **kwargs):
+            raise AssertionError("work started before the replicate count was checked")
+
+        for name in ("exact_factors", "sample_triplet", "solve_boundary_grid"):
+            monkeypatch.setattr(levyinvest.cli, name, expensive)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValidationError" and error["key"] == "mc.n_paths"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, r", [
+        ({"family": "symmetric_stable", "mu": 0.0, "stable_index": 1.5,
+          "stable_scale": 0.5}, 2.0),
+        (FAST_CONFIG["model"], 0.9)])  # psi(1) = 1 > r
+    def test_moment_condition_detail_is_simulate_error(self, model, r, tmp_path, capsys):
+        path = tmp_path / "no_certificate.json"
+        path.write_text(json.dumps(dict(FAST_CONFIG, model=model, r=r)), encoding="utf-8")
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", str(path), "--out", out]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConditionViolation"
+        assert main(["check-assumptions", "--config", str(path), "--out", out]) == 0
+        checks = json.loads(read(out + "/assumptions.json"))["checks"]
+        check = next(c for c in checks if c["name"] == "moment_condition")
+        assert (check["ok"], check["severity"]) == (False, "fail")
+        assert check["detail"] == error["message"]
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x"])

@@ -138,6 +138,15 @@ class TestValidation:
             parse_config(cfg_text(mc={"step": -0.1}))
         assert err.value.key == "mc.step"
 
+    @pytest.mark.parametrize("n_paths", [1, 999])
+    def test_n_paths_below_replicate_floor(self, n_paths):
+        with pytest.raises(ValidationError) as err:
+            parse_config(cfg_text(mc={"n_paths": n_paths}))
+        assert err.value.key == "mc.n_paths" and ">= 1000" in err.value.message
+
+    def test_n_paths_at_replicate_floor_parses(self):
+        assert parse_config(cfg_text(mc={"n_paths": 1000})).n_paths == 1000
+
     def test_grid_ordering(self):
         with pytest.raises(ValidationError) as err:
             parse_config(cfg_text(grid={"u_min": 2.0, "u_max": -2.0}))
