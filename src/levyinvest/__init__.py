@@ -23,7 +23,8 @@ from .levy import (ExtremaPool, Family, LevyModel, default_step, default_t_max,
                    laplace_exponent, sample_extrema)
 from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
                      PolicyEvaluation, StoppingRule, compare_policies,
-                     evaluate_profit, foc_residuals, stopping_value)
+                     evaluate_profit, exponential_time_values, foc_residuals,
+                     stopping_value)
 from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
                      check_assumptions, cobb_douglas, ces, custom, evaluate,
                      kappa, log_profit, marginal_profit)
@@ -61,7 +62,7 @@ __all__ = [
     # policy
     "StoppingRule", "PolicyEvaluation", "ComparisonRow", "ComparisonResult",
     "FOCEntry", "FOCReport", "evaluate_profit", "compare_policies",
-    "foc_residuals", "stopping_value",
+    "exponential_time_values", "foc_residuals", "stopping_value",
     # configuration
     "ExperimentConfig", "load_config", "parse_config",
 ]

@@ -13,6 +13,12 @@ Subcommands and their artifacts (written under the output directory):
     compare             compare.csv, compare.json     paired policy-scale table
     check-assumptions   assumptions.json              profit/model assumption report
 
+`simulate` and `compare` run the exponential-time policy engine, one
+(X_T, M) pool at Exp(r) horizons, when its variance is certified
+(psi(2 lam) < r for every growth exponent lam), and the stepped engine over
+mc.step and mc.t_max otherwise; their artifacts name the engine in
+"engine".
+
 Every artifact embeds the SHA-256 of the config file text and the effective
 seed, so identical (config, seed) pairs reproduce byte-identical files at
 any worker count.  CSV cells use '.' decimals and 17 significant digits;
@@ -35,8 +41,8 @@ import numpy as np
 from .boundary import closed_form_boundary_table, integral_equation_residual, solve_boundary_grid
 from .config import ExperimentConfig, _as_seed, load_config
 from .errors import DomainError, LevyInvestError, UnsupportedModel, ValidationError
-from .profit import _certified_growth, check_assumptions
-from .policy import compare_policies, evaluate_profit
+from .profit import _certified_growth, _certified_variance, check_assumptions
+from .policy import _at_base, compare_policies, exponential_time_values
 from .wiener_hopf import (_identity_target, exact_factors, inf_moment_with_se,
                           sample_triplet, sup_moment_diagnostics, sup_moment_with_se,
                           wh_identity_residual)
@@ -183,13 +189,20 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out: str, workers: int) -> int:
+def _policy_values(cfg: ExperimentConfig, scales, workers: int):
+    """The solved table's policies at `scales`, on the exponential-time engine
+    when its variance is certified, else on the stepped engine."""
     _certified_growth(cfg.profit, cfg.model, cfg.r)  # fail before the table is solved
+    engine = (exponential_time_values if _certified_variance(cfg.profit, cfg.model, cfg.r)
+              else compare_policies)
     rng = np.random.default_rng(cfg.seed)
     _, table = _solve_table(cfg, rng, workers)
-    ev = evaluate_profit(cfg.profit, cfg.model, cfg.r, table, cfg.x, cfg.y,
-                         cfg.n_paths, rng, step=cfg.step, t_max=cfg.t_max,
-                         workers=workers)
+    return engine(cfg.profit, cfg.model, cfg.r, table, cfg.x, cfg.y, scales,
+                  cfg.n_paths, rng, step=cfg.step, t_max=cfg.t_max, workers=workers)
+
+
+def _cmd_simulate(cfg: ExperimentConfig, out: str, workers: int) -> int:
+    ev = _at_base(_policy_values(cfg, (1.0,), workers))
     payload = dict(_identity(cfg))
     payload.update({"state": {"x": cfg.x, "y": cfg.y}})
     payload.update(dataclasses.asdict(ev))
@@ -198,12 +211,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str, workers: int) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig, out: str, workers: int) -> int:
-    _certified_growth(cfg.profit, cfg.model, cfg.r)  # fail before the table is solved
-    rng = np.random.default_rng(cfg.seed)
-    _, table = _solve_table(cfg, rng, workers)
-    result = compare_policies(cfg.profit, cfg.model, cfg.r, table, cfg.x, cfg.y,
-                              cfg.scales, cfg.n_paths, rng, step=cfg.step,
-                              t_max=cfg.t_max, workers=workers)
+    result = _policy_values(cfg, cfg.scales, workers)
     ident = _identity(cfg)
     header = ["scale", "j_value", "j_se", "pv_investment", "pv_investment_se",
               "base_minus_this", "base_minus_this_se"]

@@ -15,6 +15,19 @@ is nonpositive, and it integrates to zero against the investment increments
 (complementary slackness).  Holding the capacity at y until b(x + X) first
 reaches it gives the stopping value, which never exceeds 1.
 
+Two engines estimate these.  The exponential-time engine
+(`exponential_time_values`) has no time grid: with T ~ Exp(r) independent of
+X, integration by parts gives
+
+    J = E[ pi(e^{x + X_T}, C_T) / r - (C_T - y) ],   C_T = max(y, s * b(x + M)),
+
+for the policy from s * b, where M is the running maximum over [0, T], and
+one `sample_extrema` pool draws (X_T, M) in its exact joint law.  Its
+estimator has a finite variance when psi(2 lam) < r for every growth
+exponent lam (`profit._certified_variance`); the engine refuses otherwise.
+
+The stepped engine serves every estimate: the values (`evaluate_profit`,
+`compare_policies`), the first-order conditions and the stopping value.
 All of these come from one forward pass, `_forward`, on the grid t_j = j * step
 up to t_max, with one of two accumulators.  The value accumulator integrates
 each policy's profit flow by the trapezoid rule and its investment by a
@@ -45,10 +58,11 @@ from functools import partial
 import numpy as np
 
 from .boundary import BoundaryTable, ExtrapolationWarning, _warn_extrapolated
-from .errors import DomainError
+from .errors import ConditionViolation, DomainError
 from .levy import (_MIN_REPLICATES, LevyModel, _increment, _mean_se, _run_chunks,
-                   default_step, default_t_max)
-from .profit import ProfitFunction, _certified_growth, evaluate, marginal_profit
+                   default_step, default_t_max, sample_extrema)
+from .profit import (ProfitFunction, _certified_growth, _certified_variance, evaluate,
+                     marginal_profit)
 
 __all__ = [
     "StoppingRule",
@@ -59,6 +73,7 @@ __all__ = [
     "FOCReport",
     "evaluate_profit",
     "compare_policies",
+    "exponential_time_values",
     "foc_residuals",
     "stopping_value",
 ]
@@ -112,6 +127,7 @@ class PolicyEvaluation:
     step: float
     t_max: float
     tail_bound: float
+    engine: str = "stepped"
 
 
 @dataclass(frozen=True)
@@ -132,6 +148,7 @@ class ComparisonResult:
     step: float
     t_max: float
     tail_bound: float
+    engine: str = "stepped"   # or "exponential_time", which ignores step and t_max
 
 
 @dataclass(frozen=True)
@@ -183,6 +200,33 @@ class _Seen:
         return np.asarray(self.b(u), dtype=float)
 
 
+def _check_state(y: float, n: int) -> None:
+    if not y > 0:
+        raise DomainError(f"initial capacity must be > 0, got {y!r}")
+    if n < _MIN_REPLICATES:
+        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
+
+
+def _grid(r: float, step: float | None, t_max: float | None) -> tuple[float, int]:
+    """The stepped engine's step h and step count N, N * h >= t_max; None
+    means `default_step(r)` and `default_t_max(r)`."""
+    step = default_step(r) if step is None else step
+    t_max = default_t_max(r) if t_max is None else t_max
+    if not step > 0:
+        raise DomainError(f"step must be > 0, got {step!r}")
+    if not t_max > step:
+        raise DomainError(f"t_max must exceed the step, got {t_max!r} <= {step!r}")
+    return float(step), math.ceil(t_max / step)
+
+
+def _scales(scales) -> list[float]:
+    """The policy scales as floats, all > 0, with the base scale 1.0 first if missing."""
+    scales = [float(s) for s in scales]
+    if any(s <= 0 for s in scales):
+        raise DomainError("policy scales must be > 0")
+    return scales if 1.0 in scales else [1.0] + scales
+
+
 def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
     """Advance n replicate shock paths over the grid t_j = j * h, j = 0..N.
 
@@ -192,18 +236,9 @@ def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
     (with each step's bridge maximum) and z_j = e^{x + x_j}.  Returns the
     `result()` arrays joined along the replicate (last) axis, h and N * h.
     """
-    if not y > 0:
-        raise DomainError(f"initial capacity must be > 0, got {y!r}")
-    step = default_step(r) if step is None else step
-    t_max = default_t_max(r) if t_max is None else t_max
-    if not step > 0:
-        raise DomainError(f"step must be > 0, got {step!r}")
-    if not t_max > step:
-        raise DomainError(f"t_max must exceed the step, got {t_max!r} <= {step!r}")
-    h, n_steps = float(step), math.ceil(t_max / step)
+    _check_state(y, n)
+    h, n_steps = _grid(r, step, t_max)
     new = start(h, np.exp(-r * h * np.arange(n_steps + 1)))
-    if n < _MIN_REPLICATES:
-        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
 
     def chunk(lo: int, hi: int, sub: np.random.Generator):
         seen = _Seen(b, x)
@@ -309,11 +344,16 @@ def evaluate_profit(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     """
     res = compare_policies(p, model, r, b, x, y, (1.0,), n_paths, rng,
                            step=step, t_max=t_max, workers=workers)
-    row = res.rows[0]
+    return _at_base(res)
+
+
+def _at_base(res: ComparisonResult) -> PolicyEvaluation:
+    """The base-scale (1.0) row of a comparison, as a PolicyEvaluation."""
+    row = next(row for row in res.rows if row.scale == 1.0)
     return PolicyEvaluation(
         j_value=row.j_value, j_se=row.j_se, pv_investment=row.pv_investment,
-        pv_investment_se=row.pv_investment_se, n_paths=n_paths, step=res.step,
-        t_max=res.t_max, tail_bound=res.tail_bound)
+        pv_investment_se=row.pv_investment_se, n_paths=res.n_paths, step=res.step,
+        t_max=res.t_max, tail_bound=res.tail_bound, engine=res.engine)
 
 
 def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -326,11 +366,7 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     paired differences J(base) - J(scale) carry far smaller standard errors
     than the individual levels.  The base scale 1.0 is added if missing.
     """
-    scales = [float(s) for s in scales]
-    if any(s <= 0 for s in scales):
-        raise DomainError("policy scales must be > 0")
-    if 1.0 not in scales:
-        scales = [1.0] + scales
+    scales = _scales(scales)
     growth = _certified_growth(p, model, r)
     (j_rows, pv_rows), h, t_eff = _forward(
         model, r, b, x, y, n_paths, rng, step, t_max, workers,
@@ -345,6 +381,56 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
         for k, s in enumerate(scales))
     return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=t_eff,
                             tail_bound=math.exp(-(r - growth) * t_eff))
+
+
+def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
+                            y: float, scales, n_paths: int, rng: np.random.Generator, *,
+                            step: float | None = None, t_max: float | None = None,
+                            workers: int = 1) -> ComparisonResult:
+    """`compare_policies`' rows from one (X_T, M) pool at Exp(r) horizons.
+
+    Per draw and scale s, C_T = max(y, s * b(x + M)), the value row is
+    pi(e^{x + X_T}, C_T) / r - (C_T - y) and the investment row C_T - y.
+    All scales read the same draws, so J(1) - J(s) is paired as in the
+    stepped engine.  There is no time grid and no truncation: `step` and
+    `t_max` are checked and reported as `compare_policies` resolves them,
+    but unused, and `tail_bound` is 0.  ConditionViolation when the growth
+    or the variance certificate (psi(2 lam) < r) fails, before any draw.
+    """
+    scales = _scales(scales)
+    _check_state(y, n_paths)
+    _certified_growth(p, model, r)
+    if not _certified_variance(p, model, r):
+        raise ConditionViolation(
+            "exponential-time estimator variance cannot be certified: psi(2 lam) >= r "
+            "for a growth exponent lam; use compare_policies")
+    h, n_steps = _grid(r, step, t_max)
+    pool = sample_extrema(model, r, n_paths, rng, workers=workers)
+    top = x + pool.running_max
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        b_top = np.asarray(b(top), dtype=float)
+    _warn_if_extrapolated(b, x, float(top.max()))
+    z = np.exp(x + pool.terminal)
+
+    def rows(s: float):
+        c = np.maximum(y, s * b_top)
+        pv = c - y
+        return np.asarray(evaluate(p, z, c), dtype=float) / r - pv, pv
+
+    # scale by scale, so that no (scales, n) block is ever held
+    j_base = rows(1.0)[0]
+    out = []
+    for s in scales:
+        j, pv = rows(s)
+        (j_mean, j_se), (pv_mean, pv_se) = _mean_se(j), _mean_se(pv)
+        diff, diff_se = _mean_se(j_base - j)
+        out.append(ComparisonRow(
+            scale=s, j_value=float(j_mean), j_se=float(j_se), pv_investment=float(pv_mean),
+            pv_investment_se=float(pv_se), base_minus_this=float(diff),
+            base_minus_this_se=float(diff_se)))
+    return ComparisonResult(rows=tuple(out), n_paths=n_paths, step=h, t_max=n_steps * h,
+                            tail_bound=0.0, engine="exponential_time")
 
 
 # -- first-order conditions and stopping value -------------------------------------

@@ -179,24 +179,29 @@ class AssumptionReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
+def _growth_exponents(p: ProfitFunction) -> tuple[float, ...]:
+    """The shock exponents lam whose psi(lam) bounds the growth of the policy
+    integrands: alpha/(1-beta) and alpha+beta for cobb_douglas, 1 for ces
+    and log.  ConditionViolation for a custom profit, which has no closed form."""
+    if p.kind == "cobb_douglas":
+        return (p.alpha / (1.0 - p.beta), p.alpha + p.beta)
+    if p.kind in ("ces", "log"):
+        return (1.0,)
+    raise ConditionViolation(
+        "custom profit has no closed-form growth certificate; the truncation "
+        "tail bound cannot be certified")
+
+
 def _certified_growth(p: ProfitFunction, model: LevyModel, r: float) -> float:
     """Exponential growth rate of pi(e^X, c) along the shock, certified below r.
 
-    The rate is max(0, psi(lam)), lam running over alpha/(1-beta) and
-    alpha+beta for cobb_douglas, and 1 for ces and log.  ConditionViolation
-    when a needed exponential moment does not exist (stable family, or a kou
-    rate beyond its jump decay), for a custom profit, which has no closed
-    form, or when the rate reaches r: discounted profit integrals then have
-    no decaying tail bound.
+    The rate is max(0, psi(lam)) over the `_growth_exponents` lam.
+    ConditionViolation when a needed exponential moment does not exist
+    (stable family, or a kou rate beyond its jump decay), for a custom
+    profit, which has no closed form, or when the rate reaches r: discounted
+    profit integrals then have no decaying tail bound.
     """
-    if p.kind == "cobb_douglas":
-        exponents = (p.alpha / (1.0 - p.beta), p.alpha + p.beta)
-    elif p.kind in ("ces", "log"):
-        exponents = (1.0,)
-    else:
-        raise ConditionViolation(
-            "custom profit has no closed-form growth certificate; the truncation "
-            "tail bound cannot be certified")
+    exponents = _growth_exponents(p)
     try:
         worst = max(0.0, *(laplace_exponent(model, lam) for lam in exponents))
     except DomainError as exc:
@@ -205,6 +210,20 @@ def _certified_growth(p: ProfitFunction, model: LevyModel, r: float) -> float:
         raise ConditionViolation(
             f"tail bound cannot be certified: growth exponent {worst!r} >= r={r!r}")
     return worst
+
+
+def _certified_variance(p: ProfitFunction, model: LevyModel, r: float) -> bool:
+    """Whether psi(2 lam) < r for every growth exponent lam.
+
+    Then e^{2 lam M} and e^{2 lam X_T} are integrable at an Exp(r) horizon,
+    so the exponential-time policy estimator has a finite variance.  An
+    exponent beyond the model's exponential moments (kou 2 lam >= eta_plus)
+    is not certified.
+    """
+    try:
+        return all(laplace_exponent(model, 2.0 * lam) < r for lam in _growth_exponents(p))
+    except DomainError:
+        return False
 
 
 def _moment_condition(p: ProfitFunction, model: LevyModel, r: float) -> AssumptionCheck:

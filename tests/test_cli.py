@@ -5,13 +5,19 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import levyinvest.boundary
 import levyinvest.cli
 import levyinvest.levy
+import levyinvest.policy
 import levyinvest.wiener_hopf
 from levyinvest.cli import main
+from levyinvest.errors import ConditionViolation, DomainError
+from levyinvest.levy import LevyModel
+from levyinvest.policy import exponential_time_values
+from levyinvest.profit import ces, cobb_douglas
 
 FAST_CONFIG = {
     "model": {"family": "brownian_drift", "mu": 0.0, "sigma": 1.4142135623730951},
@@ -23,6 +29,14 @@ FAST_CONFIG = {
     "state": {"x": 0.0, "y": 0.05},
     "scales": [0.5, 1.0, 2.0],
 }
+
+
+
+def example(name, **changes):
+    """An example config under configs/, with top-level keys replaced."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        return dict(json.load(fh), **changes)
 
 
 @pytest.fixture
@@ -209,6 +223,95 @@ class TestDeterminism:
         assert db["seed"] == 99
 
 
+class TestPolicyEngine:
+    # kou_ces: psi(2) = 0.32 < r = 0.5; merton_cobb_douglas: 0.14 < 1;
+    # FAST_CONFIG: 4 >= 2; brownian_log: 1.8 >= 1; kou_ces with
+    # eta_plus = 1.5 has no exponential moment at 2
+    @pytest.mark.parametrize("doc, engine", [
+        (example("kou_ces"), "exponential_time"),
+        (example("merton_cobb_douglas"), "exponential_time"),
+        (FAST_CONFIG, "stepped"),
+        (example("brownian_log", mc=FAST_CONFIG["mc"]), "stepped"),
+        (example("kou_ces", mc=FAST_CONFIG["mc"], r=1.5,
+                 model=dict(example("kou_ces")["model"], eta_plus=1.5)), "stepped"),
+    ], ids=["kou_ces", "merton_cobb_douglas", "fast", "brownian_log", "kou_no_moment"])
+    def test_routing_and_simulate_is_compare_base(self, doc, engine, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = str(tmp_path / "art")
+        for command in ("simulate", "compare"):
+            assert main([command, "--config", str(path), "--out", out]) == 0
+        sim = json.loads(read(out + "/simulate.json"))
+        cmp_doc = json.loads(read(out + "/compare.json"))
+        assert sim["engine"] == cmp_doc["engine"] == engine
+        base = [r for r in cmp_doc["rows"] if r["scale"] == 1.0][0]
+        assert sim["j_value"] == base["j_value"] and sim["j_se"] == base["j_se"]
+        assert sim["step"] == cmp_doc["step"] > 0 and sim["t_max"] == cmp_doc["t_max"] > 0
+        assert (sim["tail_bound"] == 0.0) is (engine == "exponential_time")
+
+    def test_exponential_time_worker_count_byte_identical(self, tmp_path, monkeypatch):
+        # 20000 draws make two chunks, so the pool really runs on two workers
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(example("kou_ces", mc=dict(n_paths=20000))),
+                        encoding="utf-8")
+        seen = []
+        original = levyinvest.policy.sample_extrema
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(levyinvest.policy, "sample_extrema", recording)
+        outs = []
+        for workers in (1, 2):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["compare", "--config", str(path), "--out", out,
+                         "--workers", str(workers)]) == 0
+            outs.append([read(f"{out}/{name}") for name in ("compare.csv", "compare.json")])
+        assert seen == [1, 2]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0][1])["engine"] == "exponential_time"
+
+    KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
+    CALL = dict(p=ces(0.5, 0.5), model=KOU, r=0.5, b=np.exp, x=0.0, y=0.02,
+                scales=[0.5, 2.0], n_paths=2000)
+
+    @pytest.mark.parametrize("change, error", [
+        ({}, None),
+        ({"y": 0.0}, DomainError),
+        ({"y": -1.0}, DomainError),
+        ({"n_paths": 999}, DomainError),
+        ({"scales": [0.5, 0.0]}, DomainError),
+        ({"scales": [-2.0]}, DomainError),
+        # no growth certificate: stable has no exponential moments
+        ({"model": LevyModel.stable(0.0, 1.5, 0.5)}, ConditionViolation),
+        # no variance certificate: psi(2) = 4 >= r = 2 for lam = 1 ...
+        ({"model": LevyModel.brownian(0.0, 2 ** 0.5), "r": 2.0,
+          "p": cobb_douglas(0.5, 0.5)}, ConditionViolation),
+        # ... and a kou exponent 2 lam = 2 beyond eta_plus = 1.5
+        ({"model": LevyModel.kou(0.0, 0.2, 1.0, 0.4, 1.5, 6.0), "r": 2.0},
+         ConditionViolation),
+    ], ids=["valid", "y_zero", "y_negative", "few_paths", "scale_zero", "scale_negative",
+            "no_growth_certificate", "brownian_variance", "kou_beyond_moment"])
+    def test_exponential_time_rejects_before_sampling(self, change, error, monkeypatch):
+        seen = []
+        original = levyinvest.policy.sample_extrema
+
+        def recording(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(levyinvest.policy, "sample_extrema", recording)
+        call = dict(self.CALL, rng=np.random.default_rng(3), **change)
+        if error is None:  # the recording patch sees a valid call
+            exponential_time_values(**call)
+            assert len(seen) == 1
+        else:
+            with pytest.raises(error):
+                exponential_time_values(**call)
+            assert seen == []
+
+
 class TestErrorHandling:
     def test_invalid_config_exits_one_with_json(self, tmp_path, capsys):
         bad = dict(FAST_CONFIG, r=-1)
@@ -260,7 +363,8 @@ class TestErrorHandling:
 
         for module in (levyinvest.cli, levyinvest.boundary):
             monkeypatch.setattr(module, "solve_boundary_grid", expensive)
-        for module in (levyinvest.levy, levyinvest.wiener_hopf, levyinvest.boundary):
+        for module in (levyinvest.levy, levyinvest.wiener_hopf, levyinvest.boundary,
+                       levyinvest.policy):
             monkeypatch.setattr(module, "sample_extrema", expensive)
         rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1

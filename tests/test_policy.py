@@ -1,15 +1,19 @@
+import os
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
-from levyinvest.boundary import ExtrapolationWarning, closed_form_boundary_table
+from levyinvest.boundary import (ExtrapolationWarning, closed_form_boundary_table,
+                                 solve_boundary_grid)
+from levyinvest.config import load_config
 from levyinvest.errors import ConditionViolation, DomainError
 from levyinvest.levy import LevyModel, default_t_max, laplace_exponent
 from levyinvest.policy import (StoppingRule, compare_policies, evaluate_profit,
-                               foc_residuals, stopping_value)
-from levyinvest.profit import cobb_douglas, custom
+                               exponential_time_values, foc_residuals, stopping_value)
+from levyinvest.profit import cobb_douglas, custom, evaluate
 from levyinvest.wiener_hopf import exact_factors
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
@@ -181,13 +185,58 @@ def test_stopping_value_is_one_plus_supergradient_at_zero(model):
     assert abs(v - (1.0 + rep.entries[0].supergradient)) <= 1e-12
 
 
+class TestExponentialTimeValues:
+    def test_matches_quadrature_on_kou_ces(self):
+        # second route: X_T = M + I' with M and -I' independent exponential
+        # mixtures (exact_factors), integrated by a 2-D Gauss-Laguerre rule
+        # with 64 nodes per mixture component; both routes read one table
+        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "kou_ces.json"))
+        factors = exact_factors(cfg.model, cfg.r)
+        table = solve_boundary_grid(cfg.profit, factors, cfg.u_min, cfg.u_max, cfg.grid_n)
+        t, a = laggauss(64)
+
+        def rule(rates, weights):
+            return ((t / np.asarray(rates)[:, None]).ravel(),
+                    (np.asarray(weights)[:, None] * a).ravel())
+
+        m, w_m = rule(factors.max_rates, factors.max_weights)
+        neg_i, w_i = rule(factors.min_rates, factors.min_weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            b_m = table(cfg.x + m)[:, None]
+            res = exponential_time_values(cfg.profit, cfg.model, cfg.r, table, cfg.x,
+                                          cfg.y, cfg.scales, cfg.n_paths,
+                                          np.random.default_rng(cfg.seed))
+        z = np.exp(cfg.x + m[:, None] - neg_i[None, :])
+        assert [row.scale for row in res.rows] == list(cfg.scales)
+        for row in res.rows:
+            c = np.maximum(cfg.y, row.scale * b_m)
+            exact = w_m @ (evaluate(cfg.profit, z, c) / cfg.r - (c - cfg.y)) @ w_i
+            assert abs(row.j_value - exact) < 4 * row.j_se, (row.scale, exact)
+        assert (res.engine, res.tail_bound) == ("exponential_time", 0.0)
+
+    def test_base_row_paired_zero_and_grid_fields(self):
+        res = exponential_time_values(CD, KOU, R, TABLE, 0.0, 0.05, [0.5, 2.0], N,
+                                      np.random.default_rng(25), step=H, t_max=TM)
+        assert [row.scale for row in res.rows] == [1.0, 0.5, 2.0]
+        base = res.rows[0]
+        assert base.base_minus_this == 0.0 and base.base_minus_this_se == 0.0
+        # the stepped route's resolved grid, reported but not used
+        stepped = compare_policies(CD, KOU, R, TABLE, 0.0, 0.05, [1.0], 1000,
+                                   np.random.default_rng(25), step=H, t_max=TM)
+        assert (res.step, res.t_max) == (stepped.step, stepped.t_max)
+        assert stepped.engine == "stepped"
+
+
 class TestExtrapolationReport:
     # 40000 paths run as three chunks; the warning's range is reduced from
     # per-chunk results after the join, so threads cannot lose an update.
     # A short switch interval makes the threads interleave as often as they can.
     # Every engine attributes its warning to the line that called it.
     @pytest.mark.parametrize("engine", ["evaluate_profit", "compare_policies",
-                                        "foc_residuals", "stopping_value"])
+                                        "exponential_time_values", "foc_residuals",
+                                        "stopping_value"])
     def test_warning_text_worker_invariant(self, engine):
         bx = float(TABLE(0.0))
         texts = []
@@ -204,6 +253,10 @@ class TestExtrapolationReport:
                     elif engine == "compare_policies":
                         compare_policies(CD, BD, R, TABLE, 0.0, 0.05, [0.5, 2.0], 40000,
                                          rng, **kwargs)
+                    elif engine == "exponential_time_values":
+                        # r = 5 > psi(2) = 4 certifies the pool's variance
+                        exponential_time_values(CD, BD, 5.0, TABLE, 0.0, 0.05, [0.5, 2.0],
+                                                40000, rng, **kwargs)
                     elif engine == "foc_residuals":
                         foc_residuals(CD, BD, R, TABLE, 0.0, bx,
                                       (StoppingRule.fixed(0.5),), 40000, rng, **kwargs)
