@@ -31,12 +31,25 @@ FAST_CONFIG = {
 }
 
 
-
 def example(name, **changes):
     """An example config under configs/, with top-level keys replaced."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
     with open(path, encoding="utf-8") as fh:
         return dict(json.load(fh), **changes)
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """The `workers` argument of every sample_extrema call the policy module makes."""
+    seen = []
+    original = levyinvest.policy.sample_extrema
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("workers"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(levyinvest.policy, "sample_extrema", recording)
+    return seen
 
 
 @pytest.fixture
@@ -249,26 +262,18 @@ class TestPolicyEngine:
         assert sim["step"] == cmp_doc["step"] > 0 and sim["t_max"] == cmp_doc["t_max"] > 0
         assert (sim["tail_bound"] == 0.0) is (engine == "exponential_time")
 
-    def test_exponential_time_worker_count_byte_identical(self, tmp_path, monkeypatch):
+    def test_exponential_time_worker_count_byte_identical(self, tmp_path, pool_calls):
         # 20000 draws make two chunks, so the pool really runs on two workers
         path = tmp_path / "config.json"
         path.write_text(json.dumps(example("kou_ces", mc=dict(n_paths=20000))),
                         encoding="utf-8")
-        seen = []
-        original = levyinvest.policy.sample_extrema
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs.get("workers"))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(levyinvest.policy, "sample_extrema", recording)
         outs = []
         for workers in (1, 2):
             out = str(tmp_path / f"w{workers}")
             assert main(["compare", "--config", str(path), "--out", out,
                          "--workers", str(workers)]) == 0
             outs.append([read(f"{out}/{name}") for name in ("compare.csv", "compare.json")])
-        assert seen == [1, 2]
+        assert pool_calls == [1, 2]
         assert outs[0] == outs[1]
         assert json.loads(outs[0][1])["engine"] == "exponential_time"
 
@@ -293,23 +298,15 @@ class TestPolicyEngine:
          ConditionViolation),
     ], ids=["valid", "y_zero", "y_negative", "few_paths", "scale_zero", "scale_negative",
             "no_growth_certificate", "brownian_variance", "kou_beyond_moment"])
-    def test_exponential_time_rejects_before_sampling(self, change, error, monkeypatch):
-        seen = []
-        original = levyinvest.policy.sample_extrema
-
-        def recording(*args, **kwargs):
-            seen.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(levyinvest.policy, "sample_extrema", recording)
+    def test_exponential_time_rejects_before_sampling(self, change, error, pool_calls):
         call = dict(self.CALL, rng=np.random.default_rng(3), **change)
         if error is None:  # the recording patch sees a valid call
             exponential_time_values(**call)
-            assert len(seen) == 1
+            assert pool_calls == [1]
         else:
             with pytest.raises(error):
                 exponential_time_values(**call)
-            assert seen == []
+            assert pool_calls == []
 
 
 class TestErrorHandling:
