@@ -26,7 +26,7 @@ from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
                      evaluate_profit, exponential_time_values, foc_residuals,
                      stopping_value)
 from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
-                     check_assumptions, cobb_douglas, ces, custom, evaluate,
+                     check_assumptions, cobb_douglas, ces, evaluate,
                      kappa, log_profit, marginal_profit)
 from .wiener_hopf import (EXACT_RATIONAL, MONTE_CARLO, WienerHopfFactors,
                           cramer_roots, exact_factors, inf_moment,
@@ -51,7 +51,7 @@ __all__ = [
     "sup_moment_with_se", "sup_moment_diagnostics",
     "wh_identity_residual",
     # profit
-    "ProfitFunction", "cobb_douglas", "ces", "log_profit", "custom",
+    "ProfitFunction", "cobb_douglas", "ces", "log_profit",
     "evaluate", "marginal_profit", "kappa", "AssumptionCheck",
     "AssumptionReport", "check_assumptions",
     # boundary

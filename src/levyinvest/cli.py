@@ -228,8 +228,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: str, workers: int) -> int:
 
 
 def _cmd_check_assumptions(cfg: ExperimentConfig, out: str, workers: int) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    report = check_assumptions(cfg.profit, cfg.model, cfg.r, rng)
+    report = check_assumptions(cfg.profit, cfg.model, cfg.r)
     payload = dict(_identity(cfg))
     payload.update(report.to_dict())
     _dump_json(os.path.join(out, "assumptions.json"), payload)

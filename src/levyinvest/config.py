@@ -22,8 +22,8 @@ Families take the parameters that `levy._PARAMETERS` names and profit kinds
 those `_PROFITS` names; a model's `mu` is optional and defaults to 0.  This
 module checks only the shape of the input (JSON types, finite numbers,
 required and unknown keys) and fills defaults.  The ranges of model and
-profit parameters are checked by their constructors (LevyModel,
-cobb_douglas, ces), whose ConstructionError names the parameter.
+profit parameters are checked on construction (LevyModel,
+ProfitFunction), whose ConstructionError names the parameter.
 
 Every validation failure raises ValidationError naming the offending key by
 its dotted path (e.g. "model.sigma").

@@ -31,10 +31,26 @@ FAST_CONFIG = {
 }
 
 
+EXAMPLES = ("brownian_cobb_douglas", "brownian_log", "kou_ces", "merton_cobb_douglas",
+            "stable_ces")
+
+# assumptions.json's checks, in report order, with their severities
+ASSUMPTION_CHECKS = [
+    ("r_exceeds_kappa", "fail"), ("moment_condition", "fail"),
+    ("marginal_positive", "fail"), ("marginal_decreasing_in_capacity", "fail"),
+    ("marginal_monotone_in_shock", "fail"), ("profit_concave_in_capacity", "fail"),
+    ("inada_at_zero", "fail"), ("inada_at_infinity", "fail"),
+    ("discounted_integrability", "warn"),
+]
+
+
+def example_path(name):
+    return os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+
+
 def example(name, **changes):
     """An example config under configs/, with top-level keys replaced."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
-    with open(path, encoding="utf-8") as fh:
+    with open(example_path(name), encoding="utf-8") as fh:
         return dict(json.load(fh), **changes)
 
 
@@ -166,6 +182,22 @@ class TestSubcommands:
         doc = json.loads(read(out + "/assumptions.json"))
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_check_assumptions_on_examples(self, name, tmp_path):
+        out = str(tmp_path / "art")
+        assert main(["check-assumptions", "--config", example_path(name), "--out", out]) == 0
+        doc = json.loads(read(out + "/assumptions.json"))
+        checks = doc["checks"]
+        assert [(c["name"], c["severity"]) for c in checks] == ASSUMPTION_CHECKS
+        assert doc["passed"] is (name != "stable_ces")
+        # a stable shock has no exponential moments, so the discounted
+        # profit integral is not certified finite either
+        integrability = checks[-1]
+        assert integrability["ok"] is (name != "stable_ces")
+        # every verdict is analytic: no detail quotes a sampled quantity
+        for c in checks:
+            assert not re.search(r"sampl|Monte Carlo|mean|share", c["detail"]), c
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, config_path, tmp_path):
@@ -184,9 +216,7 @@ class TestDeterminism:
     def test_stable_pool_ignores_step(self, tmp_path):
         # the stable extrema pool has no time grid, so mc.step feeds only the
         # policy engines; the artifacts differ only in the config's digest
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "stable_ces.json")
-        with open(src, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = example("stable_ces")
         digests, artifacts = [], []
         for step in (2e-3, 1e-3):
             path = tmp_path / f"stable_{step}.json"

@@ -13,7 +13,7 @@ from levyinvest.errors import ConditionViolation, DomainError
 from levyinvest.levy import LevyModel, default_t_max, laplace_exponent
 from levyinvest.policy import (StoppingRule, compare_policies, evaluate_profit,
                                exponential_time_values, foc_residuals, stopping_value)
-from levyinvest.profit import cobb_douglas, custom, evaluate
+from levyinvest.profit import cobb_douglas, evaluate
 from levyinvest.wiener_hopf import exact_factors
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
@@ -74,12 +74,6 @@ class TestEvaluateProfit:
         with pytest.raises(ConditionViolation):
             evaluate_profit(CD, STABLE, 1.0, TABLE, 0.0, 1.0, N,
                             np.random.default_rng(4), step=H, t_max=TM)
-
-    def test_custom_profit_has_no_certificate(self):
-        p = custom(lambda z, c: np.sqrt(z * c))
-        with pytest.raises(ConditionViolation):
-            evaluate_profit(p, BD, R, TABLE, 0.0, 1.0, N,
-                            np.random.default_rng(5), step=H, t_max=TM)
 
     def test_subcritical_rate_rejected(self):
         with pytest.raises(ConditionViolation):

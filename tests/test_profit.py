@@ -4,7 +4,7 @@ import pytest
 from levyinvest.errors import ConstructionError, DomainError
 from levyinvest.levy import LevyModel
 from levyinvest.profit import (ProfitFunction, ces, check_assumptions, cobb_douglas,
-                               custom, evaluate, kappa, log_profit, marginal_profit)
+                               evaluate, kappa, log_profit, marginal_profit)
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
 STABLE = LevyModel.stable(0.0, 1.5, 0.5)
@@ -23,6 +23,19 @@ class TestConstructors:
             with pytest.raises(ConstructionError):
                 ces(0.5, bad)
         assert ces(0.5, 0.5).gamma == 0.5
+
+    def test_unknown_kind_rejected(self):
+        # an unknown kind must not fall through to the log formula
+        for kind in ("custom", "linear", ""):
+            with pytest.raises(ConstructionError) as err:
+                ProfitFunction(kind)
+            assert err.value.key == "kind"
+
+    def test_hand_built_ranges_enforced(self):
+        with pytest.raises(ConstructionError) as err:
+            ProfitFunction("ces", alpha=0.5, gamma=2.0)
+        assert err.value.key == "gamma"
+        assert ProfitFunction("log") == log_profit()
 
     def test_frozen(self):
         p = cobb_douglas(0.4, 0.3)
@@ -62,11 +75,6 @@ class TestEvaluation:
             evaluate(p, -1.0, 1.0)
         with pytest.raises(DomainError):
             marginal_profit(p, 1.0, 0.0)
-
-    def test_custom_with_fd_marginal(self):
-        p = custom(lambda z, c: np.sqrt(z) * np.sqrt(c))
-        got = marginal_profit(p, 4.0, 9.0)
-        assert got == pytest.approx(2.0 * 0.5 / 3.0, rel=1e-5)
 
     def test_kappa_values(self):
         assert kappa(cobb_douglas(0.5, 0.5)) == 0.0
@@ -111,7 +119,24 @@ class TestAssumptionChecks:
         names = [c["name"] for c in d["checks"]]
         assert "inada_at_zero" in names and "inada_at_infinity" in names
 
-    def test_custom_profit_warns_not_fails_moment(self):
-        p = custom(lambda z, c: np.sqrt(z * c))
-        rep = check_assumptions(p, BD, 2.0, np.random.default_rng(5))
-        assert rep["moment_condition"].severity == "warn"
+    def test_integrability_repeats_the_growth_certificate(self):
+        # stable has no exponential moments: both growth checks fail, the
+        # integrability one only as a warning
+        rep = check_assumptions(ces(0.5, 0.5), STABLE, 1.0)
+        moment, integ = rep["moment_condition"], rep["discounted_integrability"]
+        assert not moment.ok and not integ.ok and integ.severity == "warn"
+        assert moment.detail in integ.detail
+        assert check_assumptions(log_profit(), BD, 2.0)["discounted_integrability"].ok
+
+    def test_report_draws_nothing(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        rep = check_assumptions(ces(0.5, 0.5), BD, 2.0, rng)
+        assert rng.bit_generator.state == state
+        assert rep == check_assumptions(ces(0.5, 0.5), BD, 2.0)
+
+    def test_shape_details_state_the_formula(self):
+        rep = check_assumptions(ces(0.36, 0.5), BD, 2.0)
+        inada = rep["inada_at_infinity"]
+        assert inada.ok and "kappa=0.4096" in inada.detail
+        assert "alpha=0.36, gamma=0.5 in (0, 1)" in inada.detail
