@@ -54,9 +54,6 @@ GENERIC_SOLVER = "generic_solver"
 
 _LOG_ROOT_TOL = 1e-10  # final bracket width in log y
 _LAGUERRE_NODES = 32  # per mixture component of -I
-# floor for exp(u + I) at the nodes: keeps marginal_profit off the
-# z = 0 domain edge while preserving its limit value to double precision
-_Z_FLOOR = 1e-300
 
 
 class ExtrapolationWarning(UserWarning):
@@ -77,10 +74,11 @@ def _warn_extrapolated(message: str) -> None:
 class BoundaryTable:
     """Solved boundary values on a log-shock grid, interpolated log-linearly.
 
-    Between grid points the table is piecewise linear in (u, log b); beyond
-    the grid it continues with the nearest edge slope and emits an
-    ExtrapolationWarning.  Construction enforces strict grid increase,
-    strictly positive values, and nondecreasing values (to 1e-9 relative).
+    `log(u)` is piecewise linear in (u, log b) between grid points; beyond the
+    grid it continues with the nearest edge slope, finite for every finite u,
+    and emits an ExtrapolationWarning.  `table(u)` is its exponential.
+    Construction enforces strict grid increase, strictly positive values,
+    and nondecreasing values (to 1e-9 relative).
     `solver` holds the generic solver's passes and largest |gap| at the roots.
     """
 
@@ -116,7 +114,8 @@ class BoundaryTable:
                 raise MonotonicityViolation("ses length differs from grid")
         object.__setattr__(self, "_log_values", np.log(values))
 
-    def __call__(self, u):
+    def log(self, u):
+        """log b(u); a float for scalar u, else an array."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         g, lv = self.grid, self._log_values
         out = np.interp(u_arr, g, lv)
@@ -132,8 +131,11 @@ class BoundaryTable:
             if above.any():
                 slope = (lv[-1] - lv[-2]) / (g[-1] - g[-2])
                 out[above] = lv[-1] + slope * (u_arr[above] - g[-1])
-        res = np.exp(out)
-        return float(res[0]) if np.isscalar(u) or np.asarray(u).ndim == 0 else res
+        return float(out[0]) if np.ndim(u) == 0 else out
+
+    def __call__(self, u):
+        res = np.exp(np.atleast_1d(self.log(u)))
+        return float(res[0]) if np.ndim(u) == 0 else res
 
 
 def _rule(factors: WienerHopfFactors):
@@ -148,9 +150,9 @@ def _rule(factors: WienerHopfFactors):
     return (-t / rates).ravel(), (np.asarray(factors.min_weights)[:, None] * a).ravel()
 
 
-def _gap(p: ProfitFunction, r: float, z: np.ndarray, w, y: np.ndarray, with_se=False):
-    """Gap per row of shocks z at capacities y, and its SE if asked (MC only)."""
-    terms = np.asarray(marginal_profit(p, z, y[:, None]), dtype=float)
+def _gap(p: ProfitFunction, r: float, lz: np.ndarray, w, lc: np.ndarray, with_se=False):
+    """Gap per row of log shocks lz at log capacities lc; its SE if asked (MC)."""
+    terms = marginal_profit(p, lz, lc[:, None])
     if w is not None:
         return (terms * w).sum(axis=1) - r, None
     # sum / n is ndarray.mean's arithmetic without its per-call overhead,
@@ -176,21 +178,22 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
     (nodes, w), r = _rule(factors), factors.r
     parts = []
     for block in [us] if w is not None else np.split(us, len(us)):
-        z = np.maximum(np.exp(np.add.outer(block, nodes)), _Z_FLOOR)
+        lz = np.add.outer(block, nodes)
         passes = 0
 
         def gap_at(x):
             nonlocal passes
             passes += 1
-            return _gap(p, r, z, w, np.exp(x))[0]
+            return _gap(p, r, lz, w, x)[0]
 
         lo, hi = expand_bracket_geometric(gap_at, np.zeros(len(block)))
-        root = np.exp(bisect(gap_at, lo, hi, rel_tol=0.0, abs_tol=_LOG_ROOT_TOL))
-        gap, se = _gap(p, r, z, w, root, with_se=True)
+        x = bisect(gap_at, lo, hi, rel_tol=0.0, abs_tol=_LOG_ROOT_TOL)
+        root = np.exp(x)
+        gap, se = _gap(p, r, lz, w, x, with_se=True)
         if se is not None:  # SE of the root: SE of the gap over its slope in y
             dy = 0.01 * root
-            slope = (_gap(p, r, z, w, root + dy)[0]
-                     - _gap(p, r, z, w, root - dy)[0]) / (2.0 * dy)
+            slope = (_gap(p, r, lz, w, np.log(root + dy))[0]
+                     - _gap(p, r, lz, w, np.log(root - dy))[0]) / (2.0 * dy)
             se = np.abs(se / slope) if slope[0] != 0.0 else np.full(1, np.inf)
         parts.append((root, se, np.abs(gap), passes))
     roots, ses, gaps, passes = zip(*parts)
@@ -204,8 +207,8 @@ def marginal_gap(p: ProfitFunction, factors: WienerHopfFactors, u: float,
     if not y > 0:
         raise DomainError(f"capacity must be > 0, got {y!r}")
     nodes, w = _rule(factors)
-    z = np.maximum(np.exp(np.add.outer(np.array([float(u)]), nodes)), _Z_FLOOR)
-    gap, se = _gap(p, factors.r, z, w, np.array([float(y)]), with_se=True)
+    lz = np.add.outer(np.array([float(u)]), nodes)
+    gap, se = _gap(p, factors.r, lz, w, np.log([float(y)]), with_se=True)
     return float(gap[0]), 0.0 if se is None else float(se[0])
 
 
@@ -247,17 +250,17 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
     Averages pi_c(exp(u0 + m + i), b(u0 + m)) - r over n draws, where m and
     i are running maxima and minima sampled from two independent pools of
     exponential horizons (the factorization makes the true pair independent,
-    so independent pools sample the correct joint law).  `b` is any callable
-    boundary, typically a BoundaryTable; sampled maxima routinely leave the
-    solved grid, which extrapolates by its edge slope (with a warning).
-    The result does not depend on `workers`.
+    so independent pools sample the correct joint law).  `b` is a
+    BoundaryTable, and the kernel reads log b(u0 + m) from `b.log`: sampled
+    maxima routinely leave the solved grid, and edge-slope extrapolation (with
+    a warning) stays finite in log coordinates however far they go.  The
+    result does not depend on `workers`.
     """
     child_max, child_min = rng.spawn(2)
     maxima = sample_extrema(model, r, n, child_max, workers=workers).running_max
     minima = sample_extrema(model, r, n, child_min, workers=workers).running_min
-    cap = b(u0 + maxima)
-    z = np.maximum(np.exp(u0 + maxima + minima), _Z_FLOOR)
-    mean, se = _mean_se(np.asarray(marginal_profit(p, z, cap), dtype=float))
+    top = u0 + maxima
+    mean, se = _mean_se(marginal_profit(p, top + minima, b.log(top)))
     return float(mean) - r, float(se)
 
 

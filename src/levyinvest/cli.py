@@ -130,8 +130,9 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
     for u0 in cfg.verify_u0:
         res, se = integral_equation_residual(table, cfg.profit, cfg.model, cfg.r,
                                              u0, cfg.n_paths, rng, workers=workers)
+        table_se = None if table.ses is None else float(np.interp(u0, table.grid, table.ses))
         points.append({"u0": float(u0), "y": float(table(u0)),
-                       "residual": res, "se": se,
+                       "residual": res, "se": se, "table_se": table_se,
                        "ratio": _ratio(res, se)})
     # every config profit kind has a closed form
     closed = closed_form_boundary_table(cfg.profit, factors,

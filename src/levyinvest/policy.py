@@ -1,8 +1,9 @@
 """Capacity-policy simulation: value estimates, comparisons, and optimality checks.
 
-A boundary b turns into an irreversible investment policy by reflection: the
-capacity at time t is the starting level or the largest boundary value seen
-strictly before t, whichever is bigger.  The policy's value is
+A boundary table b (a `BoundaryTable`) turns into an irreversible investment
+policy by reflection: the capacity at time t is the starting level or the
+largest boundary value seen strictly before t, whichever is bigger; the
+engines work with log C = max(log y, log b).  The policy's value is
 
     J = E[ integral_0^inf e^{-rt} pi(z_t, C_t) dt - integral_0^inf e^{-rt} dC_t ].
 
@@ -181,8 +182,8 @@ class FOCReport:
 # -- the forward pass -----------------------------------------------------------
 
 
-def _warn_if_extrapolated(b, lo: float, hi: float) -> None:
-    if isinstance(b, BoundaryTable) and (lo < b.grid[0] or hi > b.grid[-1]):
+def _warn_if_extrapolated(b: BoundaryTable, lo: float, hi: float) -> None:
+    if lo < b.grid[0] or hi > b.grid[-1]:
         _warn_extrapolated(
             f"policy engine evaluated the boundary on [{float(lo)!r}, {float(hi)!r}], "
             f"beyond its solved grid [{float(b.grid[0])!r}, {float(b.grid[-1])!r}]; "
@@ -190,14 +191,14 @@ def _warn_if_extrapolated(b, lo: float, hi: float) -> None:
 
 
 class _Seen:
-    """The boundary b, recording the range of its arguments (from [x, x] on)."""
+    """The table b's log lookup, recording the range of its arguments (from [x, x] on)."""
 
-    def __init__(self, b, x: float):
+    def __init__(self, b: BoundaryTable, x: float):
         self.b, self.lo, self.hi = b, x, x
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def log(self, u: np.ndarray) -> np.ndarray:
         self.lo, self.hi = min(self.lo, float(u.min())), max(self.hi, float(u.max()))
-        return np.asarray(self.b(u), dtype=float)
+        return self.b.log(u)
 
 
 def _check_state(y: float, n: int) -> None:
@@ -232,8 +233,8 @@ def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
 
     `start(h, disc)` (disc[j] = e^{-r t_j}) returns the factory `new(m, b)`
     of a chunk's accumulator, which takes index 0 when built, then
-    `step(j, x_j, w_j, z_j)` until `done`: x_j = X_{t_j}, w_j = x + sup X
-    (with each step's bridge maximum) and z_j = e^{x + x_j}.  Returns the
+    `step(j, x_j, w_j, lz_j)` until `done`: x_j = X_{t_j}, w_j = x + sup X
+    (with each step's bridge maximum) and the log shock lz_j = x + x_j.  Returns the
     `result()` arrays joined along the replicate (last) axis, h and N * h.
     """
     _check_state(y, n)
@@ -249,7 +250,7 @@ def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
                 break
             x_j, step_max = _increment(model, x_j, h, sub)
             np.maximum(w_j, x + step_max, out=w_j)
-            acc.step(j, x_j, w_j, np.exp(x + x_j))
+            acc.step(j, x_j, w_j, x + x_j)
         return acc.result(), seen.lo, seen.hi
 
     # tables are extrapolated by design; coverage is reported once after the
@@ -268,18 +269,20 @@ class _Value:
     done = False
 
     def __init__(self, p, x, y, scales, h, disc, m, b):
-        self.p, self.y, self.scales, self.h, self.disc, self.b = p, y, scales, h, disc, b
-        pi0 = float(np.asarray(evaluate(p, math.exp(x), y), dtype=float))
+        self.p, self.y, self.h, self.disc, self.b = p, y, h, disc, b
+        self.ly, self.log_scales = math.log(y), [math.log(s) for s in scales]
+        pi0 = float(evaluate(p, x, self.ly))
         self.j_acc = np.full((len(scales), m), 0.5 * h * disc[0] * pi0)  # C_0 = y
         self.pv_acc = np.zeros((len(scales), m))
         self.c_prev = np.full((len(scales), m), float(y))
 
-    def step(self, j, x_j, w_j, z):
-        b_w = self.b(w_j)
+    def step(self, j, x_j, w_j, lz):
+        lb = self.b.log(w_j)
         w = self.h if j < len(self.disc) - 1 else 0.5 * self.h
-        for k, s in enumerate(self.scales):
-            c_k = np.maximum(self.y, s * b_w)
-            self.j_acc[k] += w * self.disc[j] * np.asarray(evaluate(self.p, z, c_k), dtype=float)
+        for k, ls in enumerate(self.log_scales):
+            lc = np.maximum(self.ly, ls + lb)
+            c_k = np.exp(lc)
+            self.j_acc[k] += w * self.disc[j] * evaluate(self.p, lz, lc)
             self.pv_acc[k] += self.disc[j - 1] * (c_k - self.c_prev[k])
             self.c_prev[k] = c_k
 
@@ -294,10 +297,10 @@ class _FirstHits:
     growing with C cancel; else C = y, and stepping ends once all paths stop."""
 
     def __init__(self, p, x, y, reflect, stops, h, disc, m, b):
-        self.p, self.y, self.reflect, self.stops = p, y, reflect, stops
+        self.p, self.y, self.ly, self.reflect, self.stops = p, y, math.log(y), reflect, stops
         self.h, self.disc, self.b = h, disc, b
         self.c = np.full(m, float(y)) if reflect else float(y)
-        pi_c0 = float(np.asarray(marginal_profit(p, math.exp(x), y), dtype=float))
+        pi_c0 = float(marginal_profit(p, x, self.ly))
         self.f = np.full(m, disc[0] * pi_c0)
         self.a, self.slack = np.zeros(m), np.zeros(m)
         masks = stops(0, np.zeros(m), b)
@@ -305,15 +308,17 @@ class _FirstHits:
         self.a_tau, self.d_tau = np.zeros((len(masks), m)), np.zeros((len(masks), m))
         self._record(0, masks)
 
-    def step(self, j, x_j, w_j, z):
-        c = np.maximum(self.y, self.b(w_j)) if self.reflect else self.c
-        f = self.disc[j] * np.asarray(marginal_profit(self.p, z, c), dtype=float)
+    def step(self, j, x_j, w_j, lz):
+        lc = np.maximum(self.ly, self.b.log(w_j)) if self.reflect else self.ly
+        f = self.disc[j] * marginal_profit(self.p, lz, lc)
         da = 0.5 * self.h * (self.f + f)
         if self.reflect:
             # sum_j (A_N - A_{j-1}) dC_j = sum_j (A_j - A_{j-1}) (C_j - y)
+            c = np.exp(lc)
             self.slack += da * (c - self.y) - self.disc[j - 1] * (c - self.c)
+            self.c = c
         self.a = self.a + da
-        self.f, self.c = f, c
+        self.f = f
         self._record(j, self.stops(j, x_j, self.b))
 
     def _record(self, j: int, masks) -> None:
@@ -409,14 +414,14 @@ def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x:
     top = x + pool.running_max
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationWarning)
-        b_top = np.asarray(b(top), dtype=float)
+        lb_top = b.log(top)
     _warn_if_extrapolated(b, x, float(top.max()))
-    z = np.exp(x + pool.terminal)
+    lz, ly = x + pool.terminal, math.log(y)
 
     def rows(s: float):
-        c = np.maximum(y, s * b_top)
-        pv = c - y
-        return np.asarray(evaluate(p, z, c), dtype=float) / r - pv, pv
+        lc = np.maximum(ly, math.log(s) + lb_top)
+        pv = np.exp(lc) - y
+        return evaluate(p, lz, lc) / r - pv, pv
 
     # scale by scale, so that no (scales, n) block is ever held
     j_base = rows(1.0)[0]
@@ -487,7 +492,7 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     with e^{-r tau} = 0 when tau never occurs before t_max.  Returns exactly
     (1.0, 0.0) when y <= b(x), where tau = 0.  Never exceeds 1 beyond noise.
     """
-    stops = lambda j, x_j, b: [b(x + x_j) >= y]  # noqa: E731
+    stops = lambda j, x_j, b: [b.log(x + x_j) >= math.log(y)]  # noqa: E731
     (a_end, a_tau, d_tau, hit, _), _, _ = _forward(
         model, r, b, x, y, n_paths, rng, step, t_max, workers,
         lambda h, disc: partial(_FirstHits, p, x, y, False, stops, h, disc))

@@ -11,6 +11,9 @@ pi increasing in z, increasing and strictly concave in c, marginal profit
 pi_c decreasing in c from +inf (as c -> 0) down to kappa (as c -> inf).
 kappa is the floor of the marginal value of capacity; a finite investment
 boundary exists only when the discount rate exceeds it.
+`evaluate` and `marginal_profit` take lz = log z and lc = log c, on all of
+the real plane; pi_c depends on alpha lz + (beta-1) lc or on lz - lc, so it
+stays finite where z and c themselves overflow.
 """
 
 from __future__ import annotations
@@ -81,44 +84,28 @@ def log_profit() -> ProfitFunction:
     return ProfitFunction(kind="log")
 
 
-def _check_positive(name, v) -> None:
-    if np.any(np.asarray(v) <= 0.0):
-        raise DomainError(f"{name} must be strictly positive")
-
-
-def evaluate(p: ProfitFunction, z, c):
-    """pi(z, c); broadcasts over numpy arrays.  z and c must be > 0."""
-    _check_positive("z", z)
-    _check_positive("c", c)
+def evaluate(p: ProfitFunction, lz, lc):
+    """pi(e^lz, e^lc); broadcasts over numpy arrays."""
     if p.kind == "cobb_douglas":
-        return z ** p.alpha * c ** p.beta
+        return np.exp(p.alpha * lz + p.beta * lc)
     if p.kind == "ces":
         g = p.gamma
-        return (p.alpha * z ** g + (1.0 - p.alpha) * c ** g) ** (1.0 / g)
-    return z * np.log(c)
+        return np.exp(lc) * (p.alpha * np.exp(g * (lz - lc)) + (1.0 - p.alpha)) ** (1.0 / g)
+    return np.exp(lz) * lc
 
 
-def marginal_profit(p: ProfitFunction, z, c):
-    """d pi / d c at (z, c); broadcasts over numpy arrays.  z and c must be > 0."""
-    _check_positive("z", z)
-    _check_positive("c", c)
-    # the in-place steps keep to two pool-sized temporaries per call: a
-    # third one makes malloc trim and re-fault the heap on every gap
-    # evaluation of the Monte Carlo boundary solver
+def marginal_profit(p: ProfitFunction, lz, lc):
+    """d pi / d c at z = e^lz, c = e^lc; broadcasts over numpy arrays."""
+    # one expression frees each pool-sized temporary once the next is made, so
+    # at most two are alive: a third makes malloc trim and re-fault the heap
+    # on every gap evaluation of the Monte Carlo boundary solver
     if p.kind == "cobb_douglas":
-        t = z ** p.alpha
-        t *= p.beta
-        return t * c ** (p.beta - 1.0)
+        return p.beta * np.exp(p.alpha * lz + (p.beta - 1.0) * lc)
     if p.kind == "ces":
         g = p.gamma
-        t = z ** g
-        t *= p.alpha
-        inner = t + (1.0 - p.alpha) * c ** g
-        del t
-        inner **= (1.0 - g) / g
-        inner *= (1.0 - p.alpha) * c ** (g - 1.0)
-        return inner
-    return z / c
+        return (1.0 - p.alpha) * (p.alpha * np.exp(g * (lz - lc)) + (1.0 - p.alpha)) \
+            ** ((1.0 - g) / g)
+    return np.exp(lz - lc)
 
 
 def kappa(p: ProfitFunction) -> float:

@@ -76,6 +76,19 @@ class TestBoundaryTable:
         out = tab(np.array([0.0, 1.0]))
         assert out.shape == (2,)
 
+    def test_log_lookup(self):
+        tab = BoundaryTable(grid=np.array([-1.0, 0.0, 1.0]),
+                            values=np.array([0.5, 1.0, 3.0]), provenance="test")
+        u = np.linspace(-1.0, 1.0, 9)
+        np.testing.assert_allclose(tab.log(u), np.log(tab(u)), rtol=0.0, atol=1e-15)
+        assert tab.log(0.3) == pytest.approx(np.log(tab(0.3)), abs=1e-15)
+        assert isinstance(tab.log(0.3), float)
+        # far beyond the grid b overflows, its logarithm does not
+        with pytest.warns(ExtrapolationWarning):
+            far = tab.log(np.array([-1e4, 1e4]))
+        assert np.all(np.isfinite(far))
+        assert far[1] == pytest.approx(np.log(3.0) + np.log(3.0) * (1e4 - 1.0))
+
     def test_decreasing_values_rejected(self):
         with pytest.raises(MonotonicityViolation):
             BoundaryTable(grid=np.array([0.0, 1.0]),

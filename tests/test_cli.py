@@ -155,6 +155,34 @@ class TestSubcommands:
         agreement = json.loads(read(out + "/verify.json"))["closed_form_agreement"]
         assert agreement["independent"] is independent
 
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_verify_reports_table_se(self, name, tmp_path):
+        # Monte Carlo tables carry their own SE at u0 next to the residual's;
+        # exact tables have none
+        out = str(tmp_path / "art")
+        assert main(["verify", "--config", example_path(name), "--out", out]) == 0
+        points = json.loads(read(out + "/verify.json"))["integral_equation"]
+        assert points
+        for point in points:
+            if name in ("merton_cobb_douglas", "stable_ces"):
+                assert math.isfinite(point["table_se"]) and point["table_se"] > 0.0
+            else:
+                assert point["table_se"] is None
+
+    @pytest.mark.parametrize("seed", [4, 8, 16, 20])
+    def test_stable_verify_residuals_finite(self, seed, tmp_path):
+        # at these seeds a sampled stable maximum passes log(DBL_MAX), where
+        # exp(u0 + M + I) and the extrapolated b(u0 + M) both overflow; the
+        # residual reads them in log coordinates.  Seed 8 sits near -3.2 SE
+        # (the table's own error, table_se), so only finiteness is asserted.
+        out = str(tmp_path / "art")
+        assert main(["verify", "--config", example_path("stable_ces"),
+                     "--seed", str(seed), "--out", out]) == 0
+        points = json.loads(read(out + "/verify.json"))["integral_equation"]
+        assert len(points) == 3
+        for point in points:
+            assert math.isfinite(point["residual"]) and math.isfinite(point["ratio"])
+
     def test_wh_check_artifact(self, config_path, tmp_path):
         out = str(tmp_path / "art")
         assert main(["wh-check", "--config", config_path, "--out", out]) == 0
@@ -308,7 +336,10 @@ class TestPolicyEngine:
         assert json.loads(outs[0][1])["engine"] == "exponential_time"
 
     KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
-    CALL = dict(p=ces(0.5, 0.5), model=KOU, r=0.5, b=np.exp, x=0.0, y=0.02,
+    # b(u) = e^u: a two-point table continues its log-slope 1 beyond the grid
+    EXP = levyinvest.boundary.BoundaryTable(grid=[-1.0, 1.0], values=[math.exp(-1.0), math.e],
+                                            provenance="exp")
+    CALL = dict(p=ces(0.5, 0.5), model=KOU, r=0.5, b=EXP, x=0.0, y=0.02,
                 scales=[0.5, 2.0], n_paths=2000)
 
     @pytest.mark.parametrize("change, error", [

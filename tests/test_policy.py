@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
 
-from levyinvest.boundary import (ExtrapolationWarning, closed_form_boundary_table,
-                                 solve_boundary_grid)
+from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning,
+                                 closed_form_boundary_table, solve_boundary_grid)
 from levyinvest.config import load_config
 from levyinvest.errors import ConditionViolation, DomainError
 from levyinvest.levy import LevyModel, default_t_max, laplace_exponent
@@ -20,6 +20,8 @@ BD = LevyModel.brownian(0.0, np.sqrt(2.0))
 R = 2.0
 CD = cobb_douglas(0.5, 0.5)
 TABLE = closed_form_boundary_table(CD, exact_factors(BD, R), -2.0, 2.0, 41)
+# a boundary pinned far below every capacity used here: the policy never invests
+NEVER = BoundaryTable(grid=[-1.0, 1.0], values=[1e-12, 1e-12], provenance="never")
 STABLE = LevyModel.stable(0.0, 1.5, 0.5)
 KOU = LevyModel.kou(0.0, 0.2, 1.0, 0.4, 8.0, 6.0)
 N = 4096
@@ -51,8 +53,8 @@ class TestEvaluateProfit:
     def test_zero_policy_matches_closed_form(self):
         # boundary pinned far below y: capacity never moves, so the value is
         # the discounted flow of pi(z, y) with its geometric-Brownian moment
-        ev = evaluate_profit(CD, BD, R, lambda u: np.full_like(u, 1e-12), 0.0, 1.0,
-                             20000, np.random.default_rng(1), step=H, t_max=TM)
+        ev = evaluate_profit(CD, BD, R, NEVER, 0.0, 1.0, 20000, np.random.default_rng(1),
+                             step=H, t_max=TM)
         psi = laplace_exponent(BD, CD.alpha)
         exact = (1 - np.exp(-(R - psi) * ev.t_max)) / (R - psi)
         assert ev.pv_investment == 0.0
@@ -170,11 +172,10 @@ def test_stopping_value_is_one_plus_supergradient_at_zero(model):
     # a boundary that never binds keeps C = y and never stops the stopping
     # rule, so both estimators integrate the same flow on the same paths:
     # v = A_N and the supergradient at tau = 0 is A_N - 1
-    never = lambda u: np.full_like(u, 1e-12)  # noqa: E731
     kwargs = dict(step=H, t_max=TM)
-    v, _ = stopping_value(CD, model, R, never, 0.0, 1.0, N, np.random.default_rng(24),
+    v, _ = stopping_value(CD, model, R, NEVER, 0.0, 1.0, N, np.random.default_rng(24),
                           **kwargs)
-    rep = foc_residuals(CD, model, R, never, 0.0, 1.0, (StoppingRule.fixed(0.0),), N,
+    rep = foc_residuals(CD, model, R, NEVER, 0.0, 1.0, (StoppingRule.fixed(0.0),), N,
                         np.random.default_rng(24), **kwargs)
     assert abs(v - (1.0 + rep.entries[0].supergradient)) <= 1e-12
 
@@ -202,11 +203,11 @@ class TestExponentialTimeValues:
             res = exponential_time_values(cfg.profit, cfg.model, cfg.r, table, cfg.x,
                                           cfg.y, cfg.scales, cfg.n_paths,
                                           np.random.default_rng(cfg.seed))
-        z = np.exp(cfg.x + m[:, None] - neg_i[None, :])
+        lz = cfg.x + m[:, None] - neg_i[None, :]
         assert [row.scale for row in res.rows] == list(cfg.scales)
         for row in res.rows:
             c = np.maximum(cfg.y, row.scale * b_m)
-            exact = w_m @ (evaluate(cfg.profit, z, c) / cfg.r - (c - cfg.y)) @ w_i
+            exact = w_m @ (evaluate(cfg.profit, lz, np.log(c)) / cfg.r - (c - cfg.y)) @ w_i
             assert abs(row.j_value - exact) < 4 * row.j_se, (row.scale, exact)
         assert (res.engine, res.tail_bound) == ("exponential_time", 0.0)
 

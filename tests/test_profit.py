@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyinvest.errors import ConstructionError, DomainError
+from levyinvest.errors import ConstructionError
 from levyinvest.levy import LevyModel
 from levyinvest.profit import (ProfitFunction, ces, check_assumptions, cobb_douglas,
                                evaluate, kappa, log_profit, marginal_profit)
@@ -44,37 +44,58 @@ class TestConstructors:
 
 
 class TestEvaluation:
+    # the kernels take log shock and log capacity
     def test_cobb_douglas_values(self):
         p = cobb_douglas(0.5, 0.5)
-        assert evaluate(p, 4.0, 9.0) == pytest.approx(6.0)
-        assert marginal_profit(p, 4.0, 9.0) == pytest.approx(0.5 * 2.0 / 3.0)
+        assert evaluate(p, np.log(4.0), np.log(9.0)) == pytest.approx(6.0)
+        assert marginal_profit(p, np.log(4.0), np.log(9.0)) == pytest.approx(0.5 * 2.0 / 3.0)
 
     def test_ces_values(self):
         p = ces(0.5, 0.5)
         z, c = 4.0, 9.0
         direct = (0.5 * 2.0 + 0.5 * 3.0) ** 2
-        assert evaluate(p, z, c) == pytest.approx(direct)
+        assert evaluate(p, np.log(z), np.log(c)) == pytest.approx(direct)
         eps = 1e-7
-        fd = (evaluate(p, z, c + eps) - evaluate(p, z, c - eps)) / (2 * eps)
-        assert marginal_profit(p, z, c) == pytest.approx(fd, rel=1e-6)
+        fd = (evaluate(p, np.log(z), np.log(c + eps))
+              - evaluate(p, np.log(z), np.log(c - eps))) / (2 * eps)
+        assert marginal_profit(p, np.log(z), np.log(c)) == pytest.approx(fd, rel=1e-6)
 
     def test_log_values(self):
         p = log_profit()
-        assert evaluate(p, 2.0, np.e) == pytest.approx(2.0)
-        assert marginal_profit(p, 2.0, 4.0) == pytest.approx(0.5)
+        assert evaluate(p, np.log(2.0), 1.0) == pytest.approx(2.0)
+        assert marginal_profit(p, np.log(2.0), np.log(4.0)) == pytest.approx(0.5)
 
     def test_vectorized(self):
         p = cobb_douglas(0.5, 0.5)
         z = np.array([1.0, 4.0])
         c = np.array([1.0, 9.0])
-        assert evaluate(p, z, c) == pytest.approx([1.0, 6.0])
+        assert evaluate(p, np.log(z), np.log(c)) == pytest.approx([1.0, 6.0])
 
-    def test_positivity_enforced(self):
-        p = cobb_douglas(0.5, 0.5)
-        with pytest.raises(DomainError):
-            evaluate(p, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            marginal_profit(p, 1.0, 0.0)
+    @pytest.mark.parametrize("p", [cobb_douglas(0.3, 0.6), ces(0.4, 0.7), log_profit()],
+                             ids=["cobb_douglas", "ces", "log"])
+    def test_log_kernels_match_direct_formulas(self, p):
+        z = np.array([0.3, 0.8, 1.0, 2.5, 7.0])
+        c = np.array([5.0, 0.2, 1.0, 1.7, 0.6])
+        if p.kind == "cobb_douglas":
+            pi, pi_c = z ** p.alpha * c ** p.beta, p.beta * z ** p.alpha * c ** (p.beta - 1)
+        elif p.kind == "ces":
+            g = p.gamma
+            pi = (p.alpha * z ** g + (1 - p.alpha) * c ** g) ** (1 / g)
+            pi_c = (1 - p.alpha) * c ** (g - 1) * (p.alpha * z ** g + (1 - p.alpha) * c ** g) \
+                ** ((1 - g) / g)
+        else:
+            pi, pi_c = z * np.log(c), z / c
+        lz, lc = np.log(z), np.log(c)
+        np.testing.assert_allclose(evaluate(p, lz, lc), pi, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(marginal_profit(p, lz, lc), pi_c, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("p", [cobb_douglas(0.5, 0.5), ces(0.5, 0.5), log_profit()],
+                             ids=["cobb_douglas", "ces", "log"])
+    def test_marginal_finite_beyond_float_range(self, p):
+        # z = e^800 and c = e^790 overflow a double, their ratio does not
+        lz, lc = np.array([800.0, -800.0]), np.array([790.0, -790.0])
+        assert np.all(np.isfinite(marginal_profit(p, lz, lc)))
+        assert np.all(np.asarray(marginal_profit(p, lz, lc)) > 0.0)
 
     def test_kappa_values(self):
         assert kappa(cobb_douglas(0.5, 0.5)) == 0.0
