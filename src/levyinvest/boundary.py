@@ -60,14 +60,18 @@ class ExtrapolationWarning(UserWarning):
     """A boundary table was evaluated outside its solved grid."""
 
 
-def _warn_extrapolated(message: str) -> None:
-    """Issue an ExtrapolationWarning attributed to the first caller outside
-    the module that calls this, however deep that module's own frames go."""
-    caller = sys._getframe(1)
-    module = caller.f_globals.get("__name__")
-    own = itertools.takewhile(lambda fl: fl[0].f_globals.get("__name__") == module,
-                              traceback.walk_stack(caller))
-    warnings.warn(message, ExtrapolationWarning, stacklevel=2 + sum(1 for _ in own))
+def _warn_extrapolated(b: "BoundaryTable", lo: float, hi: float) -> None:
+    """Issue one ExtrapolationWarning if the boundary arguments [lo, hi] leave
+    b's grid, attributed to the first caller outside the levyinvest package."""
+    g0, g1 = float(b.grid[0]), float(b.grid[-1])
+    if not (lo < g0 or hi > g1):
+        return
+    own = itertools.takewhile(
+        lambda fl: fl[0].f_globals.get("__name__", "").partition(".")[0] == "levyinvest",
+        traceback.walk_stack(sys._getframe(1)))
+    warnings.warn(f"boundary evaluated on [{float(lo)!r}, {float(hi)!r}], beyond its "
+                  f"solved grid [{g0!r}, {g1!r}]; edge-slope extrapolation was used",
+                  ExtrapolationWarning, stacklevel=2 + sum(1 for _ in own))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +79,10 @@ class BoundaryTable:
     """Solved boundary values on a log-shock grid, interpolated log-linearly.
 
     `log(u)` is piecewise linear in (u, log b) between grid points; beyond the
-    grid it continues with the nearest edge slope, finite for every finite u,
-    and emits an ExtrapolationWarning.  `table(u)` is its exponential.
+    grid it continues with the nearest edge slope, finite for every finite u.
+    It is a pure lookup: `table(u)` is its exponential and emits one
+    ExtrapolationWarning when u leaves the grid, as every estimator in the
+    package does once per call for the range of boundary arguments it used.
     Construction enforces strict grid increase, strictly positive values,
     and nondecreasing values (to 1e-9 relative).
     `solver` holds the generic solver's passes and largest |gap| at the roots.
@@ -115,27 +121,27 @@ class BoundaryTable:
         object.__setattr__(self, "_log_values", np.log(values))
 
     def log(self, u):
-        """log b(u); a float for scalar u, else an array."""
+        """log b(u); a float for scalar u, else an array.  Never warns."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         g, lv = self.grid, self._log_values
         out = np.interp(u_arr, g, lv)
         below = u_arr < g[0]
         above = u_arr > g[-1]
-        if below.any() or above.any():
-            _warn_extrapolated(
-                f"boundary evaluated outside solved grid "
-                f"[{float(g[0])!r}, {float(g[-1])!r}]; continuing with edge slopes")
-            if below.any():
-                slope = (lv[1] - lv[0]) / (g[1] - g[0])
-                out[below] = lv[0] + slope * (u_arr[below] - g[0])
-            if above.any():
-                slope = (lv[-1] - lv[-2]) / (g[-1] - g[-2])
-                out[above] = lv[-1] + slope * (u_arr[above] - g[-1])
+        if below.any():
+            slope = (lv[1] - lv[0]) / (g[1] - g[0])
+            out[below] = lv[0] + slope * (u_arr[below] - g[0])
+        if above.any():
+            slope = (lv[-1] - lv[-2]) / (g[-1] - g[-2])
+            out[above] = lv[-1] + slope * (u_arr[above] - g[-1])
         return float(out[0]) if np.ndim(u) == 0 else out
 
     def __call__(self, u):
-        res = np.exp(np.atleast_1d(self.log(u)))
-        return float(res[0]) if np.ndim(u) == 0 else res
+        """b(u), with one ExtrapolationWarning if any u leaves the grid."""
+        u_arr = np.asarray(u, dtype=float)
+        if u_arr.size:
+            _warn_extrapolated(self, u_arr.min(), u_arr.max())
+        res = np.exp(self.log(u))
+        return float(res) if np.ndim(u) == 0 else res
 
 
 def _rule(factors: WienerHopfFactors):
@@ -247,20 +253,21 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
                                workers: int = 1) -> tuple[float, float]:
     """Monte Carlo residual of the boundary's integral characterization.
 
-    Averages pi_c(exp(u0 + m + i), b(u0 + m)) - r over n draws, where m and
-    i are running maxima and minima sampled from two independent pools of
-    exponential horizons (the factorization makes the true pair independent,
-    so independent pools sample the correct joint law).  `b` is a
-    BoundaryTable, and the kernel reads log b(u0 + m) from `b.log`: sampled
-    maxima routinely leave the solved grid, and edge-slope extrapolation (with
-    a warning) stays finite in log coordinates however far they go.  The
+    Averages pi_c(exp(u0 + X_T), b(u0 + M)) - r over one pool of n draws of
+    (X_T, M), the shock and its running maximum at an independent Exp(r)
+    horizon T.  X_T - M is independent of M and has the law of the running
+    minimum I (the Wiener-Hopf factorization), so u0 + X_T has the law of
+    u0 + M + I in the integral equation, and the pool draws (X_T, M) in their
+    exact joint law.  `b` is a BoundaryTable, and the kernel reads
+    log b(u0 + M) from `b.log`: sampled maxima routinely leave the solved
+    grid, and edge-slope extrapolation stays finite in log coordinates
+    however far they go; one ExtrapolationWarning names the range.  The
     result does not depend on `workers`.
     """
-    child_max, child_min = rng.spawn(2)
-    maxima = sample_extrema(model, r, n, child_max, workers=workers).running_max
-    minima = sample_extrema(model, r, n, child_min, workers=workers).running_min
-    top = u0 + maxima
-    mean, se = _mean_se(marginal_profit(p, top + minima, b.log(top)))
+    pool = sample_extrema(model, r, n, rng, workers=workers)
+    top = u0 + pool.running_max
+    _warn_extrapolated(b, u0, float(top.max()))
+    mean, se = _mean_se(marginal_profit(p, u0 + pool.terminal, b.log(top)))
     return float(mean) - r, float(se)
 
 

@@ -19,7 +19,7 @@ Schema (JSON object; unknown keys are rejected so typos fail loudly):
     outputs  optional  artifact directory, default "out"
 
 Families take the parameters that `levy._PARAMETERS` names and profit kinds
-those `_PROFITS` names; a model's `mu` is optional and defaults to 0.  This
+those `profit._KINDS` names; a model's `mu` is optional and defaults to 0.  This
 module checks only the shape of the input (JSON types, finite numbers,
 required and unknown keys) and fills defaults.  The ranges of model and
 profit parameters are checked on construction (LevyModel,
@@ -38,7 +38,7 @@ from functools import partial
 
 from .errors import ConstructionError, ParseError, ValidationError
 from .levy import _MIN_REPLICATES, _PARAMETERS, LevyModel
-from .profit import ProfitFunction, cobb_douglas, ces, log_profit
+from .profit import _KINDS, ProfitFunction
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config"]
 
@@ -112,13 +112,11 @@ def _as_seed(value) -> int:
     return seed
 
 
-# each family's constructor and its parameters besides `mu`
+# each family's and each profit kind's constructor and its parameters (a
+# family's besides `mu`)
 _MODELS = {fam.value: (partial(LevyModel, fam), names) for fam, names in _PARAMETERS.items()}
-_PROFITS = {
-    "cobb_douglas": (cobb_douglas, ("alpha", "beta")),
-    "ces": (ces, ("alpha", "gamma")),
-    "log": (log_profit, ()),
-}
+_PROFITS = {kind: (partial(ProfitFunction, kind), names)
+            for kind, (names, _) in _KINDS.items()}
 
 
 def _parse_block(raw, path: str, tag_key: str, table: dict, optional: dict):

@@ -52,13 +52,12 @@ compound-Poisson jumps are binned to the right end of their step.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryTable, ExtrapolationWarning, _warn_extrapolated
+from .boundary import BoundaryTable, _warn_extrapolated
 from .errors import ConditionViolation, DomainError
 from .levy import (_MIN_REPLICATES, LevyModel, _increment, _mean_se, _run_chunks,
                    default_step, default_t_max, sample_extrema)
@@ -182,14 +181,6 @@ class FOCReport:
 # -- the forward pass -----------------------------------------------------------
 
 
-def _warn_if_extrapolated(b: BoundaryTable, lo: float, hi: float) -> None:
-    if lo < b.grid[0] or hi > b.grid[-1]:
-        _warn_extrapolated(
-            f"policy engine evaluated the boundary on [{float(lo)!r}, {float(hi)!r}], "
-            f"beyond its solved grid [{float(b.grid[0])!r}, {float(b.grid[-1])!r}]; "
-            f"edge-slope extrapolation was used")
-
-
 class _Seen:
     """The table b's log lookup, recording the range of its arguments (from [x, x] on)."""
 
@@ -253,13 +244,9 @@ def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
             acc.step(j, x_j, w_j, x + x_j)
         return acc.result(), seen.lo, seen.hi
 
-    # tables are extrapolated by design; coverage is reported once after the
-    # join, and the filter is set before any worker thread starts
-    # (catch_warnings touches process-global state, so not inside the pool)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        results, lows, highs = zip(*_run_chunks(n, rng, workers, chunk))
-    _warn_if_extrapolated(b, min(lows), max(highs))
+    # tables are extrapolated by design; coverage is reported once, after the join
+    results, lows, highs = zip(*_run_chunks(n, rng, workers, chunk))
+    _warn_extrapolated(b, min(lows), max(highs))
     return [np.concatenate(col, axis=-1) for col in zip(*results)], h, n_steps * h
 
 
@@ -412,10 +399,8 @@ def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x:
     h, n_steps = _grid(r, step, t_max)
     pool = sample_extrema(model, r, n_paths, rng, workers=workers)
     top = x + pool.running_max
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        lb_top = b.log(top)
-    _warn_if_extrapolated(b, x, float(top.max()))
+    _warn_extrapolated(b, x, float(top.max()))
+    lb_top = b.log(top)
     lz, ly = x + pool.terminal, math.log(y)
 
     def rows(s: float):
@@ -491,7 +476,9 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     Estimates E[ integral_0^tau e^{-rs} pi_c(e^{x + X_s}, y) ds + e^{-r tau} ]
     with e^{-r tau} = 0 when tau never occurs before t_max.  Returns exactly
     (1.0, 0.0) when y <= b(x), where tau = 0.  Never exceeds 1 beyond noise.
+    ConditionViolation when no growth certificate exists, before any path.
     """
+    _certified_growth(p, model, r)
     stops = lambda j, x_j, b: [b.log(x + x_j) >= math.log(y)]  # noqa: E731
     (a_end, a_tau, d_tau, hit, _), _, _ = _forward(
         model, r, b, x, y, n_paths, rng, step, t_max, workers,

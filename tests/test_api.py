@@ -35,6 +35,13 @@ def test_policy_steps_paths_in_one_place():
     assert inspect.getsource(levyinvest.policy).count("_increment(") == 1
 
 
+def test_extrapolation_reported_from_boundary_alone():
+    import levyinvest.policy
+    source = inspect.getsource(levyinvest.policy)
+    assert not any(name in source for name in ("import warnings", "catch_warnings",
+                                                "simplefilter"))
+
+
 def test_root_search_in_one_place():
     import levyinvest.boundary
     import levyinvest.wiener_hopf

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning, _rule,
+                                 _warn_extrapolated,
                                  ces_boundary_constant, ces_polynomial_constant,
                                  closed_form_boundary_table, cobb_douglas_boundary,
                                  integral_equation_residual, log_boundary,
@@ -11,7 +12,6 @@ from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning, _rule,
                                  solve_boundary_point)
 from levyinvest.errors import BracketFailure, DomainError, MonotonicityViolation
 from levyinvest.levy import LevyModel
-from levyinvest.policy import _warn_if_extrapolated
 from levyinvest.profit import ces, cobb_douglas, log_profit
 from levyinvest.wiener_hopf import exact_factors, inf_moment, sample_triplet
 
@@ -51,7 +51,7 @@ class TestBoundaryTable:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             tab(3.0)
-            _warn_if_extrapolated(tab, np.float64(0.0), np.float64(3.0))
+            _warn_extrapolated(tab, np.float64(0.0), np.float64(3.0))
         texts = [str(w.message) for w in caught]
         assert len(texts) == 2
         for text in texts:
@@ -83,11 +83,19 @@ class TestBoundaryTable:
         np.testing.assert_allclose(tab.log(u), np.log(tab(u)), rtol=0.0, atol=1e-15)
         assert tab.log(0.3) == pytest.approx(np.log(tab(0.3)), abs=1e-15)
         assert isinstance(tab.log(0.3), float)
-        # far beyond the grid b overflows, its logarithm does not
-        with pytest.warns(ExtrapolationWarning):
+        # far beyond the grid b overflows, its logarithm does not; the lookup
+        # itself is quiet, since the estimators report their own ranges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             far = tab.log(np.array([-1e4, 1e4]))
         assert np.all(np.isfinite(far))
         assert far[1] == pytest.approx(np.log(3.0) + np.log(3.0) * (1e4 - 1.0))
+
+    def test_empty_lookup(self):
+        tab = BoundaryTable(grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]),
+                            provenance="test")
+        for out in (tab(np.array([])), tab.log(np.array([]))):
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_decreasing_values_rejected(self):
         with pytest.raises(MonotonicityViolation):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
 
+import levyinvest.policy
 from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning,
                                  closed_form_boundary_table, solve_boundary_grid)
 from levyinvest.config import load_config
@@ -165,6 +166,15 @@ class TestStoppingValue:
         b = stopping_value(*args, np.random.default_rng(18), step=H, t_max=TM,
                            workers=3)
         assert a == b
+
+    def test_stable_has_no_certificate(self, monkeypatch):
+        # the estimate would be finite noise around an infinite mean; the
+        # certificate fails before any path is stepped
+        monkeypatch.setattr(levyinvest.policy, "_increment",
+                            lambda *args: pytest.fail("a path was stepped"))
+        with pytest.raises(ConditionViolation):
+            stopping_value(CD, STABLE, 1.0, TABLE, 0.0, 5.0, N,
+                           np.random.default_rng(1), step=H, t_max=TM)
 
 
 @pytest.mark.parametrize("model", [BD, KOU], ids=["brownian", "kou"])
