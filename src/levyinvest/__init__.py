@@ -28,8 +28,7 @@ from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
 from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
                      check_assumptions, cobb_douglas, ces, evaluate,
                      kappa, log_profit, marginal_profit)
-from .wiener_hopf import (EXACT_RATIONAL, MONTE_CARLO, WienerHopfFactors,
-                          cramer_roots, exact_factors, inf_moment,
+from .wiener_hopf import (WienerHopfFactors, cramer_roots, exact_factors, inf_moment,
                           inf_moment_with_se, sample_triplet,
                           sup_moment_diagnostics, sup_moment_with_se,
                           wh_identity_residual)
@@ -46,7 +45,7 @@ __all__ = [
     "Family", "LevyModel", "ExtremaPool", "laplace_exponent", "default_step",
     "default_t_max", "sample_extrema",
     # factorization
-    "WienerHopfFactors", "EXACT_RATIONAL", "MONTE_CARLO", "cramer_roots",
+    "WienerHopfFactors", "cramer_roots",
     "exact_factors", "sample_triplet", "inf_moment", "inf_moment_with_se",
     "sup_moment_with_se", "sup_moment_diagnostics",
     "wh_identity_residual",

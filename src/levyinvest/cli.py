@@ -171,7 +171,7 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     mc = sample_triplet(model, r, cfg.n_paths, rng, workers=workers)
     inf_est, inf_se = inf_moment_with_se(mc, 1.0)
     sup = sup_moment_diagnostics(mc, 1.0)
-    residual, res_se = wh_identity_residual(model, r, cfg.n_paths, rng, workers=workers)
+    residual, res_se = wh_identity_residual(mc)
     payload = dict(_identity(cfg))
     payload.update({
         "family": model.family.value,

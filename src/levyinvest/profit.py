@@ -206,8 +206,7 @@ def _shape_checks(p: ProfitFunction) -> list[AssumptionCheck]:
             for name, claim in _SHAPE_CLAIMS]
 
 
-def check_assumptions(p: ProfitFunction, model: LevyModel, r: float,
-                      rng: np.random.Generator | None = None) -> AssumptionReport:
+def check_assumptions(p: ProfitFunction, model: LevyModel, r: float) -> AssumptionReport:
     """Report on the standing assumptions for the (profit, model, r) triple.
 
     Two verdicts depend on the inputs: r strictly above the marginal floor
@@ -217,7 +216,7 @@ def check_assumptions(p: ProfitFunction, model: LevyModel, r: float,
     monotonicity and concavity checks and the limits of the marginal at 0
     and infinity hold analytically for every kind in the ranges that
     construction enforces; their details state the formula.  No check is
-    sampled, so `rng` is unused; it stays for callers that pass one.
+    sampled.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")

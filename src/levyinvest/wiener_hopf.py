@@ -39,23 +39,18 @@ __all__ = [
     "wh_identity_residual",
 ]
 
-EXACT_RATIONAL = "exact_rational"
-MONTE_CARLO = "monte_carlo"
-
 @dataclass(frozen=True, eq=False)
 class WienerHopfFactors:
     """Distributional handles for (M, I) at an Exp(r) horizon.
 
-    Exact mode stores the exponential-mixture representations: the law of -I
-    has density sum_k min_weights[k] * min_rates[k] * exp(-min_rates[k] * s)
+    Exact factors store the exponential-mixture representations: the law of
+    -I has density sum_k min_weights[k] * min_rates[k] * exp(-min_rates[k] * s)
     on s >= 0, and symmetrically for M with the max_* fields.  Monte Carlo
-    mode stores a pool of (terminal, max, min) samples instead.
+    factors store a pool of (terminal, max, min) samples instead.
     """
 
     model: LevyModel
     r: float
-    mode: str
-    roots: tuple[float, ...] | None = None
     min_rates: tuple[float, ...] | None = None
     min_weights: tuple[float, ...] | None = None
     max_rates: tuple[float, ...] | None = None
@@ -64,7 +59,12 @@ class WienerHopfFactors:
 
     @property
     def is_exact(self) -> bool:
-        return self.mode == EXACT_RATIONAL
+        return self.pool is None
+
+    @property
+    def roots(self) -> tuple[float, ...]:
+        """cramer_roots(model, r), rebuilt from the rates of exact factors."""
+        return tuple(-x for x in reversed(self.min_rates)) + self.max_rates
 
 
 def _exponential_jumps(model: LevyModel):
@@ -128,7 +128,7 @@ def exact_factors(model: LevyModel, r: float) -> WienerHopfFactors:
     min_rates = tuple(-x for x in reversed(roots) if x < 0)
     max_rates = tuple(x for x in roots if x > 0)
     return WienerHopfFactors(
-        model=model, r=r, mode=EXACT_RATIONAL, roots=roots,
+        model=model, r=r,
         min_rates=min_rates, min_weights=_mixture_weights(min_rates, down),
         max_rates=max_rates, max_weights=_mixture_weights(max_rates, up),
     )
@@ -142,7 +142,7 @@ def sample_triplet(model: LevyModel, r: float, n: int, rng: np.random.Generator,
     exact in law, with no time grid (see levy.sample_extrema).
     """
     pool = sample_extrema(model, r, n, rng, workers=workers)
-    return WienerHopfFactors(model=model, r=r, mode=MONTE_CARLO, pool=pool)
+    return WienerHopfFactors(model=model, r=r, pool=pool)
 
 
 def _mixture_moment(weights, rates, lam: float, sign: int) -> float:
@@ -220,26 +220,26 @@ def _identity_target(model: LevyModel, r: float) -> float:
     return r / (r - psi1)
 
 
-def wh_identity_residual(model: LevyModel, r: float, n: int, rng: np.random.Generator,
-                         *, workers: int = 1) -> tuple[float, float]:
-    """Monte Carlo check of E[e^M] * E[e^I] = r / (r - psi(1)).
+def wh_identity_residual(factors: WienerHopfFactors) -> tuple[float, float]:
+    """Monte Carlo check of E[e^M] * E[e^I] = r / (r - psi(1)) on the factors' pool.
 
-    Draws n extrema samples, forms the product of the two sample means, and
-    returns (product - target, propagated standard error).  The propagation
-    keeps the covariance between the two means since both come from the same
-    replicates; that covariance inherits the pool's approximate joint law of
-    (M, I), whose per-segment bridge maximum and minimum are drawn
-    independently (see levy.sample_extrema).  DomainError if psi(1) does not
-    exist or r <= psi(1).  The result does not depend on `workers`.
+    Forms the product of the two sample means that sup_moment_with_se and
+    inf_moment_with_se report, and returns (product - target, propagated
+    standard error).  The propagation keeps the covariance between the two
+    means since both come from the same replicates; that covariance inherits
+    the pool's approximate joint law of (M, I), whose per-segment bridge
+    maximum and minimum are drawn independently (see levy.sample_extrema).
+    DomainError if psi(1) does not exist or r <= psi(1); UnsupportedModel on
+    exact factors.
     """
-    target = _identity_target(model, r)
-    pool = sample_extrema(model, r, n, rng, workers=workers)
-    a = np.exp(pool.running_max)
-    b = np.exp(pool.running_min)
+    if factors.is_exact:
+        raise UnsupportedModel("the identity residual applies to Monte Carlo factors only")
+    target = _identity_target(factors.model, factors.r)
+    a, b = np.exp(factors.pool.running_max), np.exp(factors.pool.running_min)
     mean_a = float(a.mean())
     mean_b = float(b.mean())
     cov = np.cov(a, b, ddof=1)
     var_prod = (mean_b ** 2 * cov[0, 0] + mean_a ** 2 * cov[1, 1]
                 + 2.0 * mean_a * mean_b * cov[0, 1])
-    se = math.sqrt(max(var_prod, 0.0) / n)
+    se = math.sqrt(max(var_prod, 0.0) / len(a))
     return mean_a * mean_b - target, se

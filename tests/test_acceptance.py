@@ -52,8 +52,8 @@ def cd_table(wh_bd):
 def test_criterion_01_wiener_hopf_identity():
     t0 = time.time()
     rng = np.random.default_rng(1)
-    res_bd, se_bd = wh_identity_residual(BD, R_BD, N_BIG, rng)
-    res_kou, se_kou = wh_identity_residual(KOU, R_KOU, N_BIG, rng)
+    res_bd, se_bd = wh_identity_residual(sample_triplet(BD, R_BD, N_BIG, rng))
+    res_kou, se_kou = wh_identity_residual(sample_triplet(KOU, R_KOU, N_BIG, rng))
     elapsed = time.time() - t0
     assert abs(res_bd) <= 3 * se_bd, \
         f"diffusion identity off by {res_bd / se_bd:.2f} SE"
@@ -255,7 +255,7 @@ def test_criterion_10_assumption_gate():
     t0 = time.time()
     # kappa = (1 - alpha)^(1/gamma) = 0.25 for alpha = gamma = 1/2
     for r_low in (0.2, 0.25):
-        report = check_assumptions(CES, BD, r_low, np.random.default_rng(0))
+        report = check_assumptions(CES, BD, r_low)
         assert not report.passed
         gate = report["r_exceeds_kappa"]
         assert not gate.ok

@@ -35,6 +35,12 @@ def test_policy_steps_paths_in_one_place():
     assert inspect.getsource(levyinvest.policy).count("_increment(") == 1
 
 
+def test_extrema_sampled_in_one_place():
+    import levyinvest.wiener_hopf
+    assert inspect.getsource(levyinvest.wiener_hopf).count("sample_extrema(") == 1
+    assert "sample_extrema(" in inspect.getsource(levyinvest.wiener_hopf.sample_triplet)
+
+
 def test_extrapolation_reported_from_boundary_alone():
     import levyinvest.policy
     source = inspect.getsource(levyinvest.policy)

@@ -14,8 +14,9 @@ import levyinvest.levy
 import levyinvest.policy
 import levyinvest.wiener_hopf
 from levyinvest.cli import main
+from levyinvest.config import load_config
 from levyinvest.errors import ConditionViolation, DomainError
-from levyinvest.levy import LevyModel
+from levyinvest.levy import LevyModel, laplace_exponent
 from levyinvest.policy import exponential_time_values
 from levyinvest.profit import ces, cobb_douglas
 
@@ -190,6 +191,28 @@ class TestSubcommands:
         assert doc["exact"]["roots"] == pytest.approx([-2 ** 0.5, 2 ** 0.5])
         assert doc["mc"]["inf_moment_at_1"]["se"] > 0
         assert "residual" in doc["identity"] and "se" in doc["identity"]
+
+    def test_wh_check_samples_one_pool(self, config_path, tmp_path, monkeypatch):
+        calls = []
+        original = levyinvest.wiener_hopf.sample_extrema
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(levyinvest.wiener_hopf, "sample_extrema", counting)
+        assert main(["wh-check", "--config", config_path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["merton_cobb_douglas", "kou_ces"])
+    def test_wh_check_identity_is_the_printed_moment_product(self, name, tmp_path):
+        assert main(["wh-check", "--config", example_path(name), "--out", str(tmp_path)]) == 0
+        doc = json.loads(read(str(tmp_path / "wh_check.json")))
+        cfg = load_config(example_path(name))
+        target = cfg.r / (cfg.r - laplace_exponent(cfg.model, 1.0))
+        product = (doc["mc"]["sup_moment_at_1"]["estimate"]
+                   * doc["mc"]["inf_moment_at_1"]["estimate"])
+        assert doc["identity"]["residual"] == pytest.approx(product - target, rel=1e-15, abs=0.0)
 
     def test_simulate_and_compare(self, config_path, tmp_path):
         out = str(tmp_path / "art")

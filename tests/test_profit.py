@@ -106,8 +106,7 @@ class TestEvaluation:
 
 class TestAssumptionChecks:
     def test_benchmark_passes(self):
-        rep = check_assumptions(cobb_douglas(0.5, 0.5), BD, 2.0,
-                                np.random.default_rng(0))
+        rep = check_assumptions(cobb_douglas(0.5, 0.5), BD, 2.0)
         assert rep.passed
         assert rep["r_exceeds_kappa"].ok
         assert rep["moment_condition"].ok
@@ -115,26 +114,24 @@ class TestAssumptionChecks:
     def test_ces_rate_gate(self):
         # kappa = (1 - alpha)^(1/gamma) = 0.25; any r <= 0.25 must fail
         p = ces(0.5, 0.5)
-        rep = check_assumptions(p, BD, 0.2, np.random.default_rng(1))
+        rep = check_assumptions(p, BD, 0.2)
         assert not rep.passed
         chk = rep["r_exceeds_kappa"]
         assert not chk.ok
         assert "0.2" in chk.detail and "0.25" in chk.detail
 
     def test_stable_moment_condition_fails(self):
-        rep = check_assumptions(ces(0.5, 0.5), STABLE, 1.0,
-                                np.random.default_rng(2))
+        rep = check_assumptions(ces(0.5, 0.5), STABLE, 1.0)
         assert not rep.passed
         assert not rep["moment_condition"].ok
 
     def test_supercritical_rate_fails_moment(self):
         # psi(1) = 1 for the benchmark diffusion; r below it breaks the moment gate
-        rep = check_assumptions(cobb_douglas(0.5, 0.5), BD, 0.9,
-                                np.random.default_rng(3))
+        rep = check_assumptions(cobb_douglas(0.5, 0.5), BD, 0.9)
         assert not rep["moment_condition"].ok
 
     def test_report_round_trip(self):
-        rep = check_assumptions(log_profit(), BD, 2.0, np.random.default_rng(4))
+        rep = check_assumptions(log_profit(), BD, 2.0)
         d = rep.to_dict()
         assert isinstance(d["checks"], list) and d["passed"] == rep.passed
         names = [c["name"] for c in d["checks"]]
@@ -148,13 +145,6 @@ class TestAssumptionChecks:
         assert not moment.ok and not integ.ok and integ.severity == "warn"
         assert moment.detail in integ.detail
         assert check_assumptions(log_profit(), BD, 2.0)["discounted_integrability"].ok
-
-    def test_report_draws_nothing(self):
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        rep = check_assumptions(ces(0.5, 0.5), BD, 2.0, rng)
-        assert rng.bit_generator.state == state
-        assert rep == check_assumptions(ces(0.5, 0.5), BD, 2.0)
 
     def test_shape_details_state_the_formula(self):
         rep = check_assumptions(ces(0.36, 0.5), BD, 2.0)

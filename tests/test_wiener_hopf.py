@@ -6,10 +6,9 @@ from numpy.polynomial import polynomial as npoly
 
 from levyinvest.errors import BracketFailure, DomainError, UnsupportedModel
 from levyinvest.levy import LevyModel, laplace_exponent
-from levyinvest.wiener_hopf import (EXACT_RATIONAL, MONTE_CARLO, cramer_roots,
-                                    exact_factors, inf_moment, inf_moment_with_se,
-                                    sample_triplet, sup_moment_diagnostics,
-                                    sup_moment_with_se,
+from levyinvest.wiener_hopf import (cramer_roots, exact_factors, inf_moment,
+                                    inf_moment_with_se, sample_triplet,
+                                    sup_moment_diagnostics, sup_moment_with_se,
                                     wh_identity_residual)
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
@@ -87,7 +86,11 @@ class TestCramerRoots:
 class TestExactFactors:
     def test_mode_flags(self):
         wh = exact_factors(BD, R_BD)
-        assert wh.mode == EXACT_RATIONAL and wh.is_exact
+        assert wh.is_exact and wh.pool is None
+
+    def test_roots_rebuilt_from_rates(self):
+        assert exact_factors(KOU, R_KOU).roots == cramer_roots(KOU, R_KOU)
+        assert exact_factors(BD, R_BD).roots == cramer_roots(BD, R_BD)
 
     def test_brownian_single_exponential(self):
         wh = exact_factors(BD, R_BD)
@@ -154,7 +157,7 @@ class TestMonteCarlo:
 
     def test_mc_mode_flag_and_size(self):
         wh = sample_triplet(KOU, R_KOU, 5000, np.random.default_rng(2))
-        assert wh.mode == MONTE_CARLO and not wh.is_exact
+        assert not wh.is_exact and wh.pool is not None
         assert len(wh.pool) == 5000
 
     def test_diagnostics_fields(self):
@@ -169,10 +172,15 @@ class TestMonteCarlo:
             sup_moment_diagnostics(exact_factors(BD, R_BD), 1.0)
 
     def test_identity_residual_within_band(self):
-        res, se = wh_identity_residual(KOU, R_KOU, 50000, np.random.default_rng(4))
+        res, se = wh_identity_residual(sample_triplet(KOU, R_KOU, 50000,
+                                                      np.random.default_rng(4)))
         assert se > 0
         assert abs(res) < 3.5 * se
 
     def test_identity_needs_subcritical_rate(self):
         with pytest.raises(DomainError):
-            wh_identity_residual(BD, 0.5, 1000, np.random.default_rng(5))
+            wh_identity_residual(sample_triplet(BD, 0.5, 1000, np.random.default_rng(5)))
+
+    def test_identity_residual_needs_mc(self):
+        with pytest.raises(UnsupportedModel):
+            wh_identity_residual(exact_factors(KOU, R_KOU))
