@@ -11,12 +11,12 @@ Four families are supported, all with stationary independent increments:
 The Laplace exponent psi(lam) = log E[exp(lam * X_1)] is closed-form where
 the exponential moment exists.  Every simulation in the package advances
 paths with `_increment`: the Gaussian part is exact per step, the step's
-maximum and minimum come from the Brownian-bridge law given its endpoints,
+maximum comes from the Brownian-bridge law given its endpoints,
 compound-Poisson jumps land at the step's right end, and the stable family
 is drawn by Chambers-Mallows-Stuck.  `sample_extrema` steps the diffusive
 families from one exact jump arrival to the next and draws the stable
-family by stick-breaking, so its running extrema at an independent
-exponential horizon carry no discretization bias.
+family by stick-breaking, so its terminal value and running maximum at an
+independent exponential horizon carry no discretization bias.
 Replicates run in fixed chunks through `_run_chunks` and are reduced to a
 mean and standard error by `_mean_se`.
 """
@@ -196,19 +196,23 @@ def default_t_max(r: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExtremaPool:
-    """Column-wise pool of (terminal, running max, running min) draws.
+    """Column-wise pool of (terminal, running max) draws.
 
-    One row per replicate, each at its own Exp(r) horizon T.  The pairs
-    (X_T, M) and (X_T, I) follow their exact joint laws, but (M, I) does
-    not (see `sample_extrema`).
+    One row per replicate, each at its own Exp(r) horizon T, with (X_T, M)
+    in its exact joint law.  The running minimum is derived, not stored.
     """
 
     terminal: np.ndarray
     running_max: np.ndarray
-    running_min: np.ndarray
 
     def __len__(self) -> int:
         return len(self.terminal)
+
+    @property
+    def running_min(self) -> np.ndarray:
+        """X_T - M, independent of M and distributed like I (Wiener-Hopf);
+        <= min(X_T, 0), as M >= max(X_T, 0) and rounding is monotone."""
+        return self.terminal - self.running_max
 
 
 # -- the shared simulator ------------------------------------------------------
@@ -246,39 +250,33 @@ def _jump_sums(model: LevyModel, counts: np.ndarray, rng: np.random.Generator):
 
 
 def _increment(model: LevyModel, x0: np.ndarray, dt, rng: np.random.Generator, *,
-               counts: np.ndarray | None = None, with_min: bool = False):
+               counts: np.ndarray | None = None):
     """Advance every path in x0 by one step of length dt (scalar or per path).
 
-    Returns (x1, step max) or, with `with_min`, (x1, step max, step min).
-    Diffusive families: the Gaussian move is exact, and the step's maximum
-    (then minimum) is drawn from the Brownian-bridge law given the endpoints,
-    one uniform each, so the two are independent given the endpoints.
-    Compound-Poisson jumps then land at the step's right end: counts[k] of
-    them on path k, or Poisson(jump_intensity * dt) when counts is None.
-    Stable family: one Chambers-Mallows-Stuck draw per path; the step's
-    extrema are those of its endpoints, biased inward by O(dt ** (1/alpha)).
+    Returns (x1, step max).  Diffusive families: the Gaussian move is exact,
+    and the step's maximum is drawn from the Brownian-bridge law given the
+    endpoints, one uniform per path.  Compound-Poisson jumps then land at
+    the step's right end: counts[k] of them on path k, or
+    Poisson(jump_intensity * dt) when counts is None.  Stable family: one
+    Chambers-Mallows-Stuck draw per path; the step's maximum is that of its
+    endpoints, biased inward by O(dt ** (1/alpha)).
     """
     if model.family is Family.STABLE:
         alpha = model.stable_index
         s = _stable_standard(alpha, len(x0), rng)
         x1 = x0 + model.mu * dt + model.stable_scale * dt ** (1.0 / alpha) * s
-        hi = np.maximum(x0, x1)
-        return (x1, hi, np.minimum(x0, x1)) if with_min else (x1, hi)
+        return x1, np.maximum(x0, x1)
     z = rng.standard_normal(len(x0))
     x1 = x0 + model.mu * dt + model.sigma * np.sqrt(dt) * z
     d = x1 - x0
-    s = x0 + x1
     var = model.sigma ** 2 * dt
-    hi = 0.5 * (s + np.sqrt(d * d - 2.0 * var * np.log1p(-rng.random(len(d)))))
-    if with_min:
-        lo = 0.5 * (s - np.sqrt(d * d - 2.0 * var * np.log1p(-rng.random(len(d)))))
+    hi = 0.5 * (x0 + x1 + np.sqrt(d * d - 2.0 * var * np.log1p(-rng.random(len(d)))))
     if model.jump_intensity > 0.0:
         if counts is None:
             counts = rng.poisson(model.jump_intensity * dt, size=len(x0))
         hit, sums = _jump_sums(model, counts, rng)
         x1[hit] += sums
-    hi = np.maximum(hi, x1)
-    return (x1, hi, np.minimum(lo, x1)) if with_min else (x1, hi)
+    return x1, np.maximum(hi, x1)
 
 
 def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> list:
@@ -312,17 +310,17 @@ def _mean_se(a: np.ndarray):
 
 
 def _stick_extrema(model: LevyModel, horizon: np.ndarray, rng: np.random.Generator):
-    """(terminal, max, min) at the given horizons by stick-breaking.
+    """(terminal, max) at the given horizons by stick-breaking.
 
     Each horizon T breaks into _STICKS uniform sticks, l_k = U_k (T - l_1 -
     ... - l_{k-1}), plus the remainder, and xi_k ~ X_{l_k} comes exactly from
-    `_increment`.  These are the faces of the concave majorant (convex
-    minorant) in law (Pitman & Uribe Bravo, AoP 2012), so X_T = sum xi_k is
-    exact, and M = sum max(xi_k, 0) and I = sum min(xi_k, 0) are exact up to
-    the sup inside the remainder piece, typically T e^{-40 +- 6} long.
+    `_increment`.  These are the faces of the concave majorant in law
+    (Pitman & Uribe Bravo, AoP 2012), so X_T = sum xi_k is exact, and
+    M = sum max(xi_k, 0) is exact up to the sup inside the remainder piece,
+    typically T e^{-40 +- 6} long.
     """
     n = len(horizon)
-    zeros, x, m, i = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    zeros, x, m = np.zeros(n), np.zeros(n), np.zeros(n)
     rest = horizon
     for k in range(_STICKS + 1):
         piece = rest * rng.random(n) if k < _STICKS else rest
@@ -330,24 +328,22 @@ def _stick_extrema(model: LevyModel, horizon: np.ndarray, rng: np.random.Generat
         xi = _increment(model, zeros, piece, rng)[0]
         x += xi
         m += np.maximum(xi, 0.0)
-        i += np.minimum(xi, 0.0)
-    return x, m, i
+    return x, m
 
 
 def _extrema_chunk(model: LevyModel, r: float, n: int, rng: np.random.Generator):
-    """(terminal, max, min) draws at n Exp(r) horizons.
+    """(terminal, max) draws at n Exp(r) horizons.
 
     Horizon first, then the path.  The stable family is drawn by
     stick-breaking (`_stick_extrema`).  Diffusive families step from one
     jump arrival to the next (or to the horizon), so each jump sits at its
-    exact time and the bridge extrema make the draw exact in law.
+    exact time and the bridge maxima make the draw exact in law.
     """
     horizon = rng.exponential(1.0 / r, size=n)
     if model.family is Family.STABLE:
         return _stick_extrema(model, horizon, rng)
     x = np.zeros(n)
     m = np.zeros(n)
-    i = np.zeros(n)
     t = np.zeros(n)
     q = model.jump_intensity
     idx = np.arange(n)
@@ -358,26 +354,24 @@ def _extrema_chunk(model: LevyModel, r: float, n: int, rng: np.random.Generator)
         dt, done = seg_end - t0, seg_end >= end
         t[idx] = seg_end
         # a path that has not reached its horizon stopped at a jump arrival
-        x[idx], hi, lo = _increment(model, x[idx], dt, rng, counts=~done, with_min=True)
+        x[idx], hi = _increment(model, x[idx], dt, rng, counts=~done)
         np.maximum.at(m, idx, hi)
-        np.minimum.at(i, idx, lo)
         idx = idx[~done]
-    return x, m, i
+    return x, m
 
 
 def sample_extrema(model: LevyModel, r: float, n: int, rng: np.random.Generator,
                    *, workers: int = 1) -> ExtremaPool:
-    """n independent (terminal, running max, running min) draws at Exp(r) horizons.
+    """n independent (terminal, running max) draws at Exp(r) horizons.
 
     No time grid: brownian_drift, merton and kou run from one exact jump
-    arrival to the next with Brownian-bridge segment extrema, and
+    arrival to the next with Brownian-bridge segment maxima, and
     symmetric_stable is drawn by stick-breaking (`_stick_extrema`).  So the
-    joint laws of (X_T, M) and of (X_T, I) are exact, but that of (M, I) is
-    not: a segment's bridge maximum and minimum are drawn independently
-    given its endpoints, and stable M and I share one set of sticks.
-    Replicates come in fixed-size chunks, each from its own spawned
-    substream, so results depend only on `rng`'s seed and `n`, never on
-    `workers`.
+    joint law of (X_T, M) is exact, and the pool's derived running minimum
+    X_T - M has the exact law of I and is independent of M (Kyprianou,
+    Fluctuations of Levy Processes, Thm 6.16).  Replicates come in
+    fixed-size chunks, each from its own spawned substream, so results
+    depend only on `rng`'s seed and `n`, never on `workers`.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")
@@ -385,5 +379,5 @@ def sample_extrema(model: LevyModel, r: float, n: int, rng: np.random.Generator,
         raise DomainError(f"sample size must be > 0, got {n!r}")
     parts = _run_chunks(n, rng, workers,
                         lambda lo, hi, sub: _extrema_chunk(model, r, hi - lo, sub))
-    x, m, i = (np.concatenate(col) for col in zip(*parts))
-    return ExtremaPool(terminal=x, running_max=m, running_min=i)
+    x, m = (np.concatenate(col) for col in zip(*parts))
+    return ExtremaPool(terminal=x, running_max=m)

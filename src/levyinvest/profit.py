@@ -96,11 +96,15 @@ def evaluate(p: ProfitFunction, lz, lc):
 
 def marginal_profit(p: ProfitFunction, lz, lc):
     """d pi / d c at z = e^lz, c = e^lc; broadcasts over numpy arrays."""
-    # one expression frees each pool-sized temporary once the next is made, so
-    # at most two are alive: a third makes malloc trim and re-fault the heap
-    # on every gap evaluation of the Monte Carlo boundary solver
+    # Monte Carlo gap evaluations pass pool-sized rows; two such temporaries
+    # alive at once make malloc trim and re-fault the heap every other call,
+    # so cobb_douglas rounds like one expression but works in one buffer
     if p.kind == "cobb_douglas":
-        return p.beta * np.exp(p.alpha * lz + (p.beta - 1.0) * lc)
+        t = np.multiply(p.alpha, lz, out=np.empty(np.broadcast(lz, lc).shape))
+        t += (p.beta - 1.0) * lc
+        np.exp(t, out=t)
+        t *= p.beta
+        return t
     if p.kind == "ces":
         g = p.gamma
         return (1.0 - p.alpha) * (p.alpha * np.exp(g * (lz - lc)) + (1.0 - p.alpha)) \

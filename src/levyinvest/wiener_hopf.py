@@ -11,7 +11,7 @@ both factors are rational: M and -I are finite mixtures of exponentials
 whose rates are the positive respectively (sign-flipped) negative roots of
 psi(lam) = r, psi continued across its poles, and whose weights follow from
 one product formula (Lewis & Mordecki, J. Appl. Prob. 2008).  Everything
-else falls back to Monte Carlo over extrema samples.
+else falls back to Monte Carlo over (X_T, M) draws, I read as X_T - M.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class WienerHopfFactors:
     Exact factors store the exponential-mixture representations: the law of
     -I has density sum_k min_weights[k] * min_rates[k] * exp(-min_rates[k] * s)
     on s >= 0, and symmetrically for M with the max_* fields.  Monte Carlo
-    factors store a pool of (terminal, max, min) samples instead.
+    factors store a pool of (terminal, max) samples instead; I is X_T - M.
     """
 
     model: LevyModel
@@ -136,10 +136,10 @@ def exact_factors(model: LevyModel, r: float) -> WienerHopfFactors:
 
 def sample_triplet(model: LevyModel, r: float, n: int, rng: np.random.Generator,
                    *, workers: int = 1) -> WienerHopfFactors:
-    """Monte Carlo factors from n fresh (terminal, max, min) draws.
+    """Monte Carlo factors from n fresh (terminal, max) draws.
 
-    Each replicate uses its own exponential horizon, and M and I are each
-    exact in law, with no time grid (see levy.sample_extrema).
+    Each replicate uses its own exponential horizon, with no time grid, and
+    I = X_T - M is exact in law and independent of M (levy.sample_extrema).
     """
     pool = sample_extrema(model, r, n, rng, workers=workers)
     return WienerHopfFactors(model=model, r=r, pool=pool)
@@ -225,10 +225,9 @@ def wh_identity_residual(factors: WienerHopfFactors) -> tuple[float, float]:
 
     Forms the product of the two sample means that sup_moment_with_se and
     inf_moment_with_se report, and returns (product - target, propagated
-    standard error).  The propagation keeps the covariance between the two
-    means since both come from the same replicates; that covariance inherits
-    the pool's approximate joint law of (M, I), whose per-segment bridge
-    maximum and minimum are drawn independently (see levy.sample_extrema).
+    standard error).  M and I = X_T - M are independent, so the covariance
+    of the two means is zero in law; the propagation still keeps its sample
+    value, since both means come from the same replicates.
     DomainError if psi(1) does not exist or r <= psi(1); UnsupportedModel on
     exact factors.
     """

@@ -158,10 +158,8 @@ class TestStepper:
     def test_step_extrema_bracket_endpoints(self):
         for model in (BD, KOU, STABLE):
             x0 = np.linspace(-1.0, 1.0, 500)
-            x1, hi, lo = _increment(model, x0, 0.1, np.random.default_rng(7),
-                                    with_min=True)
+            x1, hi = _increment(model, x0, 0.1, np.random.default_rng(7))
             assert (hi >= np.maximum(x0, x1)).all()
-            assert (lo <= np.minimum(x0, x1)).all()
 
     def test_jump_sums_follow_counts(self):
         counts = np.array([0, 2, 0, 3, 1, 0, 4])
@@ -197,6 +195,15 @@ class TestExtremaPool:
     def test_stable_worker_count_invariance(self):
         self._assert_worker_count_invariant(STABLE)
 
+    @pytest.mark.parametrize("model", [BD, MERTON, KOU], ids=["brownian", "merton", "kou"])
+    def test_max_independent_of_min(self, model):
+        # Wiener-Hopf: M and I are independent at an exponential horizon.
+        # tanh bounds both so the sample correlation has SE 1/sqrt(n)
+        n = 100_000
+        pool = sample_extrema(model, 1.0, n, np.random.default_rng(1))
+        rho = np.corrcoef(np.tanh(pool.running_max), np.tanh(pool.running_min))[0, 1]
+        assert abs(rho) < 4.0 / np.sqrt(n)
+
     def test_seed_determinism(self):
         a = sample_extrema(MERTON, 1.0, 2000, np.random.default_rng(8))
         b = sample_extrema(MERTON, 1.0, 2000, np.random.default_rng(8))
@@ -221,22 +228,22 @@ class TestExtremaPool:
              -0.0073137005709333625, 0.7579090984796834],
             [0.7308829127041613, 1.549712356391601, 1.0858026493500683,
              0.16894197046647647, 0.8739834354485316],
-            [-0.8849749486571624, -0.1786251656486888, -0.8963972523586674,
-             -0.14640049970174362, -0.223561580770321]]),
+            [-0.9471122889954262, -0.11789517705263863, -0.14029060002349858,
+             -0.17625567103740983, -0.11607433696884828]]),
         "merton": (MERTON, [
-            [-0.18280975840014435, -0.5468422778728481, -0.4601814223349652,
-             0.024558059869201856, 0.07710118265903372],
-            [0.13783796392287553, 0.15943601842957839, 0.11198172675593245,
-             0.07584035008805891, 0.10476234861987754],
-            [-0.19213883351097935, -0.5921621800658299, -0.46848334770812317,
-             -0.1420321845966478, -0.15222099042624537]]),
+            [-0.3492389086864152, 0.22730981099668057, 0.019355776834301737,
+             -0.25111739082650547, 0.07710118265903372],
+            [0.13783796392287553, 0.5605427937253912, 0.11847768571423711,
+             0.03731012791382585, 0.10476234861987754],
+            [-0.4870768726092908, -0.3332329827287106, -0.09912190887993538,
+             -0.28842751874033135, -0.027661165960843823]]),
         "kou": (KOU, [
-            [0.003262176406252419, 0.25077321091300653, -0.07809406192982757,
-             -0.17672745826913336, 0.09434337753473163],
-            [0.1441423987984636, 0.30762177195944607, 0.1114999793763936,
-             0.0359253395853362, 0.10644310668431975],
-            [-0.03827123275810658, -0.022383205627292305, -0.19407828419984152,
-             -0.19698240919298532, -0.08601869595626006]]),
+            [0.003262176406252419, 0.28234038110656523, -0.07809406192982757,
+             0.11528513511823944, 0.09434337753473163],
+            [0.1441423987984636, 0.30734739720363574, 0.1114999793763936,
+             0.15243936694421717, 0.10644310668431975],
+            [-0.14088022239221118, -0.02500701609707051, -0.18959404130622115,
+             -0.03715423182597773, -0.012099729149588123]]),
         "stable": (STABLE, [
             [-0.4137386193096483, 1.7294255139508359, 0.14514043194463236,
              0.17469666444413412, -0.975900949633876],
@@ -294,7 +301,7 @@ class TestStickBreaking:
 
         monkeypatch.setattr(levy, "_increment", record)
         horizon = np.random.default_rng(10).exponential(1.0, size=1000)
-        x, _, _ = _stick_extrema(STABLE, horizon, np.random.default_rng(11))
+        x, _ = _stick_extrema(STABLE, horizon, np.random.default_rng(11))
         assert len(lengths) == levy._STICKS + 1
         assert (lengths[-1] > 0.0).all()
         assert x == pytest.approx(horizon, rel=1e-13, abs=0.0)
@@ -303,10 +310,10 @@ class TestStickBreaking:
         model = LevyModel.stable(0.3, 1.5, 0.5)
         n = 20000
         horizon = np.random.default_rng(11).exponential(1.0, size=n)
-        x, m, i = _stick_extrema(model, horizon, np.random.default_rng(12))
+        x, m = _stick_extrema(model, horizon, np.random.default_rng(12))
         above = float(np.mean(x > model.mu * horizon))
         assert above == pytest.approx(0.5, abs=4 * 0.5 / np.sqrt(n))
-        assert (i <= np.minimum(x, 0.0)).all() and (m >= np.maximum(x, 0.0)).all()
+        assert (x - m <= np.minimum(x, 0.0)).all() and (m >= np.maximum(x, 0.0)).all()
 
     @pytest.mark.parametrize("model", [MERTON, KOU], ids=["merton", "kou"])
     def test_sticks_match_bridge_sampler(self, model):
@@ -314,10 +321,10 @@ class TestStickBreaking:
         # bridge sampler: two routes to the same laws of M and I
         n, r = 50000, 1.0
         horizon = np.random.default_rng(14).exponential(1.0 / r, size=n)
-        _, m, i = _stick_extrema(model, horizon, np.random.default_rng(15))
+        x, m = _stick_extrema(model, horizon, np.random.default_rng(15))
         pool = sample_extrema(model, r, n, np.random.default_rng(16))
         for lam in (0.5, 1.0):
-            for sticks, bridge in ((np.exp(lam * i), np.exp(lam * pool.running_min)),
+            for sticks, bridge in ((np.exp(lam * (x - m)), np.exp(lam * pool.running_min)),
                                    (np.exp(-lam * m), np.exp(-lam * pool.running_max))):
                 (a, sa), (b, sb) = _mean_se(sticks), _mean_se(bridge)
                 assert a == pytest.approx(b, abs=4 * np.hypot(sa, sb))

@@ -97,6 +97,29 @@ class TestEvaluation:
         assert np.all(np.isfinite(marginal_profit(p, lz, lc)))
         assert np.all(np.asarray(marginal_profit(p, lz, lc)) > 0.0)
 
+    @pytest.mark.parametrize("p", [cobb_douglas(0.3, 0.6), ces(0.4, 0.7), log_profit()],
+                             ids=["cobb_douglas", "ces", "log"])
+    def test_marginal_leaves_inputs_and_takes_scalars(self, p):
+        # the Monte Carlo solver's shapes: one pool row against a column of
+        # capacities; the kernel may work in place but never on its inputs
+        lz = np.random.default_rng(3).normal(size=(1, 500))
+        lc = np.array([[-0.5], [0.2]])
+        lz0, lc0 = lz.copy(), lc.copy()
+        out = marginal_profit(p, lz, lc)
+        assert out.shape == (2, 500)
+        assert np.array_equal(lz, lz0) and np.array_equal(lc, lc0)
+        assert np.array_equal(out[1], marginal_profit(p, lz[0], 0.2))
+        want = marginal_profit(p, np.array([0.3]), np.array([-0.5]))[0]
+        for args in ((0.3, -0.5), (np.float64(0.3), np.array(-0.5)), (np.array(0.3), -0.5)):
+            assert float(marginal_profit(p, *args)) == want
+
+    def test_cobb_douglas_marginal_rounds_like_one_expression(self):
+        p = cobb_douglas(0.3, 0.6)
+        lz = np.random.default_rng(4).normal(size=(1, 500))
+        lc = np.array([[-0.5], [0.2]])
+        want = p.beta * np.exp(p.alpha * lz + (p.beta - 1.0) * lc)
+        assert np.array_equal(marginal_profit(p, lz, lc), want)
+
     def test_kappa_values(self):
         assert kappa(cobb_douglas(0.5, 0.5)) == 0.0
         assert kappa(log_profit()) == 0.0
