@@ -135,6 +135,18 @@ class BoundaryTable:
             out[above] = lv[-1] + slope * (u_arr[above] - g[-1])
         return float(out[0]) if np.ndim(u) == 0 else out
 
+    def first_reach(self, ly: float) -> float:
+        """inf{u : log b(u) >= ly} on the lines `log` draws: the first crossing,
+        whatever 1e-9 relative dips follow it, or -inf/+inf where a flat edge line
+        never crosses ly (a falling edge line, a dip the table allows, is flat)."""
+        g, lv = self.grid, self._log_values
+        k = int(np.searchsorted(np.maximum.accumulate(lv), ly))  # first grid point at ly
+        i = min(max(k - 1, 0), len(g) - 2)  # the segment or edge line that crosses ly
+        slope = (lv[i + 1] - lv[i]) / (g[i + 1] - g[i])
+        if slope <= 0.0:  # only an edge line: inside, lv[k - 1] < ly <= lv[k]
+            return -math.inf if k == 0 else math.inf
+        return float(g[i] + (ly - lv[i]) / slope)
+
     def __call__(self, u):
         """b(u), with one ExtrapolationWarning if any u leaves the grid."""
         u_arr = np.asarray(u, dtype=float)

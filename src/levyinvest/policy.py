@@ -14,7 +14,8 @@ policy: for every stopping rule tau the "supergradient"
 
 is nonpositive, and it integrates to zero against the investment increments
 (complementary slackness).  Holding the capacity at y until b(x + X) first
-reaches it gives the stopping value, which never exceeds 1.
+reaches it gives the stopping value, which never exceeds 1; b is nondecreasing,
+so that is the first passage of X above a = inf{u : b(u) >= y} - x.
 
 Two engines estimate these.  The exponential-time engine
 (`exponential_time_values`) has no time grid: with T ~ Exp(r) independent of
@@ -30,12 +31,14 @@ exponent lam (`profit._certified_variance`); the engine refuses otherwise.
 The stepped engine serves every estimate: the values (`evaluate_profit`,
 `compare_policies`), the first-order conditions and the stopping value.
 All of these come from one forward pass, `_forward`, on the grid t_j = j * step
-up to t_max, with one of two accumulators.  The value accumulator integrates
-each policy's profit flow by the trapezoid rule and its investment by a
-left-endpoint Stieltjes sum, and the truncation order e^{-(r - growth) t_max}
-is reported for the certified growth rate of the integrand.  The first-hit
-accumulator keeps the running trapezoid A_j of e^{-rs} pi_c(z_s, C_s) and
-records A_j and e^{-r t_j} where a stop mask first turns true.  Then the
+up to t_max, with one of two accumulators; only `_forward` reads the table, and
+it hands log b at the running maximum to the accumulators that reflect.  The
+value accumulator integrates each policy's profit flow by the trapezoid rule
+and its investment by a left-endpoint Stieltjes sum, and the truncation order
+e^{-(r - growth) t_max} is reported for the certified growth rate of the
+integrand.  The first-hit accumulator keeps the running trapezoid A_j of
+e^{-rs} pi_c(z_s, C_s) and records A_j and e^{-r t_j} where each stop (a grid
+index, or a level of X hit from below or above) first holds.  Then the
 supergradient is A_N - A_tau - e^{-r tau} (0 if tau never occurs before
 t_max), the slackness sum_j (A_N - A_{j-1} - e^{-r t_{j-1}}) dC_j, and the
 stopping value A_tau + e^{-r tau} (A_N if tau never occurs).
@@ -57,7 +60,7 @@ from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryTable, _warn_extrapolated
+from .boundary import _warn_extrapolated
 from .errors import ConditionViolation, DomainError
 from .levy import (_MIN_REPLICATES, LevyModel, _increment, _mean_se, _run_chunks,
                    default_step, default_t_max, sample_extrema)
@@ -181,34 +184,23 @@ class FOCReport:
 # -- the forward pass -----------------------------------------------------------
 
 
-class _Seen:
-    """The table b's log lookup, recording the range of its arguments (from [x, x] on)."""
-
-    def __init__(self, b: BoundaryTable, x: float):
-        self.b, self.lo, self.hi = b, x, x
-
-    def log(self, u: np.ndarray) -> np.ndarray:
-        self.lo, self.hi = min(self.lo, float(u.min())), max(self.hi, float(u.max()))
-        return self.b.log(u)
-
-
-def _check_state(y: float, n: int) -> None:
+def _check_state(x, y: float, n: int, r: float, step: float | None,
+                 t_max: float | None) -> tuple[float, float, int]:
+    """x as a float and the stepped grid's step h and step count N, N * h >= t_max,
+    once x, y, n and the grid are valid; None means `default_step(r)`/`default_t_max(r)`."""
+    if not math.isfinite(x):
+        raise DomainError(f"initial log shock must be finite, got {x!r}")
     if not y > 0:
         raise DomainError(f"initial capacity must be > 0, got {y!r}")
     if n < _MIN_REPLICATES:
         raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
-
-
-def _grid(r: float, step: float | None, t_max: float | None) -> tuple[float, int]:
-    """The stepped engine's step h and step count N, N * h >= t_max; None
-    means `default_step(r)` and `default_t_max(r)`."""
     step = default_step(r) if step is None else step
     t_max = default_t_max(r) if t_max is None else t_max
     if not step > 0:
         raise DomainError(f"step must be > 0, got {step!r}")
     if not t_max > step:
         raise DomainError(f"t_max must exceed the step, got {t_max!r} <= {step!r}")
-    return float(step), math.ceil(t_max / step)
+    return float(x), float(step), math.ceil(t_max / step)
 
 
 def _scales(scales) -> list[float]:
@@ -219,52 +211,53 @@ def _scales(scales) -> list[float]:
     return scales if 1.0 in scales else [1.0] + scales
 
 
-def _forward(model, r, b, x, y, n, rng, step, t_max, workers, start):
-    """Advance n replicate shock paths over the grid t_j = j * h, j = 0..N.
+def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
+    """Advance n replicate shock paths from x over the grid t_j = j * h, j = 0..N.
 
-    `start(h, disc)` (disc[j] = e^{-r t_j}) returns the factory `new(m, b)`
-    of a chunk's accumulator, which takes index 0 when built, then
-    `step(j, x_j, w_j, lz_j)` until `done`: x_j = X_{t_j}, w_j = x + sup X
-    (with each step's bridge maximum) and the log shock lz_j = x + x_j.  Returns the
-    `result()` arrays joined along the replicate (last) axis, h and N * h.
+    `new(h, disc, m)` (disc[j] = e^{-r t_j}) builds a chunk's accumulator of m
+    paths at index 0; `step(j, x_j, lz_j, lb_j)` then runs until `done`: x_j =
+    X_{t_j}, lz_j = x + x_j and, if the accumulator `reflect`s, lb_j = log b(w_j),
+    a fresh array it may overwrite, at w_j = x + sup X with each step's bridge
+    maximum (else None).  The range of b's argument (w, else x + X) is reported
+    after the join.  Returns the `result()` arrays joined on the last axis.
     """
-    _check_state(y, n)
-    h, n_steps = _grid(r, step, t_max)
-    new = start(h, np.exp(-r * h * np.arange(n_steps + 1)))
+    disc = np.exp(-r * h * np.arange(n_steps + 1))
 
     def chunk(lo: int, hi: int, sub: np.random.Generator):
-        seen = _Seen(b, x)
-        acc = new(hi - lo, seen)
+        acc = new(h, disc, hi - lo)
         x_j, w_j = np.zeros(hi - lo), np.full(hi - lo, x)
+        u_lo = u_hi = x
         for j in range(1, n_steps + 1):
             if acc.done:
                 break
             x_j, step_max = _increment(model, x_j, h, sub)
             np.maximum(w_j, x + step_max, out=w_j)
-            acc.step(j, x_j, w_j, x + x_j)
-        return acc.result(), seen.lo, seen.hi
+            lz = x + x_j
+            u = w_j if acc.reflect else lz
+            u_lo, u_hi = min(u_lo, float(u.min())), max(u_hi, float(u.max()))
+            acc.step(j, x_j, lz, b.log(w_j) if acc.reflect else None)
+        return acc.result(), u_lo, u_hi
 
     # tables are extrapolated by design; coverage is reported once, after the join
     results, lows, highs = zip(*_run_chunks(n, rng, workers, chunk))
     _warn_extrapolated(b, min(lows), max(highs))
-    return [np.concatenate(col, axis=-1) for col in zip(*results)], h, n_steps * h
+    return [np.concatenate(col, axis=-1) for col in zip(*results)]
 
 
 class _Value:
     """Value J and investment PV of the policy max(y, s * b) per scale s."""
 
-    done = False
+    reflect, done = True, False
 
-    def __init__(self, p, x, y, scales, h, disc, m, b):
-        self.p, self.y, self.h, self.disc, self.b = p, y, h, disc, b
+    def __init__(self, p, x, y, scales, h, disc, m):
+        self.p, self.y, self.h, self.disc = p, y, h, disc
         self.ly, self.log_scales = math.log(y), [math.log(s) for s in scales]
         pi0 = float(evaluate(p, x, self.ly))
         self.j_acc = np.full((len(scales), m), 0.5 * h * disc[0] * pi0)  # C_0 = y
         self.pv_acc = np.zeros((len(scales), m))
         self.c_prev = np.full((len(scales), m), float(y))
 
-    def step(self, j, x_j, w_j, lz):
-        lb = self.b.log(w_j)
+    def step(self, j, x_j, lz, lb):
         w = self.h if j < len(self.disc) - 1 else 0.5 * self.h
         for k, ls in enumerate(self.log_scales):
             lc = np.maximum(self.ly, ls + lb)
@@ -279,24 +272,24 @@ class _Value:
 
 class _FirstHits:
     """Running trapezoid A_j of e^{-rs} pi_c(z_s, C_s); A_j and e^{-r t_j} at the
-    first index where each of `stops(j, x_j, b)` holds.  `reflect`: C is
+    first index where each stop holds.  A stop is data: ("fixed", grid index),
+    or ("hit_above", level) / ("hit_below", level) on X.  `reflect`: C is
     max(y, b(w_j)), and the slackness is summed by parts, so that no terms
     growing with C cancel; else C = y, and stepping ends once all paths stop."""
 
-    def __init__(self, p, x, y, reflect, stops, h, disc, m, b):
+    def __init__(self, p, x, y, reflect, stops, h, disc, m):
         self.p, self.y, self.ly, self.reflect, self.stops = p, y, math.log(y), reflect, stops
-        self.h, self.disc, self.b = h, disc, b
+        self.h, self.disc = h, disc
         self.c = np.full(m, float(y)) if reflect else float(y)
         pi_c0 = float(marginal_profit(p, x, self.ly))
         self.f = np.full(m, disc[0] * pi_c0)
         self.a, self.slack = np.zeros(m), np.zeros(m)
-        masks = stops(0, np.zeros(m), b)
-        self.hit = np.zeros((len(masks), m), dtype=bool)
-        self.a_tau, self.d_tau = np.zeros((len(masks), m)), np.zeros((len(masks), m))
-        self._record(0, masks)
+        self.hit = np.zeros((len(stops), m), dtype=bool)
+        self.a_tau, self.d_tau = np.zeros((len(stops), m)), np.zeros((len(stops), m))
+        self._record(0, np.zeros(m))
 
-    def step(self, j, x_j, w_j, lz):
-        lc = np.maximum(self.ly, self.b.log(w_j)) if self.reflect else self.ly
+    def step(self, j, x_j, lz, lb):
+        lc = np.maximum(self.ly, lb, out=lb) if self.reflect else self.ly
         f = self.disc[j] * marginal_profit(self.p, lz, lc)
         da = 0.5 * self.h * (self.f + f)
         if self.reflect:
@@ -306,11 +299,13 @@ class _FirstHits:
             self.c = c
         self.a = self.a + da
         self.f = f
-        self._record(j, self.stops(j, x_j, self.b))
+        self._record(j, x_j)
 
-    def _record(self, j: int, masks) -> None:
-        for k, stops in enumerate(masks):
-            newly = stops & ~self.hit[k]
+    def _record(self, j: int, x_j: np.ndarray) -> None:
+        for k, (kind, at) in enumerate(self.stops):
+            now = (j == at if kind == "fixed" else
+                   x_j >= at if kind == "hit_above" else x_j <= at)
+            newly = now & ~self.hit[k]
             self.a_tau[k][newly] = self.a[newly]
             self.d_tau[k][newly] = self.disc[j]
             self.hit[k] |= newly
@@ -348,6 +343,15 @@ def _at_base(res: ComparisonResult) -> PolicyEvaluation:
         t_max=res.t_max, tail_bound=res.tail_bound, engine=res.engine)
 
 
+def _row(scale: float, j: np.ndarray, pv: np.ndarray, j_base: np.ndarray) -> ComparisonRow:
+    """The row of `scale` from its value and investment samples, paired with j_base."""
+    (j_mean, j_se), (pv_mean, pv_se) = _mean_se(j), _mean_se(pv)
+    diff, diff_se = _mean_se(j_base - j)
+    return ComparisonRow(scale=scale, j_value=float(j_mean), j_se=float(j_se),
+                         pv_investment=float(pv_mean), pv_investment_se=float(pv_se),
+                         base_minus_this=float(diff), base_minus_this_se=float(diff_se))
+
+
 def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
                      y: float, scales, n_paths: int, rng: np.random.Generator, *,
                      step: float | None = None, t_max: float | None = None,
@@ -360,19 +364,13 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     """
     scales = _scales(scales)
     growth = _certified_growth(p, model, r)
-    (j_rows, pv_rows), h, t_eff = _forward(
-        model, r, b, x, y, n_paths, rng, step, t_max, workers,
-        lambda h, disc: partial(_Value, p, x, y, scales, h, disc))
-    j, j_se = _mean_se(j_rows)
-    pv, pv_se = _mean_se(pv_rows)
-    diff, diff_se = _mean_se(j_rows[scales.index(1.0)] - j_rows)
-    rows = tuple(
-        ComparisonRow(scale=s, j_value=float(j[k]), j_se=float(j_se[k]),
-                      pv_investment=float(pv[k]), pv_investment_se=float(pv_se[k]),
-                      base_minus_this=float(diff[k]), base_minus_this_se=float(diff_se[k]))
-        for k, s in enumerate(scales))
-    return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=t_eff,
-                            tail_bound=math.exp(-(r - growth) * t_eff))
+    x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
+    j_rows, pv_rows = _forward(model, r, b, x, n_paths, rng, h, n_steps, workers,
+                               partial(_Value, p, x, y, scales))
+    j_base = j_rows[scales.index(1.0)]
+    rows = tuple(_row(s, j_rows[k], pv_rows[k], j_base) for k, s in enumerate(scales))
+    return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=n_steps * h,
+                            tail_bound=math.exp(-(r - growth) * n_steps * h))
 
 
 def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -390,13 +388,12 @@ def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x:
     or the variance certificate (psi(2 lam) < r) fails, before any draw.
     """
     scales = _scales(scales)
-    _check_state(y, n_paths)
+    x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
     _certified_growth(p, model, r)
     if not _certified_variance(p, model, r):
         raise ConditionViolation(
             "exponential-time estimator variance cannot be certified: psi(2 lam) >= r "
             "for a growth exponent lam; use compare_policies")
-    h, n_steps = _grid(r, step, t_max)
     pool = sample_extrema(model, r, n_paths, rng, workers=workers)
     top = x + pool.running_max
     _warn_extrapolated(b, x, float(top.max()))
@@ -410,16 +407,8 @@ def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x:
 
     # scale by scale, so that no (scales, n) block is ever held
     j_base = rows(1.0)[0]
-    out = []
-    for s in scales:
-        j, pv = rows(s)
-        (j_mean, j_se), (pv_mean, pv_se) = _mean_se(j), _mean_se(pv)
-        diff, diff_se = _mean_se(j_base - j)
-        out.append(ComparisonRow(
-            scale=s, j_value=float(j_mean), j_se=float(j_se), pv_investment=float(pv_mean),
-            pv_investment_se=float(pv_se), base_minus_this=float(diff),
-            base_minus_this_se=float(diff_se)))
-    return ComparisonResult(rows=tuple(out), n_paths=n_paths, step=h, t_max=n_steps * h,
+    out = tuple(_row(s, *rows(s), j_base) for s in scales)
+    return ComparisonResult(rows=out, n_paths=n_paths, step=h, t_max=n_steps * h,
                             tail_bound=0.0, engine="exponential_time")
 
 
@@ -443,28 +432,21 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     if not rules:
         raise DomainError("need at least one stopping rule")
     _certified_growth(p, model, r)
-
-    def start(h, disc):
-        # a fixed rule stops at the grid index nearest its time
-        at = [round(rule.at / h) if rule.kind == "fixed" else rule.at for rule in rules]
-        if any(rule.kind == "fixed" and k >= len(disc) for rule, k in zip(rules, at)):
-            raise DomainError("fixed stopping times must lie within the truncation horizon")
-
-        def stops(j, x_j, b):
-            return [j == k if rule.kind == "fixed" else
-                    x_j >= k if rule.kind == "hit_above" else x_j <= k
-                    for rule, k in zip(rules, at)]
-        return partial(_FirstHits, p, x, y, True, stops, h, disc)
-
-    (a_end, a_tau, d_tau, hit, slack), h, t_eff = _forward(
-        model, r, b, x, y, n_paths, rng, step, t_max, workers, start)
+    x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
+    # a fixed rule stops at the grid index nearest its time
+    stops = [(rule.kind, round(rule.at / h) if rule.kind == "fixed" else rule.at)
+             for rule in rules]
+    if any(kind == "fixed" and k > n_steps for kind, k in stops):
+        raise DomainError("fixed stopping times must lie within the truncation horizon")
+    a_end, a_tau, d_tau, hit, slack = _forward(model, r, b, x, n_paths, rng, h, n_steps,
+                                               workers, partial(_FirstHits, p, x, y, True, stops))
     sg, sg_se = _mean_se(np.where(hit, a_end - a_tau - d_tau, 0.0))
     slackness, slackness_se = _mean_se(slack)
     entries = tuple(FOCEntry(rule=rule, supergradient=float(sg[k]), se=float(sg_se[k]),
                              hit_fraction=float(hit[k].mean()))
                     for k, rule in enumerate(rules))
-    return FOCReport(entries=entries, slackness=float(slackness),
-                     slackness_se=float(slackness_se), n_paths=n_paths, step=h, t_max=t_eff)
+    return FOCReport(entries=entries, slackness=float(slackness), slackness_se=float(slackness_se),
+                     n_paths=n_paths, step=h, t_max=n_steps * h)
 
 
 def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -474,14 +456,19 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     """Value of stopping at the first grid time where b(x + X) reaches y.
 
     Estimates E[ integral_0^tau e^{-rs} pi_c(e^{x + X_s}, y) ds + e^{-r tau} ]
-    with e^{-r tau} = 0 when tau never occurs before t_max.  Returns exactly
-    (1.0, 0.0) when y <= b(x), where tau = 0.  Never exceeds 1 beyond noise.
+    with e^{-r tau} = 0 when tau never occurs before t_max.  b is nondecreasing,
+    so tau is the first passage of X above a = inf{u : b(u) >= y} - x, read
+    once off the table; a = -inf, and the result exactly (1.0, 0.0), when
+    y <= b(x) as `b(x)` computes it.  Never exceeds 1 beyond noise.
     ConditionViolation when no growth certificate exists, before any path.
     """
     _certified_growth(p, model, r)
-    stops = lambda j, x_j, b: [b.log(x + x_j) >= math.log(y)]  # noqa: E731
-    (a_end, a_tau, d_tau, hit, _), _, _ = _forward(
-        model, r, b, x, y, n_paths, rng, step, t_max, workers,
-        lambda h, disc: partial(_FirstHits, p, x, y, False, stops, h, disc))
+    x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
+    # in logs first, so that b(x) is formed only below y and cannot overflow
+    ly, lbx = math.log(y), b.log(x)
+    a = -math.inf if lbx >= ly or y <= np.exp(lbx) else b.first_reach(ly) - x
+    a_end, a_tau, d_tau, hit, _ = _forward(
+        model, r, b, x, n_paths, rng, h, n_steps, workers,
+        partial(_FirstHits, p, x, y, False, [("hit_above", a)]))
     mean, se = _mean_se(np.where(hit[0], a_tau[0] + d_tau[0], a_end))
     return float(mean), float(se)

@@ -202,21 +202,19 @@ def test_criterion_08_stopping_value(cd_table):
                                  np.random.default_rng(31), **kwargs)
     assert v_in == 1.0 and se_in == 0.0, "inside the investment region v != 1"
 
-    v2, se2 = stopping_value(CD, BD, R_BD, cd_table, 0.0, 2.0 * bx, n,
-                             np.random.default_rng(31), **kwargs)
+    def value(x0, mult):
+        return stopping_value(CD, BD, R_BD, cd_table, x0, mult * bx, n,
+                              np.random.default_rng(31), **kwargs)
+
+    # (x, y) = (0, 2 b(0)) sits on both grids below: computed once, used thrice
+    v2, se2 = value(0.0, 2.0)
     assert v2 < 1.0 - 3.0 * se2, f"v at y=2b(x) only {(1 - v2) / se2:.1f} SE below 1"
 
-    y_grid = []
-    for mult in (1.5, 2.0, 3.0):
-        y_grid.append(stopping_value(CD, BD, R_BD, cd_table, 0.0, mult * bx, n,
-                                     np.random.default_rng(31), **kwargs))
+    y_grid = [value(0.0, 1.5), (v2, se2), value(0.0, 3.0)]
     for (va, sa), (vb, sb) in zip(y_grid, y_grid[1:]):
         assert vb <= va + 3.0 * np.hypot(sa, sb), "v not nonincreasing in y"
 
-    x_grid = []
-    for x0 in (-0.5, 0.0, 0.5):
-        x_grid.append(stopping_value(CD, BD, R_BD, cd_table, x0, 2.0 * bx, n,
-                                     np.random.default_rng(31), **kwargs))
+    x_grid = [value(-0.5, 2.0), (v2, se2), value(0.5, 2.0)]
     for (va, sa), (vb, sb) in zip(x_grid, x_grid[1:]):
         assert vb >= va - 3.0 * np.hypot(sa, sb), "v not nondecreasing in x"
     elapsed = time.time() - t0

@@ -35,6 +35,13 @@ def test_policy_steps_paths_in_one_place():
     assert inspect.getsource(levyinvest.policy).count("_increment(") == 1
 
 
+def test_policy_reads_the_table_in_one_place():
+    # the forward pass hands log b to the accumulators; none of them holds b
+    import levyinvest.policy
+    assert not hasattr(levyinvest.policy, "_Seen")
+    assert "self.b" not in inspect.getsource(levyinvest.policy)
+
+
 def test_extrema_sampled_in_one_place():
     import levyinvest.wiener_hopf
     assert inspect.getsource(levyinvest.wiener_hopf).count("sample_extrema(") == 1

@@ -91,6 +91,55 @@ class TestBoundaryTable:
         assert np.all(np.isfinite(far))
         assert far[1] == pytest.approx(np.log(3.0) + np.log(3.0) * (1e4 - 1.0))
 
+    def test_first_reach_inverts_log(self):
+        tab = BoundaryTable(grid=np.array([-1.0, 0.0, 1.0, 2.0]),
+                            values=np.array([0.5, 1.0, 3.0, 3.5]), provenance="test")
+        lv = np.log(tab.values)
+        inside = np.concatenate([lv, np.linspace(lv[0], lv[-1], 23)])
+        for ly in np.concatenate([inside, lv[0] - [0.1, 2.0, 50.0], lv[-1] + [0.1, 2.0, 50.0]]):
+            u = tab.first_reach(ly)
+            assert abs(tab.log(u) - ly) <= 1e-12, (ly, u)
+            # and it is the first such u: b stays below the level just before it
+            assert tab.log(u - 1e-9) < ly
+        assert tab.first_reach(lv[0]) == -1.0 and tab.first_reach(lv[2]) == 1.0
+
+    def test_first_reach_flat_edges(self):
+        flat = BoundaryTable(grid=np.array([-1.0, 0.0, 1.0]),
+                             values=np.array([1.0, 1.0, 1.0]), provenance="test")
+        assert flat.first_reach(0.0) == -np.inf and flat.first_reach(-5.0) == -np.inf
+        assert flat.first_reach(1e-15) == np.inf
+        # a constant table pinned far below y never reaches it
+        never = BoundaryTable(grid=[-1.0, 1.0], values=[1e-12, 1e-12], provenance="never")
+        assert never.first_reach(0.0) == np.inf
+        # flat outside, rising inside: both edges bound the crossing
+        ramp = BoundaryTable(grid=np.array([-2.0, -1.0, 1.0, 2.0]),
+                             values=np.array([1.0, 1.0, np.e, np.e]), provenance="test")
+        assert ramp.first_reach(-1.0) == -np.inf and ramp.first_reach(1.5) == np.inf
+        assert ramp.first_reach(0.5) == pytest.approx(0.0, abs=1e-15)
+
+    def test_first_reach_takes_the_first_crossing_through_a_dip(self):
+        # values may dip by 1e-9 relative; the level is crossed at u = 1 first,
+        # left below inside the dip, and crossed again after it
+        top = 2.0 * (1.0 - 0.5e-9)
+        tab = BoundaryTable(grid=np.array([0.0, 1.0, 2.0, 3.0]),
+                            values=np.array([1.0, 2.0, 2.0 * (1.0 - 1e-9), 4.0]),
+                            provenance="test")
+        assert tab.first_reach(np.log(2.0)) == 1.0
+        u = tab.first_reach(np.log(top))
+        assert 0.0 < u < 1.0 and abs(tab.log(u) - np.log(top)) <= 1e-12
+        assert tab.log(2.0) < np.log(top)
+        # a falling edge line counts as flat: a level above the left edge is
+        # first reached inside the grid, one above the right edge never
+        dip = 2.0 * (1.0 - 1e-9)
+        left = BoundaryTable(grid=np.array([0.0, 1.0, 2.0]), values=np.array([2.0, dip, 3.0]),
+                             provenance="test")
+        assert left.first_reach(np.log(2.0)) == -np.inf
+        assert 1.0 < left.first_reach(np.log(2.0) + 1e-12) < 2.0
+        right = BoundaryTable(grid=np.array([0.0, 1.0, 2.0]), values=np.array([1.0, 2.0, dip]),
+                              provenance="test")
+        assert right.first_reach(np.log(2.0)) == 1.0
+        assert right.first_reach(np.log(2.0) + 1e-12) == np.inf
+
     def test_empty_lookup(self):
         tab = BoundaryTable(grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]),
                             provenance="test")

@@ -15,7 +15,7 @@ from levyinvest.levy import LevyModel, default_t_max, laplace_exponent
 from levyinvest.policy import (StoppingRule, compare_policies, evaluate_profit,
                                exponential_time_values, foc_residuals, stopping_value)
 from levyinvest.profit import cobb_douglas, evaluate
-from levyinvest.wiener_hopf import exact_factors
+from levyinvest.wiener_hopf import exact_factors, sample_triplet
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
 R = 2.0
@@ -175,6 +175,78 @@ class TestStoppingValue:
         with pytest.raises(ConditionViolation):
             stopping_value(CD, STABLE, 1.0, TABLE, 0.0, 5.0, N,
                            np.random.default_rng(1), step=H, t_max=TM)
+
+
+class TestThreshold:
+    # stopping_value reads the table once, as the first passage of X above
+    # a = inf{u : b(u) >= y} - x; at y = b(x) it must stop at once, however
+    # the threshold rounds
+    MC_TABLE = solve_boundary_grid(CD, sample_triplet(BD, R, 4000, np.random.default_rng(26)),
+                                   -2.0, 2.0, 21)
+
+    @pytest.mark.parametrize("table", [TABLE, MC_TABLE], ids=["closed_form", "monte_carlo"])
+    def test_exactly_one_at_the_boundary(self, table):
+        g = table.grid
+        xs = np.concatenate([g, 0.5 * (g[1:] + g[:-1]), g[0] - np.linspace(0.05, 1.0, 20),
+                             g[-1] + np.linspace(0.05, 1.0, 20)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            for x in xs:
+                x = float(x)
+                v = stopping_value(CD, BD, R, table, x, float(table(x)), 1000,
+                                   np.random.default_rng(0), step=0.5, t_max=1.0)
+                assert v == (1.0, 0.0), x
+
+    def test_no_overflow_where_b_exceeds_every_float(self):
+        # log b(800) is about 800, so b(x) overflows; the comparison must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            v = stopping_value(CD, BD, R, TABLE, 800.0, 1.0, 1000, np.random.default_rng(0),
+                               step=0.5, t_max=1.0)
+        assert v == (1.0, 0.0)
+
+    def test_reads_the_table_once(self, monkeypatch):
+        bx = float(TABLE(0.0))
+        calls = []
+        log = BoundaryTable.log
+        monkeypatch.setattr(BoundaryTable, "log",
+                            lambda self, u: calls.append(u) or log(self, u))
+        v, se = stopping_value(CD, BD, R, TABLE, 0.0, 2.0 * bx, 20000,
+                               np.random.default_rng(27), step=H, t_max=TM)
+        assert v < 1.0 - 3.0 * se
+        assert len(calls) <= 1
+
+
+ENGINES = {
+    "evaluate_profit": lambda x, rng: evaluate_profit(CD, BD, R, TABLE, x, 0.05, 1000, rng,
+                                                      step=H, t_max=TM),
+    "compare_policies": lambda x, rng: compare_policies(CD, BD, R, TABLE, x, 0.05, [0.5],
+                                                        1000, rng, step=H, t_max=TM),
+    # r = 5 > psi(2) = 4 certifies the pool's variance
+    "exponential_time_values": lambda x, rng: exponential_time_values(
+        CD, BD, 5.0, TABLE, x, 0.05, [0.5], 1000, rng, step=H, t_max=TM),
+    "foc_residuals": lambda x, rng: foc_residuals(
+        CD, BD, R, TABLE, x, 0.2, (StoppingRule.fixed(0.5), StoppingRule.hit_above(0.3)),
+        1000, rng, step=H, t_max=TM),
+    "stopping_value": lambda x, rng: stopping_value(CD, BD, R, TABLE, x, 0.2, 1000, rng,
+                                                    step=H, t_max=TM),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestInitialShock:
+    def test_integer_shock_is_a_float(self, engine):
+        run = ENGINES[engine]
+        assert run(0, np.random.default_rng(28)) == run(0.0, np.random.default_rng(28))
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_shock_rejected_before_any_draw(self, engine, x, monkeypatch):
+        def drawn(*args, **kwargs):
+            pytest.fail("a draw was made")
+        monkeypatch.setattr(levyinvest.policy, "_increment", drawn)
+        monkeypatch.setattr(levyinvest.policy, "sample_extrema", drawn)
+        with pytest.raises(DomainError):
+            ENGINES[engine](x, np.random.default_rng(29))
 
 
 @pytest.mark.parametrize("model", [BD, KOU], ids=["brownian", "kou"])
