@@ -31,9 +31,13 @@ exponent lam (`profit._certified_variance`); the engine refuses otherwise.
 The stepped engine serves every estimate: the values (`evaluate_profit`,
 `compare_policies`), the first-order conditions and the stopping value.
 All of these come from one forward pass, `_forward`, on the grid t_j = j * step
-up to t_max, with one of two accumulators; only `_forward` reads the table, and
-it hands log b at the running maximum to the accumulators that reflect.  The
-value accumulator integrates each policy's profit flow by the trapezoid rule
+up to t_max, with one of two accumulators; only `_forward` reads the table.  The
+capacity changes only where the running maximum makes a new high (a few
+percent of paths per step), so `_forward` looks b up on those paths alone and
+hands them to the accumulators that reflect, which keep log C and C per path
+and redo them, and the investment increment, there only; the profit flow runs
+on every path, and the results are bit for bit those of a lookup everywhere.
+The value accumulator integrates each policy's profit flow by the trapezoid rule
 and its investment by a left-endpoint Stieltjes sum, and the truncation order
 e^{-(r - growth) t_max} is reported for the certified growth rate of the
 integrand.  The first-hit accumulator keeps the running trapezoid A_j of
@@ -215,56 +219,71 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
     """Advance n replicate shock paths from x over the grid t_j = j * h, j = 0..N.
 
     `new(h, disc, m)` (disc[j] = e^{-r t_j}) builds a chunk's accumulator of m
-    paths at index 0; `step(j, x_j, lz_j, lb_j)` then runs until `done`: x_j =
-    X_{t_j}, lz_j = x + x_j and, if the accumulator `reflect`s, lb_j = log b(w_j),
-    a fresh array it may overwrite, at w_j = x + sup X with each step's bridge
-    maximum (else None).  The range of b's argument (w, else x + X) is reported
-    after the join.  Returns the `result()` arrays joined on the last axis.
+    paths at index 0; `step(j, x_j, lz_j, moved, lb_moved)` then runs until
+    `done`, with x_j = X_{t_j} and lz_j = x + x_j (a buffer the chunk reuses).
+    If the accumulator `reflect`s, w_j = x + sup X takes each step's bridge
+    maximum, `moved` indexes the paths whose w_j rose at step j (all of them at
+    j = 1) and lb_moved = log b(w_j[moved]) is a fresh array the accumulator
+    may overwrite; elsewhere w_j, hence the capacity, is as at step j - 1.
+    Otherwise both are None.  Returns the `result()` arrays joined on the last
+    axis and the largest w_j (x if nothing reflects): b was read on [x, that].
     """
     disc = np.exp(-r * h * np.arange(n_steps + 1))
 
     def chunk(lo: int, hi: int, sub: np.random.Generator):
-        acc = new(h, disc, hi - lo)
-        x_j, w_j = np.zeros(hi - lo), np.full(hi - lo, x)
-        u_lo = u_hi = x
+        m = hi - lo
+        acc = new(h, disc, m)
+        # w starts below every level, so that every path reads b at j = 1;
+        # the step maximum there is at least X_0 = 0, so w_1 >= x
+        x_j, w_j, lz = np.zeros(m), np.full(m, -np.inf), np.empty(m)
+        moved = lb = None
+        w_hi = x
         for j in range(1, n_steps + 1):
             if acc.done:
                 break
             x_j, step_max = _increment(model, x_j, h, sub)
-            np.maximum(w_j, x + step_max, out=w_j)
-            lz = x + x_j
-            u = w_j if acc.reflect else lz
-            u_lo, u_hi = min(u_lo, float(u.min())), max(u_hi, float(u.max()))
-            acc.step(j, x_j, lz, b.log(w_j) if acc.reflect else None)
-        return acc.result(), u_lo, u_hi
+            np.add(x, x_j, out=lz)
+            if acc.reflect:
+                top = np.add(x, step_max, out=step_max)  # a fresh array
+                moved = np.flatnonzero(top > w_j)
+                w_moved = top[moved]
+                w_j[moved] = w_moved
+                lb = b.log(w_moved)
+                if moved.size:
+                    w_hi = max(w_hi, float(w_moved.max()))
+            acc.step(j, x_j, lz, moved, lb)
+        return acc.result(), w_hi
 
-    # tables are extrapolated by design; coverage is reported once, after the join
-    results, lows, highs = zip(*_run_chunks(n, rng, workers, chunk))
-    _warn_extrapolated(b, min(lows), max(highs))
-    return [np.concatenate(col, axis=-1) for col in zip(*results)]
+    results, highs = zip(*_run_chunks(n, rng, workers, chunk))
+    return [np.concatenate(col, axis=-1) for col in zip(*results)], max(highs)
 
 
 class _Value:
-    """Value J and investment PV of the policy max(y, s * b) per scale s."""
+    """Value J and investment PV of the policy max(y, s * b) per scale s; log C
+    and C per path are redone, and the investment (0 elsewhere) added, where
+    the running maximum moved, while the profit flow runs on every path."""
 
     reflect, done = True, False
 
     def __init__(self, p, x, y, scales, h, disc, m):
-        self.p, self.y, self.h, self.disc = p, y, h, disc
+        self.p, self.h, self.disc = p, h, disc
         self.ly, self.log_scales = math.log(y), [math.log(s) for s in scales]
         pi0 = float(evaluate(p, x, self.ly))
         self.j_acc = np.full((len(scales), m), 0.5 * h * disc[0] * pi0)  # C_0 = y
         self.pv_acc = np.zeros((len(scales), m))
-        self.c_prev = np.full((len(scales), m), float(y))
+        self.lc = np.full((len(scales), m), self.ly)
+        self.c = np.full((len(scales), m), float(y))
 
-    def step(self, j, x_j, lz, lb):
+    def step(self, j, x_j, lz, moved, lb):
         w = self.h if j < len(self.disc) - 1 else 0.5 * self.h
         for k, ls in enumerate(self.log_scales):
-            lc = np.maximum(self.ly, ls + lb)
-            c_k = np.exp(lc)
-            self.j_acc[k] += w * self.disc[j] * evaluate(self.p, lz, lc)
-            self.pv_acc[k] += self.disc[j - 1] * (c_k - self.c_prev[k])
-            self.c_prev[k] = c_k
+            lc_new = np.maximum(self.ly, ls + lb)
+            c_new = np.exp(lc_new)
+            self.pv_acc[k][moved] += self.disc[j - 1] * (c_new - self.c[k][moved])
+            self.lc[k][moved], self.c[k][moved] = lc_new, c_new
+            flow = evaluate(self.p, lz, self.lc[k])
+            flow *= w * self.disc[j]
+            self.j_acc[k] += flow
 
     def result(self):
         return self.j_acc - self.pv_acc, self.pv_acc
@@ -274,40 +293,53 @@ class _FirstHits:
     """Running trapezoid A_j of e^{-rs} pi_c(z_s, C_s); A_j and e^{-r t_j} at the
     first index where each stop holds.  A stop is data: ("fixed", grid index),
     or ("hit_above", level) / ("hit_below", level) on X.  `reflect`: C is
-    max(y, b(w_j)), and the slackness is summed by parts, so that no terms
-    growing with C cancel; else C = y, and stepping ends once all paths stop."""
+    max(y, b(w_j)), kept per path with its log and redone only where w_j
+    moved, and the slackness is summed by parts, so that no terms growing
+    with C cancel; else C = y, and stepping ends once all paths stop."""
 
     def __init__(self, p, x, y, reflect, stops, h, disc, m):
         self.p, self.y, self.ly, self.reflect, self.stops = p, y, math.log(y), reflect, stops
         self.h, self.disc = h, disc
-        self.c = np.full(m, float(y)) if reflect else float(y)
+        self.lc = np.full(m, self.ly) if reflect else self.ly
+        self.c = np.full(m, float(y))
         pi_c0 = float(marginal_profit(p, x, self.ly))
         self.f = np.full(m, disc[0] * pi_c0)
         self.a, self.slack = np.zeros(m), np.zeros(m)
+        self.da, self.dslack = np.empty(m), np.empty(m)
         self.hit = np.zeros((len(stops), m), dtype=bool)
         self.a_tau, self.d_tau = np.zeros((len(stops), m)), np.zeros((len(stops), m))
         self._record(0, np.zeros(m))
 
-    def step(self, j, x_j, lz, lb):
-        lc = np.maximum(self.ly, lb, out=lb) if self.reflect else self.ly
-        f = self.disc[j] * marginal_profit(self.p, lz, lc)
-        da = 0.5 * self.h * (self.f + f)
+    def step(self, j, x_j, lz, moved, lb):
+        if self.reflect:
+            lc_new = np.maximum(self.ly, lb, out=lb)
+            c_new = np.exp(lc_new)
+            invest = self.disc[j - 1] * (c_new - self.c[moved])
+            self.lc[moved], self.c[moved] = lc_new, c_new
+        f = marginal_profit(self.p, lz, self.lc)
+        f *= self.disc[j]
+        da = np.add(self.f, f, out=self.da)
+        da *= 0.5 * self.h
         if self.reflect:
             # sum_j (A_N - A_{j-1}) dC_j = sum_j (A_j - A_{j-1}) (C_j - y)
-            c = np.exp(lc)
-            self.slack += da * (c - self.y) - self.disc[j - 1] * (c - self.c)
-            self.c = c
-        self.a = self.a + da
-        self.f = f
+            ds = np.subtract(self.c, self.y, out=self.dslack)
+            ds *= da
+            ds[moved] -= invest
+            self.slack += ds
+        self.a += da
+        np.copyto(self.f, f)
         self._record(j, x_j)
 
     def _record(self, j: int, x_j: np.ndarray) -> None:
         for k, (kind, at) in enumerate(self.stops):
-            now = (j == at if kind == "fixed" else
-                   x_j >= at if kind == "hit_above" else x_j <= at)
-            newly = now & ~self.hit[k]
-            self.a_tau[k][newly] = self.a[newly]
-            self.d_tau[k][newly] = self.disc[j]
+            if kind == "fixed":
+                if j != at:
+                    continue
+                newly = ~self.hit[k]
+            else:
+                newly = (x_j >= at if kind == "hit_above" else x_j <= at) & ~self.hit[k]
+            np.copyto(self.a_tau[k], self.a, where=newly)
+            np.copyto(self.d_tau[k], self.disc[j], where=newly)
             self.hit[k] |= newly
         self.done = not self.reflect and bool(self.hit.all())
 
@@ -365,8 +397,9 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     scales = _scales(scales)
     growth = _certified_growth(p, model, r)
     x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
-    j_rows, pv_rows = _forward(model, r, b, x, n_paths, rng, h, n_steps, workers,
-                               partial(_Value, p, x, y, scales))
+    (j_rows, pv_rows), w_hi = _forward(model, r, b, x, n_paths, rng, h, n_steps, workers,
+                                       partial(_Value, p, x, y, scales))
+    _warn_extrapolated(b, x, w_hi)
     j_base = j_rows[scales.index(1.0)]
     rows = tuple(_row(s, j_rows[k], pv_rows[k], j_base) for k, s in enumerate(scales))
     return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=n_steps * h,
@@ -438,8 +471,10 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
              for rule in rules]
     if any(kind == "fixed" and k > n_steps for kind, k in stops):
         raise DomainError("fixed stopping times must lie within the truncation horizon")
-    a_end, a_tau, d_tau, hit, slack = _forward(model, r, b, x, n_paths, rng, h, n_steps,
-                                               workers, partial(_FirstHits, p, x, y, True, stops))
+    (a_end, a_tau, d_tau, hit, slack), w_hi = _forward(
+        model, r, b, x, n_paths, rng, h, n_steps, workers,
+        partial(_FirstHits, p, x, y, True, stops))
+    _warn_extrapolated(b, x, w_hi)
     sg, sg_se = _mean_se(np.where(hit, a_end - a_tau - d_tau, 0.0))
     slackness, slackness_se = _mean_se(slack)
     entries = tuple(FOCEntry(rule=rule, supergradient=float(sg[k]), se=float(sg_se[k]),
@@ -459,7 +494,9 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     with e^{-r tau} = 0 when tau never occurs before t_max.  b is nondecreasing,
     so tau is the first passage of X above a = inf{u : b(u) >= y} - x, read
     once off the table; a = -inf, and the result exactly (1.0, 0.0), when
-    y <= b(x) as `b(x)` computes it.  Never exceeds 1 beyond noise.
+    y <= b(x) as `b(x)` computes it.  Never exceeds 1 beyond noise.  b is
+    read at x and at the threshold x + a only, so an extrapolation warning
+    names [x, x], widened to x + a when a is finite.
     ConditionViolation when no growth certificate exists, before any path.
     """
     _certified_growth(p, model, r)
@@ -467,7 +504,9 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     # in logs first, so that b(x) is formed only below y and cannot overflow
     ly, lbx = math.log(y), b.log(x)
     a = -math.inf if lbx >= ly or y <= np.exp(lbx) else b.first_reach(ly) - x
-    a_end, a_tau, d_tau, hit, _ = _forward(
+    ends = (x, x + a) if math.isfinite(a) else (x, x)
+    _warn_extrapolated(b, min(ends), max(ends))
+    (a_end, a_tau, d_tau, hit, _), _ = _forward(
         model, r, b, x, n_paths, rng, h, n_steps, workers,
         partial(_FirstHits, p, x, y, False, [("hit_above", a)]))
     mean, se = _mean_se(np.where(hit[0], a_tau[0] + d_tau[0], a_end))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
 
+import levyinvest.levy
 import levyinvest.policy
 from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning,
                                  closed_form_boundary_table, solve_boundary_grid)
@@ -306,6 +307,88 @@ class TestExponentialTimeValues:
         assert stepped.engine == "stepped"
 
 
+# The stepped engine, bit for bit: float.hex of `foc_residuals` (per rule of
+# RULES: supergradient, SE, hit fraction; then slackness and its SE) and of
+# `compare_policies` (per scale 0.5, 1, 2: J, SE, investment PV, SE,
+# J(1) - J(s), SE), at 2000 paths in chunks of 700, step 0.01, t_max 2.
+# Recorded from the engine that looked b up on every path at every step.
+RULES = (StoppingRule.fixed(0.0), StoppingRule.fixed(0.5), StoppingRule.fixed(2.0),
+         StoppingRule.hit_above(0.3), StoppingRule.hit_below(-0.4))
+PINS = {
+    "brownian": {
+        "foc": [
+            "-0x1.da4113670f8acp-7", "0x1.802fab0fcceedp-9", "0x1.0000000000000p+0",
+            "-0x1.1e12fc97b5280p-4", "0x1.c820212ad1885p-10", "0x1.0000000000000p+0",
+            "-0x1.2c155b8213cf2p-6", "0x1.6e72f1bd14a14p-63", "0x1.0000000000000p+0",
+            "-0x1.0203c3dc68d86p-6", "0x1.0ce89d02ffeeep-9", "0x1.b9db22d0e5604p-1",
+            "-0x1.47f707019b9d7p-4", "0x1.49bc2c7ddd751p-9", "0x1.a10624dd2f1aap-1",
+            "-0x1.7dd9d30b6c512p-8", "0x1.7f7762de10d7ep-12"],
+        "compare": [
+            "0x1.faf22c442dfc1p-4", "0x1.4b7265cc0423cp-9", "0x1.c641df04f93e1p-6",
+            "0x1.0798d1b37c8f3p-9", "0x1.4689a0950a608p-9", "0x1.a94bc1478651fp-12",
+            "0x1.02933ca46b278p-3", "0x1.451607634f5aap-9", "0x1.373bc7b59a15cp-4",
+            "0x1.0b314da8e17e1p-8", "0x0.0p+0", "0x0.0p+0",
+            "0x1.97bf7732a9efap-4", "0x1.df0d0a840d874p-10", "0x1.7d193354f6e7cp-3",
+            "0x1.0b314da8e17e3p-7", "0x1.b59c0858b17d6p-6", "0x1.9b6f86b0990ecp-10"],
+    },
+    "kou": {
+        "foc": [
+            "0x1.008834ddc7f68p-2", "0x1.2b47d886d4cdcp-10", "0x1.0000000000000p+0",
+            "0x1.f08f4d8a6a462p-5", "0x1.72899e09454cfp-11", "0x1.0000000000000p+0",
+            "-0x1.2c155b8213cf2p-6", "0x1.6e72f1bd14a14p-63", "0x1.0000000000000p+0",
+            "0x1.917864fdf3e1dp-7", "0x1.ad58c2591f627p-11", "0x1.4395810624dd3p-2",
+            "-0x1.1f5580b33766dp-8", "0x1.954da1e149a74p-12", "0x1.3851eb851eb85p-2",
+            "0x1.fc59b06a24406p-11", "0x1.781f3d813f39fp-16"],
+        "compare": [
+            "0x1.7177b22976f64p-4", "0x1.379418244c38ap-13", "0x1.44b15a13a7225p-15",
+            "0x1.0976a6ab2951bp-17", "0x1.46b81a0f369fep-10", "0x1.242b86a3b5a9cp-15",
+            "0x1.76929291b3d0cp-4", "0x1.78897ffc04ad6p-13", "0x1.1fc5d0a0baf1fp-8",
+            "0x1.7de1c5cfc9440p-14", "0x0.0p+0", "0x0.0p+0",
+            "0x1.79e4a0c58809cp-4", "0x1.b128b36c52a61p-13", "0x1.5f6722a5a204ap-5",
+            "0x1.7de1c5cfc9441p-13", "-0x1.a90719ea1c754p-11", "0x1.1cead09d52135p-15"],
+    },
+}
+
+
+def _pinned_foc(model, workers=1):
+    return foc_residuals(CD, model, R, TABLE, 0.0, float(TABLE(0.0)), RULES, 2000,
+                         np.random.default_rng(41), step=0.01, t_max=2.0, workers=workers)
+
+
+def _pinned_compare(model, workers=1):
+    return compare_policies(CD, model, R, TABLE, 0.0, float(TABLE(0.0)), (0.5, 1.0, 2.0),
+                            2000, np.random.default_rng(42), step=0.01, t_max=2.0,
+                            workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_stepped_engine_pinned_bit_for_bit(name, workers, monkeypatch):
+    monkeypatch.setattr(levyinvest.levy, "_CHUNK", 700)
+    model = {"brownian": BD, "kou": KOU}[name]
+    rep, res = _pinned_foc(model, workers), _pinned_compare(model, workers)
+    foc = [v for e in rep.entries for v in (e.supergradient, e.se, e.hit_fraction)]
+    foc += [rep.slackness, rep.slackness_se]
+    assert [v.hex() for v in foc] == PINS[name]["foc"]
+    assert [row.scale for row in res.rows] == [0.5, 1.0, 2.0]
+    rows = [v for row in res.rows for v in (row.j_value, row.j_se, row.pv_investment,
+                                            row.pv_investment_se, row.base_minus_this,
+                                            row.base_minus_this_se)]
+    assert [v.hex() for v in rows] == PINS[name]["compare"]
+
+
+def test_lookups_only_where_the_maximum_moved(monkeypatch):
+    # C changes only when the running maximum makes a new high, so b is read
+    # only on those paths: about 9% of path steps here, fewer on longer grids
+    points = []
+    log = BoundaryTable.log
+    monkeypatch.setattr(BoundaryTable, "log",
+                        lambda self, u: points.append(np.size(u)) or log(self, u))
+    for run in (_pinned_foc, _pinned_compare):
+        points.clear()
+        call = run(BD)
+        assert 0 < sum(points) <= 0.1 * call.n_paths * round(call.t_max / call.step)
+
 class TestExtrapolationReport:
     # 40000 paths run as three chunks; the warning's range is reduced from
     # per-chunk results after the join, so threads cannot lose an update.
@@ -338,11 +421,29 @@ class TestExtrapolationReport:
                         foc_residuals(CD, BD, R, TABLE, 0.0, bx,
                                       (StoppingRule.fixed(0.5),), 40000, rng, **kwargs)
                     else:
-                        stopping_value(CD, BD, R, TABLE, 0.0, 2.0 * bx, 40000, rng,
-                                       **kwargs)
+                        # the threshold x + a = 2.19 leaves the grid; at x = 0 it is inside
+                        stopping_value(CD, BD, R, TABLE, 1.5, 2.0 * float(TABLE(1.5)),
+                                       40000, rng, **kwargs)
                 ours = [w for w in caught if issubclass(w.category, ExtrapolationWarning)]
                 assert [w.filename for w in ours] == [__file__]
                 texts.append([str(w.message) for w in ours])
         finally:
             sys.setswitchinterval(interval)
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("x, mult", [(0.0, 2.0), (1.5, 2.0), (3.0, 0.5)])
+    def test_stopping_value_names_the_points_it_read(self, x, mult):
+        # b is read at x and at the threshold x + a, never along the paths,
+        # which leave the grid [-2, 2] here
+        y = mult * float(TABLE(x))
+        a = TABLE.first_reach(np.log(y)) - x if mult > 1.0 else -np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stopping_value(CD, BD, R, TABLE, x, y, 4000, np.random.default_rng(19),
+                           step=H, t_max=TM)
+        texts = [str(w.message) for w in caught
+                 if issubclass(w.category, ExtrapolationWarning)]
+        hi = x + a if np.isfinite(a) else x
+        assert texts == ([] if hi <= 2.0 else
+                         [f"boundary evaluated on [{x!r}, {hi!r}], beyond its solved "
+                          f"grid [-2.0, 2.0]; edge-slope extrapolation was used"])
