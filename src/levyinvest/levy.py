@@ -250,7 +250,7 @@ def _jump_sums(model: LevyModel, counts: np.ndarray, rng: np.random.Generator):
 
 
 def _increment(model: LevyModel, x0: np.ndarray, dt, rng: np.random.Generator, *,
-               counts: np.ndarray | None = None):
+               counts: np.ndarray | None = None, out=None):
     """Advance every path in x0 by one step of length dt (scalar or per path).
 
     Returns (x1, step max).  Diffusive families: the Gaussian move is exact,
@@ -260,23 +260,44 @@ def _increment(model: LevyModel, x0: np.ndarray, dt, rng: np.random.Generator, *
     Poisson(jump_intensity * dt) when counts is None.  Stable family: one
     Chambers-Mallows-Stuck draw per path; the step's maximum is that of its
     endpoints, biased inward by O(dt ** (1/alpha)).
+
+    `out` = (x1, step max, scratch), three float arrays shaped like x0 and
+    distinct from it, which the step overwrites and returns the first two
+    of, bit for bit what it returns without them; x0 is never written.
     """
+    n = len(x0)
+    # without `out`, numpy allocates each array where it is first written
+    x1, hi, tmp = (None, None, None) if out is None else out
     if model.family is Family.STABLE:
         alpha = model.stable_index
-        s = _stable_standard(alpha, len(x0), rng)
-        x1 = x0 + model.mu * dt + model.stable_scale * dt ** (1.0 / alpha) * s
-        return x1, np.maximum(x0, x1)
-    z = rng.standard_normal(len(x0))
-    x1 = x0 + model.mu * dt + model.sigma * np.sqrt(dt) * z
-    d = x1 - x0
-    var = model.sigma ** 2 * dt
-    hi = 0.5 * (x0 + x1 + np.sqrt(d * d - 2.0 * var * np.log1p(-rng.random(len(d)))))
+        s = _stable_standard(alpha, n, rng)
+        s *= model.stable_scale * dt ** (1.0 / alpha)
+        x1 = np.add(x0, model.mu * dt, out=x1)
+        x1 += s
+        return x1, np.maximum(x0, x1, out=hi)
+    # x1 = (x0 + mu dt) + (sigma sqrt(dt)) z
+    x1 = rng.standard_normal(n, out=x1)
+    x1 *= model.sigma * np.sqrt(dt)
+    tmp = np.add(x0, model.mu * dt, out=tmp)
+    x1 += tmp
+    # step max = 0.5 ((x0 + x1) + sqrt(d^2 - (2 var) log1p(-u))), d = x1 - x0
+    d2 = np.subtract(x1, x0, out=tmp)
+    d2 *= d2
+    hi = rng.random(n, out=hi)  # u, until d2 has taken its term
+    np.negative(hi, out=hi)
+    np.log1p(hi, out=hi)
+    hi *= 2.0 * (model.sigma ** 2 * dt)
+    d2 -= hi
+    np.sqrt(d2, out=d2)
+    np.add(x0, x1, out=hi)
+    hi += d2
+    hi *= 0.5
     if model.jump_intensity > 0.0:
         if counts is None:
-            counts = rng.poisson(model.jump_intensity * dt, size=len(x0))
+            counts = rng.poisson(model.jump_intensity * dt, size=n)
         hit, sums = _jump_sums(model, counts, rng)
         x1[hit] += sums
-    return x1, np.maximum(hi, x1)
+    return x1, np.maximum(hi, x1, out=hi)
 
 
 def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> list:

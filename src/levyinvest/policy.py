@@ -220,13 +220,18 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
 
     `new(h, disc, m)` (disc[j] = e^{-r t_j}) builds a chunk's accumulator of m
     paths at index 0; `step(j, x_j, lz_j, moved, lb_moved)` then runs until
-    `done`, with x_j = X_{t_j} and lz_j = x + x_j (a buffer the chunk reuses).
-    If the accumulator `reflect`s, w_j = x + sup X takes each step's bridge
-    maximum, `moved` indexes the paths whose w_j rose at step j (all of them at
-    j = 1) and lb_moved = log b(w_j[moved]) is a fresh array the accumulator
-    may overwrite; elsewhere w_j, hence the capacity, is as at step j - 1.
-    Otherwise both are None.  Returns the `result()` arrays joined on the last
-    axis and the largest w_j (x if nothing reflects): b was read on [x, that].
+    `done`, with x_j = X_{t_j} and lz_j = x + x_j.  Both are buffers the
+    chunk owns and overwrites at the next step (x_j swaps with the buffer the
+    increment writes), so the accumulator keeps neither.  If the accumulator
+    `reflect`s, w_j = x + sup X takes each step's bridge maximum, `moved`
+    indexes the paths whose w_j rose at step j (all of them at j = 1) and
+    lb_moved = log b(w_j[moved]) is a fresh array the accumulator may
+    overwrite; elsewhere w_j, hence the capacity, is as at step j - 1.
+    Otherwise both are None.  A step allocates only those moved-sized arrays,
+    plus the jump families' Poisson counts and a profit kernel's one
+    temporary (see `evaluate`).  Returns the `result()` arrays joined on the
+    last axis and the largest w_j (x if nothing reflects): b was read on
+    [x, that].
     """
     disc = np.exp(-r * h * np.arange(n_steps + 1))
 
@@ -236,15 +241,18 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
         # w starts below every level, so that every path reads b at j = 1;
         # the step maximum there is at least X_0 = 0, so w_1 >= x
         x_j, w_j, lz = np.zeros(m), np.full(m, -np.inf), np.empty(m)
+        x_next, top = np.empty(m), np.empty(m)
         moved = lb = None
         w_hi = x
         for j in range(1, n_steps + 1):
             if acc.done:
                 break
-            x_j, step_max = _increment(model, x_j, h, sub)
+            # lz is free until it is rewritten below, so it is the step's scratch
+            x_next, top = _increment(model, x_j, h, sub, out=(x_next, top, lz))
+            x_j, x_next = x_next, x_j
             np.add(x, x_j, out=lz)
             if acc.reflect:
-                top = np.add(x, step_max, out=step_max)  # a fresh array
+                top += x
                 moved = np.flatnonzero(top > w_j)
                 w_moved = top[moved]
                 w_j[moved] = w_moved
@@ -273,6 +281,7 @@ class _Value:
         self.pv_acc = np.zeros((len(scales), m))
         self.lc = np.full((len(scales), m), self.ly)
         self.c = np.full((len(scales), m), float(y))
+        self.flow = np.empty(m)
 
     def step(self, j, x_j, lz, moved, lb):
         w = self.h if j < len(self.disc) - 1 else 0.5 * self.h
@@ -281,7 +290,7 @@ class _Value:
             c_new = np.exp(lc_new)
             self.pv_acc[k][moved] += self.disc[j - 1] * (c_new - self.c[k][moved])
             self.lc[k][moved], self.c[k][moved] = lc_new, c_new
-            flow = evaluate(self.p, lz, self.lc[k])
+            flow = evaluate(self.p, lz, self.lc[k], out=self.flow)
             flow *= w * self.disc[j]
             self.j_acc[k] += flow
 
@@ -303,9 +312,8 @@ class _FirstHits:
         self.lc = np.full(m, self.ly) if reflect else self.ly
         self.c = np.full(m, float(y))
         pi_c0 = float(marginal_profit(p, x, self.ly))
-        self.f = np.full(m, disc[0] * pi_c0)
-        self.a, self.slack = np.zeros(m), np.zeros(m)
-        self.da, self.dslack = np.empty(m), np.empty(m)
+        self.f, self.f_next = np.full(m, disc[0] * pi_c0), np.empty(m)
+        self.a, self.slack, self.dslack = np.zeros(m), np.zeros(m), np.empty(m)
         self.hit = np.zeros((len(stops), m), dtype=bool)
         self.a_tau, self.d_tau = np.zeros((len(stops), m)), np.zeros((len(stops), m))
         self._record(0, np.zeros(m))
@@ -316,9 +324,11 @@ class _FirstHits:
             c_new = np.exp(lc_new)
             invest = self.disc[j - 1] * (c_new - self.c[moved])
             self.lc[moved], self.c[moved] = lc_new, c_new
-        f = marginal_profit(self.p, lz, self.lc)
+        f = marginal_profit(self.p, lz, self.lc, out=self.f_next)
         f *= self.disc[j]
-        da = np.add(self.f, f, out=self.da)
+        # the last flow is spent once da is formed, so da takes its buffer,
+        # and that buffer takes the next step's flow
+        da = np.add(self.f, f, out=self.f)
         da *= 0.5 * self.h
         if self.reflect:
             # sum_j (A_N - A_{j-1}) dC_j = sum_j (A_j - A_{j-1}) (C_j - y)
@@ -327,7 +337,7 @@ class _FirstHits:
             ds[moved] -= invest
             self.slack += ds
         self.a += da
-        np.copyto(self.f, f)
+        self.f, self.f_next = f, da
         self._record(j, x_j)
 
     def _record(self, j: int, x_j: np.ndarray) -> None:

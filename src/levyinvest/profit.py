@@ -84,32 +84,56 @@ def log_profit() -> ProfitFunction:
     return ProfitFunction(kind="log")
 
 
-def evaluate(p: ProfitFunction, lz, lc):
-    """pi(e^lz, e^lc); broadcasts over numpy arrays."""
+def evaluate(p: ProfitFunction, lz, lc, out=None):
+    """pi(e^lz, e^lc); broadcasts over numpy arrays, into `out` if given.
+
+    Rounds like the kind's one-line formula but works in its result array,
+    as pool-sized temporaries alive at once make malloc trim and re-fault
+    the heap; the one other array is cobb_douglas's beta lc or ces's e^lc,
+    when lc is an array.
+    """
+    t = np.empty(np.broadcast(lz, lc).shape) if out is None else out
     if p.kind == "cobb_douglas":
-        return np.exp(p.alpha * lz + p.beta * lc)
+        np.multiply(p.alpha, lz, out=t)
+        t += p.beta * lc
+        return np.exp(t, out=t)
     if p.kind == "ces":
-        g = p.gamma
-        return np.exp(lc) * (p.alpha * np.exp(g * (lz - lc)) + (1.0 - p.alpha)) ** (1.0 / g)
-    return np.exp(lz) * lc
+        _ces_core(p, lz, lc, t)
+        t **= 1.0 / p.gamma
+        t *= np.exp(lc)
+        return t
+    np.exp(lz, out=t)
+    t *= lc
+    return t
 
 
-def marginal_profit(p: ProfitFunction, lz, lc):
-    """d pi / d c at z = e^lz, c = e^lc; broadcasts over numpy arrays."""
-    # Monte Carlo gap evaluations pass pool-sized rows; two such temporaries
-    # alive at once make malloc trim and re-fault the heap every other call,
-    # so cobb_douglas rounds like one expression but works in one buffer
+def marginal_profit(p: ProfitFunction, lz, lc, out=None):
+    """d pi / d c at z = e^lz, c = e^lc; broadcasts over numpy arrays, into
+    `out` if given.  Works as `evaluate` does and rounds like `_KINDS`'
+    formulas; only cobb_douglas's (beta - 1) lc can be a temporary."""
+    t = np.empty(np.broadcast(lz, lc).shape) if out is None else out
     if p.kind == "cobb_douglas":
-        t = np.multiply(p.alpha, lz, out=np.empty(np.broadcast(lz, lc).shape))
+        np.multiply(p.alpha, lz, out=t)
         t += (p.beta - 1.0) * lc
         np.exp(t, out=t)
         t *= p.beta
         return t
     if p.kind == "ces":
-        g = p.gamma
-        return (1.0 - p.alpha) * (p.alpha * np.exp(g * (lz - lc)) + (1.0 - p.alpha)) \
-            ** ((1.0 - g) / g)
-    return np.exp(lz - lc)
+        _ces_core(p, lz, lc, t)
+        t **= (1.0 - p.gamma) / p.gamma
+        t *= 1.0 - p.alpha
+        return t
+    np.subtract(lz, lc, out=t)
+    return np.exp(t, out=t)
+
+
+def _ces_core(p: ProfitFunction, lz, lc, t) -> None:
+    """t = alpha e^{gamma (lz - lc)} + (1 - alpha), the base of both ces kernels."""
+    np.subtract(lz, lc, out=t)
+    t *= p.gamma
+    np.exp(t, out=t)
+    t *= p.alpha
+    t += 1.0 - p.alpha
 
 
 def kappa(p: ProfitFunction) -> float:

@@ -6,8 +6,8 @@ import pytest
 from levyinvest import levy
 from levyinvest.errors import ConstructionError, DomainError
 from levyinvest.levy import (_PARAMETERS, Family, LevyModel, _increment, _jump_sizes,
-                             _jump_sums, _mean_se, _stick_extrema, default_step,
-                             laplace_exponent, sample_extrema)
+                             _jump_sums, _mean_se, _stable_standard, _stick_extrema,
+                             default_step, laplace_exponent, sample_extrema)
 
 
 BD = LevyModel.brownian(0.5, 1.0)
@@ -128,6 +128,37 @@ def run_steps(model, n, h, k, seed):
     return x
 
 
+def step_inputs(kind):
+    """x0, dt and counts for one 1000-path step: a scalar dt, a per-path dt,
+    or a per-path dt with a given jump count per path."""
+    rng = np.random.default_rng(11)
+    x0 = rng.normal(size=1000)
+    if kind == "scalar":
+        return x0, 0.01, None
+    dt = rng.exponential(0.5, size=1000)
+    return x0, dt, (rng.random(1000) < 0.5 if kind == "counts" else None)
+
+
+def reference_increment(model, x0, dt, rng, counts=None):
+    # `_increment` as one allocating expression per quantity
+    if model.family is Family.STABLE:
+        alpha = model.stable_index
+        s = _stable_standard(alpha, len(x0), rng)
+        x1 = x0 + model.mu * dt + model.stable_scale * dt ** (1.0 / alpha) * s
+        return x1, np.maximum(x0, x1)
+    z = rng.standard_normal(len(x0))
+    x1 = x0 + model.mu * dt + model.sigma * np.sqrt(dt) * z
+    d = x1 - x0
+    var = model.sigma ** 2 * dt
+    hi = 0.5 * (x0 + x1 + np.sqrt(d * d - 2.0 * var * np.log1p(-rng.random(len(d)))))
+    if model.jump_intensity > 0.0:
+        if counts is None:
+            counts = rng.poisson(model.jump_intensity * dt, size=len(x0))
+        hit, sums = _jump_sums(model, counts, rng)
+        x1[hit] += sums
+    return x1, np.maximum(hi, x1)
+
+
 def psi_derivatives(model):
     # central differences of the Laplace exponent at 0: (psi'(0), psi''(0))
     e = 1e-4
@@ -160,6 +191,22 @@ class TestStepper:
             x0 = np.linspace(-1.0, 1.0, 500)
             x1, hi = _increment(model, x0, 0.1, np.random.default_rng(7))
             assert (hi >= np.maximum(x0, x1)).all()
+
+    @pytest.mark.parametrize("model", [BD, MERTON, KOU, STABLE],
+                             ids=["brownian", "merton", "kou", "stable"])
+    @pytest.mark.parametrize("dt", ["scalar", "per_path", "counts"])
+    def test_increment_rounds_like_one_expression(self, model, dt):
+        # the step works in three buffers, its own or the caller's `out`, yet
+        # rounds like this allocating form, and never writes x0
+        x0, dt, counts = step_inputs(dt)
+        x0_copy = x0.copy()
+        want = reference_increment(model, x0, dt, np.random.default_rng(9), counts)
+        for out in (None, tuple(np.full(len(x0), np.nan) for _ in range(3))):
+            got = _increment(model, x0, dt, np.random.default_rng(9), counts=counts, out=out)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            if out is not None:
+                assert got[0] is out[0] and got[1] is out[1]
+        assert np.array_equal(x0, x0_copy)
 
     def test_jump_sums_follow_counts(self):
         counts = np.array([0, 2, 0, 3, 1, 0, 4])

@@ -26,6 +26,7 @@ TABLE = closed_form_boundary_table(CD, exact_factors(BD, R), -2.0, 2.0, 41)
 NEVER = BoundaryTable(grid=[-1.0, 1.0], values=[1e-12, 1e-12], provenance="never")
 STABLE = LevyModel.stable(0.0, 1.5, 0.5)
 KOU = LevyModel.kou(0.0, 0.2, 1.0, 0.4, 8.0, 6.0)
+MERTON = LevyModel.merton(0.0, 0.3, 2.0, 0.0, 0.2)
 N = 4096
 H = 0.02
 TM = 2.0
@@ -172,7 +173,7 @@ class TestStoppingValue:
         # the estimate would be finite noise around an infinite mean; the
         # certificate fails before any path is stepped
         monkeypatch.setattr(levyinvest.policy, "_increment",
-                            lambda *args: pytest.fail("a path was stepped"))
+                            lambda *args, **kwargs: pytest.fail("a path was stepped"))
         with pytest.raises(ConditionViolation):
             stopping_value(CD, STABLE, 1.0, TABLE, 0.0, 5.0, N,
                            np.random.default_rng(1), step=H, t_max=TM)
@@ -308,10 +309,13 @@ class TestExponentialTimeValues:
 
 
 # The stepped engine, bit for bit: float.hex of `foc_residuals` (per rule of
-# RULES: supergradient, SE, hit fraction; then slackness and its SE) and of
+# RULES: supergradient, SE, hit fraction; then slackness and its SE), of
 # `compare_policies` (per scale 0.5, 1, 2: J, SE, investment PV, SE,
-# J(1) - J(s), SE), at 2000 paths in chunks of 700, step 0.01, t_max 2.
-# Recorded from the engine that looked b up on every path at every step.
+# J(1) - J(s), SE) and of `stopping_value` at y = 2 b(0) (value, SE), at
+# 2000 paths in chunks of 700, step 0.01, t_max 2.  The brownian and kou
+# foc and compare pins were recorded from the engine that looked b up on
+# every path at every step; the merton and stopping pins from the engine
+# whose steps allocated every path-sized array afresh.
 RULES = (StoppingRule.fixed(0.0), StoppingRule.fixed(0.5), StoppingRule.fixed(2.0),
          StoppingRule.hit_above(0.3), StoppingRule.hit_below(-0.4))
 PINS = {
@@ -330,6 +334,7 @@ PINS = {
             "0x1.0b314da8e17e1p-8", "0x0.0p+0", "0x0.0p+0",
             "0x1.97bf7732a9efap-4", "0x1.df0d0a840d874p-10", "0x1.7d193354f6e7cp-3",
             "0x1.0b314da8e17e3p-7", "0x1.b59c0858b17d6p-6", "0x1.9b6f86b0990ecp-10"],
+        "stopping": ["0x1.c760916a6de4fp-1", "0x1.c729db5fb91aap-9"],
     },
     "kou": {
         "foc": [
@@ -346,6 +351,24 @@ PINS = {
             "0x1.7de1c5cfc9440p-14", "0x0.0p+0", "0x0.0p+0",
             "0x1.79e4a0c58809cp-4", "0x1.b128b36c52a61p-13", "0x1.5f6722a5a204ap-5",
             "0x1.7de1c5cfc9441p-13", "-0x1.a90719ea1c754p-11", "0x1.1cead09d52135p-15"],
+        "stopping": ["0x1.dd1e90a6cdb68p-1", "0x1.6e8218c248c73p-10"],
+    },
+    "merton": {
+        "foc": [
+            "0x1.c082bd757f5b7p-3", "0x1.66ee5b8ae9d74p-10", "0x1.0000000000000p+0",
+            "0x1.709775e6d554ep-5", "0x1.b990685184730p-11", "0x1.0000000000000p+0",
+            "-0x1.2c155b8213cf2p-6", "0x1.6e72f1bd14a14p-63", "0x1.0000000000000p+0",
+            "0x1.1ce3ca13b0185p-5", "0x1.56bef6612474ap-10", "0x1.1a1cac083126fp-1",
+            "-0x1.10246383e1b74p-8", "0x1.1d5aa9ac58e9dp-11", "0x1.c624dd2f1a9fcp-2",
+            "0x1.8b3be1bea42e9p-10", "0x1.3a758f989f01cp-15"],
+        "compare": [
+            "0x1.79b8b5acd97c1p-4", "0x1.f3191e7c12943p-13", "0x1.7f3c44f85152fp-12",
+            "0x1.0c97dd99ae026p-15", "0x1.356509b363b27p-9", "0x1.01643a2647848p-14",
+            "0x1.8363ddfa7499ap-4", "0x1.36a7ab225e706p-12", "0x1.12dfd6c6a630ep-7",
+            "0x1.6916cb6012e2ap-13", "0x0.0p+0", "0x0.0p+0",
+            "0x1.826dafee7dc6dp-4", "0x1.53a96863bcfbfp-12", "0x1.a0e599e0c660ap-5",
+            "0x1.6916cb6012e2ap-12", "0x1.ec5c17eda5c13p-13", "0x1.4c5cd24aa90e0p-15"],
+        "stopping": ["0x1.e2f3b3b4da31cp-1", "0x1.e27d426c951ffp-10"],
     },
 }
 
@@ -361,11 +384,16 @@ def _pinned_compare(model, workers=1):
                             workers=workers)
 
 
+def _pinned_stopping(model, workers=1):
+    return stopping_value(CD, model, R, TABLE, 0.0, 2.0 * float(TABLE(0.0)), 2000,
+                          np.random.default_rng(43), step=0.01, t_max=2.0, workers=workers)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_stepped_engine_pinned_bit_for_bit(name, workers, monkeypatch):
     monkeypatch.setattr(levyinvest.levy, "_CHUNK", 700)
-    model = {"brownian": BD, "kou": KOU}[name]
+    model = {"brownian": BD, "kou": KOU, "merton": MERTON}[name]
     rep, res = _pinned_foc(model, workers), _pinned_compare(model, workers)
     foc = [v for e in rep.entries for v in (e.supergradient, e.se, e.hit_fraction)]
     foc += [rep.slackness, rep.slackness_se]
@@ -375,6 +403,8 @@ def test_stepped_engine_pinned_bit_for_bit(name, workers, monkeypatch):
                                             row.pv_investment_se, row.base_minus_this,
                                             row.base_minus_this_se)]
     assert [v.hex() for v in rows] == PINS[name]["compare"]
+    # stopping_value runs the first-hit accumulator without reflection
+    assert [v.hex() for v in _pinned_stopping(model, workers)] == PINS[name]["stopping"]
 
 
 def test_lookups_only_where_the_maximum_moved(monkeypatch):

@@ -113,12 +113,44 @@ class TestEvaluation:
         for args in ((0.3, -0.5), (np.float64(0.3), np.array(-0.5)), (np.array(0.3), -0.5)):
             assert float(marginal_profit(p, *args)) == want
 
-    def test_cobb_douglas_marginal_rounds_like_one_expression(self):
-        p = cobb_douglas(0.3, 0.6)
+    # each kernel works in its result array, yet rounds like the kind's
+    # one-line formula, kept here as the reference
+    FORMULAS = {
+        "cobb_douglas": (
+            lambda p, lz, lc: np.exp(p.alpha * lz + p.beta * lc),
+            lambda p, lz, lc: p.beta * np.exp(p.alpha * lz + (p.beta - 1.0) * lc)),
+        "ces": (
+            lambda p, lz, lc: np.exp(lc) * (p.alpha * np.exp(p.gamma * (lz - lc))
+                                            + (1.0 - p.alpha)) ** (1.0 / p.gamma),
+            lambda p, lz, lc: (1.0 - p.alpha) * (p.alpha * np.exp(p.gamma * (lz - lc))
+                                                 + (1.0 - p.alpha))
+            ** ((1.0 - p.gamma) / p.gamma)),
+        "log": (lambda p, lz, lc: np.exp(lz) * lc, lambda p, lz, lc: np.exp(lz - lc)),
+    }
+
+    @pytest.mark.parametrize("p", [cobb_douglas(0.3, 0.6), ces(0.4, 0.7), ces(0.5, 0.5),
+                                   log_profit()],
+                             ids=["cobb_douglas", "ces", "ces_half", "log"])
+    def test_kernels_round_like_one_expression(self, p):
         lz = np.random.default_rng(4).normal(size=(1, 500))
         lc = np.array([[-0.5], [0.2]])
-        want = p.beta * np.exp(p.alpha * lz + (p.beta - 1.0) * lc)
-        assert np.array_equal(marginal_profit(p, lz, lc), want)
+        for kernel, formula in zip((evaluate, marginal_profit), self.FORMULAS[p.kind]):
+            assert np.array_equal(kernel(p, lz, lc), formula(p, lz, lc))
+
+    @pytest.mark.parametrize("p", [cobb_douglas(0.3, 0.6), ces(0.4, 0.7), log_profit()],
+                             ids=["cobb_douglas", "ces", "log"])
+    @pytest.mark.parametrize("kernel", [evaluate, marginal_profit])
+    def test_out_is_written_and_returned(self, p, kernel):
+        # the stepped engine passes a buffer it owns: per-path capacities,
+        # or one scalar capacity broadcast over the paths
+        rng = np.random.default_rng(5)
+        lz, lc = rng.normal(size=700), rng.normal(size=700)
+        for c in (lc, 0.3):
+            lz0 = lz.copy()
+            out = np.full(700, np.nan)
+            assert kernel(p, lz, c, out=out) is out
+            assert np.array_equal(out, kernel(p, lz, c))
+            assert np.array_equal(lz, lz0)
 
     def test_kappa_values(self):
         assert kappa(cobb_douglas(0.5, 0.5)) == 0.0
