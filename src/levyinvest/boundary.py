@@ -8,7 +8,8 @@ even at log-shock u: the unique positive root in y of
 where I is the running minimum of the shock process over an independent
 Exp(r) horizon.  The gap is strictly decreasing in y, blows up as y -> 0,
 and tends to kappa - r < 0 as y -> infinity, so bracketing by decades from
-y = 1 plus bisection in log y always lands on the root when r > kappa.
+y = 1 plus a bracketed root finder in log y (roots.bisect, Chandrupatla's
+method) always lands on the root when r > kappa.
 
 The expectation is a fixed weighted sum over nodes of I: Gauss-Laguerre per
 component of the exact exponential mixture of -I (exact mode, where all grid
@@ -183,8 +184,9 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
     """Roots b(us), their SEs (None in exact mode) and solver diagnostics.
 
     The gap falls in x = log y, so roots.expand_bracket_geometric walks
-    decades from y = 1 and roots.bisect halves the brackets to width 1e-10
-    in x.  Exact mode solves all points in one lockstep block; Monte Carlo
+    decades from y = 1 and hands its brackets, with the gap at both ends,
+    to roots.bisect, which narrows them to width 1e-10 in x by Chandrupatla's
+    method.  Exact mode solves all points in one lockstep block; Monte Carlo
     mode one point per block, so that each gap evaluation holds one
     pool-length row.  `iterations` counts the gap evaluations of the
     longest block."""
@@ -204,8 +206,8 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
             passes += 1
             return _gap(p, r, lz, w, x)[0]
 
-        lo, hi = expand_bracket_geometric(gap_at, np.zeros(len(block)))
-        x = bisect(gap_at, lo, hi, rel_tol=0.0, abs_tol=_LOG_ROOT_TOL)
+        bracket = expand_bracket_geometric(gap_at, np.zeros(len(block)))
+        x = bisect(gap_at, *bracket, rel_tol=0.0, abs_tol=_LOG_ROOT_TOL)
         root = np.exp(x)
         gap, se = _gap(p, r, lz, w, x, with_se=True)
         if se is not None:  # SE of the root: SE of the gap over its slope in y
@@ -236,7 +238,8 @@ def solve_boundary_point(p: ProfitFunction, factors: WienerHopfFactors,
 
     Walks by factors of 10 from y = 1 toward the root (at most 60 steps,
     else BracketFailure - raised up front whenever r <= kappa, where the gap
-    never turns negative), then bisects in log y to relative tolerance 1e-10.
+    never turns negative), then narrows that bracket in log y to width 1e-10
+    with roots.bisect (Chandrupatla's method): b to 1e-10 relative.
     """
     return float(_solve(p, factors, np.array([float(u)]))[0][0])
 
@@ -335,8 +338,9 @@ def ces_polynomial_constant(alpha: float, n: int, moments, r: float) -> float:
 
     where moments[j-1] = E[exp((j/n) * I)] for j = 1..n-1.  All coefficients
     are positive, so the left side increases from 0 and the positive root is
-    unique.  It is bracketed by decades and bisected in x = log K, where the
-    equation falls, to a bracket 1e-14 wide: K to about 1e-14 relative.
+    unique.  It is bracketed by decades in x = log K, where the equation
+    falls, and roots.bisect (Chandrupatla's method) narrows the bracket to
+    1e-14 wide: K to about 1e-14 relative.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")

@@ -149,9 +149,9 @@ def _psi(model: LevyModel, lam: float) -> float:
     """The closed form of the Laplace exponent, with no domain check.
 
     For kou it is continued as a rational function across its poles at
-    eta_plus and -eta_minus, because cramer_roots bisects it for the roots
-    of psi = r beyond the poles; for symmetric_stable it is meaningful only
-    at lam = 0.
+    eta_plus and -eta_minus, because cramer_roots solves it on brackets
+    between the poles for the roots of psi = r beyond them; for
+    symmetric_stable it is meaningful only at lam = 0.
     """
     base = model.mu * lam + 0.5 * model.sigma ** 2 * lam * lam
     if model.family is Family.MERTON:

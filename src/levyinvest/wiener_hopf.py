@@ -84,10 +84,12 @@ def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
     negative roots, one between each pair of adjacent poles (0 separates the
     signs).  They are located as the roots of the polynomial (psi - r) * pole
     factors, each given a 1e-9 relative bracket clipped to its pole interval,
-    and then bisected on psi - r itself, all in one roots.bisect call.  psi - r
-    rises through every positive root and falls through every negative one,
-    which orients the brackets; BracketFailure if a bracket's end values do
-    not have those signs.
+    and then solved on psi - r itself, all in one roots.bisect call
+    (Chandrupatla's method, which never leaves a bracket).  psi - r rises
+    through every positive root and falls through every negative one, which
+    orients the brackets; BracketFailure if a bracket's end values do not
+    have those signs.  The end values checked are the ones roots.bisect
+    starts from.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")
@@ -107,10 +109,11 @@ def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
     positive = edges[:-1] >= 0.0
     lo, hi = np.where(positive, above, below), np.where(positive, below, above)
     g = lambda lam: _psi(model, lam) - r
-    if not (np.all(g(lo) > 0.0) and np.all(g(hi) <= 0.0)):
+    g_lo, g_hi = g(lo), g(hi)
+    if not (np.all(g_lo > 0.0) and np.all(g_hi <= 0.0)):
         raise BracketFailure(f"psi - r does not change sign as expected on the brackets "
                              f"around the located roots {located.tolist()!r}")
-    return tuple(float(x) for x in bisect(g, lo, hi))
+    return tuple(float(x) for x in bisect(g, lo, hi, g_lo, g_hi))
 
 
 def _mixture_weights(rates, jumps) -> tuple[float, ...]:

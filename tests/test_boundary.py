@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning, _rule,
                                  integral_equation_residual, log_boundary,
                                  marginal_gap, solve_boundary_grid,
                                  solve_boundary_point)
+from levyinvest.config import load_config
 from levyinvest.errors import BracketFailure, DomainError, MonotonicityViolation
 from levyinvest.levy import LevyModel
 from levyinvest.profit import ces, cobb_douglas, log_profit
@@ -191,8 +193,21 @@ class TestSolvers:
         assert np.allclose(tab.values, ref.values, rtol=1e-8)
         assert tab.provenance == "generic_solver"
         assert tab.ses is None
-        assert 30 < tab.solver["iterations"] < 60
+        assert tab.solver["iterations"] <= 12
         assert 0.0 <= tab.solver["max_abs_gap"] < 1e-8
+
+    @pytest.mark.parametrize("name", ["merton_cobb_douglas", "stable_ces"])
+    def test_mc_table_is_affine_in_log_b(self, name):
+        # one pool makes the gap a function of alpha u + (beta - 1) log y
+        # (cobb_douglas) or of u - log y (ces), so log b(u) - u is the same
+        # root at every grid point (slope alpha / (1 - beta) = 1 and 1): the
+        # solver's precision shows where no closed form checks the table
+        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                       f"{name}.json"))
+        pool = sample_triplet(cfg.model, cfg.r, cfg.n_paths, np.random.default_rng(cfg.seed))
+        tab = solve_boundary_grid(cfg.profit, pool, cfg.u_min, cfg.u_max, cfg.grid_n)
+        offset = np.log(tab.values) - tab.grid
+        assert offset.max() - offset.min() <= 2e-10
 
     def test_mc_mode_keeps_ses(self):
         pool = sample_triplet(BD, R, 20000, np.random.default_rng(0))

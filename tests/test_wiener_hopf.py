@@ -71,7 +71,7 @@ class TestCramerRoots:
 
     def test_misplaced_root_is_never_returned(self, monkeypatch):
         # a located root on the pole: its bracket is clipped to one side of
-        # the pole, so bisection cannot converge to the pole instead
+        # the pole, so the root finder cannot converge to the pole instead
         located = np.array(cramer_roots(KOU, R_KOU))
         located[-1] = KOU.eta_plus
         monkeypatch.setattr(npoly, "polyroots", lambda c: located)
