@@ -10,11 +10,10 @@ factorization identities, an integral-equation residual, simulation of the
 induced capacity policy, and first-order optimality conditions.
 """
 
-from .boundary import (BoundaryTable, ExtrapolationWarning, cobb_douglas_boundary,
-                       ces_boundary_constant, ces_polynomial_constant,
-                       closed_form_boundary_table, integral_equation_residual,
-                       log_boundary, marginal_gap, solve_boundary_grid,
-                       solve_boundary_point)
+from .boundary import (BoundaryTable, ces_boundary_constant, ces_polynomial_constant,
+                       closed_form_boundary_table, cobb_douglas_boundary,
+                       integral_equation_residual, log_boundary, marginal_gap,
+                       solve_boundary_grid, solve_boundary_point)
 from .config import ExperimentConfig, load_config, parse_config
 from .errors import (BracketFailure, ConditionViolation, ConstructionError,
                      DomainError, LevyInvestError, MonotonicityViolation,
@@ -54,7 +53,7 @@ __all__ = [
     "evaluate", "marginal_profit", "kappa", "AssumptionCheck",
     "AssumptionReport", "check_assumptions",
     # boundary
-    "BoundaryTable", "ExtrapolationWarning", "marginal_gap",
+    "BoundaryTable", "marginal_gap",
     "solve_boundary_point", "solve_boundary_grid", "integral_equation_residual",
     "cobb_douglas_boundary", "ces_boundary_constant", "ces_polynomial_constant",
     "log_boundary", "closed_form_boundary_table",

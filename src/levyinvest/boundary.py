@@ -20,11 +20,7 @@ forms for cobb_douglas, ces and log profit serve as cross-checks.
 
 from __future__ import annotations
 
-import itertools
 import math
-import sys
-import traceback
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +34,6 @@ from .roots import bisect, expand_bracket_geometric
 from .wiener_hopf import WienerHopfFactors, inf_moment
 
 __all__ = [
-    "ExtrapolationWarning",
     "BoundaryTable",
     "marginal_gap",
     "solve_boundary_point",
@@ -57,35 +52,17 @@ _LOG_ROOT_TOL = 1e-10  # final bracket width in log y
 _LAGUERRE_NODES = 32  # per mixture component of -I
 
 
-class ExtrapolationWarning(UserWarning):
-    """A boundary table was evaluated outside its solved grid."""
-
-
-def _warn_extrapolated(b: "BoundaryTable", lo: float, hi: float) -> None:
-    """Issue one ExtrapolationWarning if the boundary arguments [lo, hi] leave
-    b's grid, attributed to the first caller outside the levyinvest package."""
-    g0, g1 = float(b.grid[0]), float(b.grid[-1])
-    if not (lo < g0 or hi > g1):
-        return
-    own = itertools.takewhile(
-        lambda fl: fl[0].f_globals.get("__name__", "").partition(".")[0] == "levyinvest",
-        traceback.walk_stack(sys._getframe(1)))
-    warnings.warn(f"boundary evaluated on [{float(lo)!r}, {float(hi)!r}], beyond its "
-                  f"solved grid [{g0!r}, {g1!r}]; edge-slope extrapolation was used",
-                  ExtrapolationWarning, stacklevel=2 + sum(1 for _ in own))
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryTable:
     """Solved boundary values on a log-shock grid, interpolated log-linearly.
 
     `log(u)` is piecewise linear in (u, log b) between grid points; beyond the
-    grid it continues with the nearest edge slope, finite for every finite u.
-    It is a pure lookup: `table(u)` is its exponential and emits one
-    ExtrapolationWarning when u leaves the grid, as every estimator in the
-    package does once per call for the range of boundary arguments it used.
-    Construction enforces strict grid increase, strictly positive values,
-    and nondecreasing values (to 1e-9 relative).
+    grid it continues silently with the nearest edge slope, finite for every
+    finite u, and `table(u)` is its exponential.  Every profit kind is
+    homothetic, so a solved or closed-form table is b(u) = K e^{s u} with
+    s = alpha/(1 - beta) (cobb_douglas) or 1 (ces, log): its edge slope is s,
+    and extrapolation is exact.  Construction enforces strict grid increase,
+    strictly positive values, and nondecreasing values (to 1e-9 relative).
     `solver` holds the generic solver's passes and largest |gap| at the roots.
     """
 
@@ -122,7 +99,7 @@ class BoundaryTable:
         object.__setattr__(self, "_log_values", np.log(values))
 
     def log(self, u):
-        """log b(u); a float for scalar u, else an array.  Never warns."""
+        """log b(u); a float for scalar u, else an array."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         g, lv = self.grid, self._log_values
         out = np.interp(u_arr, g, lv)
@@ -149,10 +126,7 @@ class BoundaryTable:
         return float(g[i] + (ly - lv[i]) / slope)
 
     def __call__(self, u):
-        """b(u), with one ExtrapolationWarning if any u leaves the grid."""
-        u_arr = np.asarray(u, dtype=float)
-        if u_arr.size:
-            _warn_extrapolated(self, u_arr.min(), u_arr.max())
+        """b(u); a float for scalar u, else an array."""
         res = np.exp(self.log(u))
         return float(res) if np.ndim(u) == 0 else res
 
@@ -275,14 +249,13 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
     u0 + M + I in the integral equation, and the pool draws (X_T, M) in their
     exact joint law.  `b` is a BoundaryTable, and the kernel reads
     log b(u0 + M) from `b.log`: sampled maxima routinely leave the solved
-    grid, and edge-slope extrapolation stays finite in log coordinates
-    however far they go; one ExtrapolationWarning names the range.  The
-    result does not depend on `workers`.
+    grid, and edge-slope extrapolation (exact on solved and closed-form
+    tables, see BoundaryTable) stays finite in log coordinates however far
+    they go.  The result does not depend on `workers`.
     """
     pool = sample_extrema(model, r, n, rng, workers=workers)
-    top = u0 + pool.running_max
-    _warn_extrapolated(b, u0, float(top.max()))
-    mean, se = _mean_se(marginal_profit(p, u0 + pool.terminal, b.log(top)))
+    mean, se = _mean_se(marginal_profit(p, u0 + pool.terminal,
+                                        b.log(u0 + pool.running_max)))
     return float(mean) - r, float(se)
 
 
@@ -367,15 +340,25 @@ def ces_polynomial_constant(alpha: float, n: int, moments, r: float) -> float:
 
 def closed_form_boundary_table(p: ProfitFunction, factors: WienerHopfFactors,
                                u_min: float, u_max: float, n: int) -> BoundaryTable:
-    """Boundary table from the closed form matching the profit kind."""
+    """Boundary table from the closed form matching the profit kind; a ces
+    constant comes from `ces_polynomial_constant` on exact moments where the
+    factors are exact and 1/gamma is an integer, else `ces_boundary_constant`."""
     us = np.linspace(u_min, u_max, n)
+    provenance = f"{p.kind}_closed_form"
     if p.kind == "cobb_douglas":
         vals = cobb_douglas_boundary(p, factors, us)
     elif p.kind == "ces":
-        vals = ces_boundary_constant(p, factors) * np.exp(us)
+        m = round(1.0 / p.gamma)
+        if factors.is_exact and 1.0 / p.gamma == m:  # m >= 2, as gamma < 1
+            provenance = "ces_polynomial_closed_form"
+            moments = [inf_moment(factors, j / m) for j in range(1, m)]
+            k = ces_polynomial_constant(p.alpha, m, moments, factors.r)
+        else:
+            k = ces_boundary_constant(p, factors)
+        vals = k * np.exp(us)
     elif p.kind == "log":
         vals = log_boundary(p, factors, us)
     else:
         raise UnsupportedModel(f"no closed-form boundary for {p.kind!r} profit")
     return BoundaryTable(grid=us, values=np.asarray(vals, dtype=float),
-                         provenance=f"{p.kind}_closed_form")
+                         provenance=provenance)

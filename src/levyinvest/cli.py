@@ -138,11 +138,11 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
     closed = closed_form_boundary_table(cfg.profit, factors,
                                         cfg.u_min, cfg.u_max, cfg.grid_n)
     rel = np.abs(table.values - closed.values) / closed.values
-    # Monte Carlo mode solves both tables on one pool, and the ces constant
-    # is the generic solver's own root at u = 0: neither is a second route
+    # Monte Carlo mode solves both tables on one pool, and the "ces_closed_form"
+    # constant is the generic solver's own root at u = 0: neither is a second route
     agreement = {"available": True, "provenance": closed.provenance,
                  "max_rel_err": float(rel.max()),
-                 "independent": factors.is_exact and cfg.profit.kind != "ces"}
+                 "independent": factors.is_exact and closed.provenance != "ces_closed_form"}
     payload = dict(_identity(cfg))
     payload.update({"integral_equation": points, "closed_form_agreement": agreement,
                     "n_paths": cfg.n_paths})

@@ -64,7 +64,6 @@ from functools import partial
 
 import numpy as np
 
-from .boundary import _warn_extrapolated
 from .errors import ConditionViolation, DomainError
 from .levy import (_MIN_REPLICATES, LevyModel, _increment, _mean_se, _run_chunks,
                    default_step, default_t_max, sample_extrema)
@@ -230,8 +229,7 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
     Otherwise both are None.  A step allocates only those moved-sized arrays,
     plus the jump families' Poisson counts and a profit kernel's one
     temporary (see `evaluate`).  Returns the `result()` arrays joined on the
-    last axis and the largest w_j (x if nothing reflects): b was read on
-    [x, that].
+    last axis.
     """
     disc = np.exp(-r * h * np.arange(n_steps + 1))
 
@@ -243,7 +241,6 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
         x_j, w_j, lz = np.zeros(m), np.full(m, -np.inf), np.empty(m)
         x_next, top = np.empty(m), np.empty(m)
         moved = lb = None
-        w_hi = x
         for j in range(1, n_steps + 1):
             if acc.done:
                 break
@@ -257,13 +254,11 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
                 w_moved = top[moved]
                 w_j[moved] = w_moved
                 lb = b.log(w_moved)
-                if moved.size:
-                    w_hi = max(w_hi, float(w_moved.max()))
             acc.step(j, x_j, lz, moved, lb)
-        return acc.result(), w_hi
+        return acc.result()
 
-    results, highs = zip(*_run_chunks(n, rng, workers, chunk))
-    return [np.concatenate(col, axis=-1) for col in zip(*results)], max(highs)
+    results = _run_chunks(n, rng, workers, chunk)
+    return [np.concatenate(col, axis=-1) for col in zip(*results)]
 
 
 class _Value:
@@ -407,9 +402,8 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     scales = _scales(scales)
     growth = _certified_growth(p, model, r)
     x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
-    (j_rows, pv_rows), w_hi = _forward(model, r, b, x, n_paths, rng, h, n_steps, workers,
-                                       partial(_Value, p, x, y, scales))
-    _warn_extrapolated(b, x, w_hi)
+    j_rows, pv_rows = _forward(model, r, b, x, n_paths, rng, h, n_steps, workers,
+                               partial(_Value, p, x, y, scales))
     j_base = j_rows[scales.index(1.0)]
     rows = tuple(_row(s, j_rows[k], pv_rows[k], j_base) for k, s in enumerate(scales))
     return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=n_steps * h,
@@ -438,9 +432,7 @@ def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x:
             "exponential-time estimator variance cannot be certified: psi(2 lam) >= r "
             "for a growth exponent lam; use compare_policies")
     pool = sample_extrema(model, r, n_paths, rng, workers=workers)
-    top = x + pool.running_max
-    _warn_extrapolated(b, x, float(top.max()))
-    lb_top = b.log(top)
+    lb_top = b.log(x + pool.running_max)
     lz, ly = x + pool.terminal, math.log(y)
 
     def rows(s: float):
@@ -481,10 +473,9 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
              for rule in rules]
     if any(kind == "fixed" and k > n_steps for kind, k in stops):
         raise DomainError("fixed stopping times must lie within the truncation horizon")
-    (a_end, a_tau, d_tau, hit, slack), w_hi = _forward(
+    a_end, a_tau, d_tau, hit, slack = _forward(
         model, r, b, x, n_paths, rng, h, n_steps, workers,
         partial(_FirstHits, p, x, y, True, stops))
-    _warn_extrapolated(b, x, w_hi)
     sg, sg_se = _mean_se(np.where(hit, a_end - a_tau - d_tau, 0.0))
     slackness, slackness_se = _mean_se(slack)
     entries = tuple(FOCEntry(rule=rule, supergradient=float(sg[k]), se=float(sg_se[k]),
@@ -505,8 +496,7 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     so tau is the first passage of X above a = inf{u : b(u) >= y} - x, read
     once off the table; a = -inf, and the result exactly (1.0, 0.0), when
     y <= b(x) as `b(x)` computes it.  Never exceeds 1 beyond noise.  b is
-    read at x and at the threshold x + a only, so an extrapolation warning
-    names [x, x], widened to x + a when a is finite.
+    read at x and at the threshold x + a only.
     ConditionViolation when no growth certificate exists, before any path.
     """
     _certified_growth(p, model, r)
@@ -514,9 +504,7 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     # in logs first, so that b(x) is formed only below y and cannot overflow
     ly, lbx = math.log(y), b.log(x)
     a = -math.inf if lbx >= ly or y <= np.exp(lbx) else b.first_reach(ly) - x
-    ends = (x, x + a) if math.isfinite(a) else (x, x)
-    _warn_extrapolated(b, min(ends), max(ends))
-    (a_end, a_tau, d_tau, hit, _), _ = _forward(
+    a_end, a_tau, d_tau, hit, _ = _forward(
         model, r, b, x, n_paths, rng, h, n_steps, workers,
         partial(_FirstHits, p, x, y, False, [("hit_above", a)]))
     mean, se = _mean_se(np.where(hit[0], a_tau[0] + d_tau[0], a_end))

@@ -4,12 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning, _rule,
-                                 _warn_extrapolated,
-                                 ces_boundary_constant, ces_polynomial_constant,
-                                 closed_form_boundary_table, cobb_douglas_boundary,
-                                 integral_equation_residual, log_boundary,
-                                 marginal_gap, solve_boundary_grid,
+from levyinvest.boundary import (BoundaryTable, _rule, ces_boundary_constant,
+                                 ces_polynomial_constant, closed_form_boundary_table,
+                                 cobb_douglas_boundary, integral_equation_residual,
+                                 log_boundary, marginal_gap, solve_boundary_grid,
                                  solve_boundary_point)
 from levyinvest.config import load_config
 from levyinvest.errors import BracketFailure, DomainError, MonotonicityViolation
@@ -23,6 +21,8 @@ WH = exact_factors(BD, R)
 CD = cobb_douglas(0.5, 0.5)
 KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
 WH_KOU = exact_factors(KOU, 0.5)
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+FAR = (-8.0, 6.0, 12.0)  # log shocks far off every grid used here
 
 
 class TestBoundaryTable:
@@ -39,37 +39,6 @@ class TestBoundaryTable:
                             provenance="test")
         assert tab(0.5) == pytest.approx(np.exp(0.5))
 
-    def test_extrapolation_warns(self):
-        tab = BoundaryTable(grid=np.array([0.0, 1.0]),
-                            values=np.array([1.0, np.e]),
-                            provenance="test")
-        with pytest.warns(ExtrapolationWarning):
-            high = tab(3.0)
-        assert high == pytest.approx(np.exp(3.0))
-
-    def test_extrapolation_warning_shows_plain_floats(self):
-        tab = BoundaryTable(grid=np.array([-2.0, 2.0]), values=np.array([1.0, 2.0]),
-                            provenance="test")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tab(3.0)
-            _warn_extrapolated(tab, np.float64(0.0), np.float64(3.0))
-        texts = [str(w.message) for w in caught]
-        assert len(texts) == 2
-        for text in texts:
-            assert "[-2.0, 2.0]" in text and "np.float64" not in text
-
-    def test_extrapolation_warning_names_the_caller(self):
-        tab = BoundaryTable(grid=np.array([-0.1, 0.1]), values=np.array([1.0, 1.1]),
-                            provenance="test")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tab(3.0)
-            integral_equation_residual(tab, CD, BD, R, 0.0, 2000,
-                                       np.random.default_rng(0))
-        assert len(caught) == 2
-        assert all(w.filename == __file__ for w in caught)
-
     def test_vector_and_scalar_calls(self):
         tab = BoundaryTable(grid=np.array([0.0, 1.0]),
                             values=np.array([1.0, 2.0]),
@@ -85,8 +54,8 @@ class TestBoundaryTable:
         np.testing.assert_allclose(tab.log(u), np.log(tab(u)), rtol=0.0, atol=1e-15)
         assert tab.log(0.3) == pytest.approx(np.log(tab(0.3)), abs=1e-15)
         assert isinstance(tab.log(0.3), float)
-        # far beyond the grid b overflows, its logarithm does not; the lookup
-        # itself is quiet, since the estimators report their own ranges
+        # far beyond the grid b overflows, its logarithm does not, and the
+        # lookup is silent
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             far = tab.log(np.array([-1e4, 1e4]))
@@ -202,12 +171,15 @@ class TestSolvers:
         # (cobb_douglas) or of u - log y (ces), so log b(u) - u is the same
         # root at every grid point (slope alpha / (1 - beta) = 1 and 1): the
         # solver's precision shows where no closed form checks the table
-        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                                       f"{name}.json"))
+        cfg = load_config(os.path.join(EXAMPLES, f"{name}.json"))
         pool = sample_triplet(cfg.model, cfg.r, cfg.n_paths, np.random.default_rng(cfg.seed))
         tab = solve_boundary_grid(cfg.profit, pool, cfg.u_min, cfg.u_max, cfg.grid_n)
         offset = np.log(tab.values) - tab.grid
         assert offset.max() - offset.min() <= 2e-10
+        # so edge-slope extrapolation is exact far off the grid
+        for u in FAR:
+            direct = np.log(solve_boundary_point(cfg.profit, pool, u))
+            assert abs(tab.log(u) - direct) <= 2e-10, u
 
     def test_mc_mode_keeps_ses(self):
         pool = sample_triplet(BD, R, 20000, np.random.default_rng(0))
@@ -223,6 +195,26 @@ class TestSolvers:
     def test_grid_needs_two_points(self):
         with pytest.raises(DomainError):
             solve_boundary_grid(CD, WH, -1.0, 1.0, 1)
+
+
+class TestScalingLaw:
+    # the law that makes edge-slope extrapolation exact on every table the
+    # package builds: log b(u) - s u is one constant, on the grid and far off it
+    @pytest.mark.parametrize("prof", [cobb_douglas(0.3, 0.6), ces(0.5, 0.5), log_profit()],
+                             ids=["cobb_douglas", "ces", "log"])
+    @pytest.mark.parametrize("wh", [WH, WH_KOU], ids=["brownian", "kou"])
+    def test_exact_tables_follow_the_law(self, prof, wh):
+        # each kind is homothetic: the gap at (u, log y) depends on
+        # alpha u + (beta - 1) log y (cobb_douglas) or on u - log y (ces, log)
+        s = prof.alpha / (1.0 - prof.beta) if prof.kind == "cobb_douglas" else 1.0
+        solved = solve_boundary_grid(prof, wh, -2.0, 2.0, 21)
+        closed = closed_form_boundary_table(prof, wh, -2.0, 2.0, 21)
+        for tab in (solved, closed):
+            offset = np.log(tab.values) - s * tab.grid
+            assert offset.max() - offset.min() <= 1e-12, tab.provenance
+            for u in FAR:
+                direct = np.log(solve_boundary_point(prof, wh, u))
+                assert abs(tab.log(u) - direct) <= 1e-12, (tab.provenance, u)
 
 
 class TestRule:
@@ -296,10 +288,31 @@ class TestClosedForms:
     def test_closed_form_table_provenances(self):
         assert closed_form_boundary_table(CD, WH, -1, 1, 5).provenance \
             == "cobb_douglas_closed_form"
-        assert closed_form_boundary_table(ces(0.5, 0.5), WH, -1, 1, 5).provenance \
+        assert closed_form_boundary_table(ces(0.5, 0.3), WH, -1, 1, 5).provenance \
             == "ces_closed_form"
+        assert closed_form_boundary_table(ces(0.5, 0.5), WH, -1, 1, 5).provenance \
+            == "ces_polynomial_closed_form"
         assert closed_form_boundary_table(log_profit(), WH, -1, 1, 5).provenance \
             == "log_closed_form"
+        # Monte Carlo moments keep the generic constant
+        pool = sample_triplet(BD, R, 2000, np.random.default_rng(0))
+        assert closed_form_boundary_table(ces(0.5, 0.5), pool, -1, 1, 5).provenance \
+            == "ces_closed_form"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("model, r",
+                             [(KOU, 0.5), (BD, R), (LevyModel.brownian(-0.1, 1.0), 1.0)],
+                             ids=["kou_ces", "criterion_4", "brownian_log"])
+    def test_ces_polynomial_table_matches_generic_solver(self, model, r, alpha, n):
+        # for 1/gamma = n the exact-mode table's constant comes from the
+        # binomial reduction on exact moments, a route that shares no rule
+        # with the generic solver
+        wh, p = exact_factors(model, r), ces(alpha, 1.0 / n)
+        tab = closed_form_boundary_table(p, wh, -1.0, 1.0, 5)
+        assert tab.provenance == "ces_polynomial_closed_form"
+        k = ces_boundary_constant(p, wh)
+        np.testing.assert_allclose(tab.values / np.exp(tab.grid), k, rtol=1e-12, atol=0.0)
 
 
 class TestIntegralEquation:

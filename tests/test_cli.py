@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -143,10 +144,13 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("model, profit, independent", [
         (FAST_CONFIG["model"], FAST_CONFIG["profit"], True),
-        (FAST_CONFIG["model"], {"kind": "ces", "alpha": 0.5, "gamma": 0.5}, False),
+        # 1/gamma is no integer: the constant is the generic solver's own root
+        (FAST_CONFIG["model"], {"kind": "ces", "alpha": 0.5, "gamma": 0.3}, False),
+        # 1/gamma = 2: the binomial reduction on exact moments
+        (FAST_CONFIG["model"], {"kind": "ces", "alpha": 0.5, "gamma": 0.5}, True),
         ({"family": "merton", "mu": 0.0, "sigma": 0.3, "jump_intensity": 2.0,
           "jump_mean": -0.05, "jump_sd": 0.2}, FAST_CONFIG["profit"], False),
-    ], ids=["exact_cobb_douglas", "exact_ces", "monte_carlo"])
+    ], ids=["exact_cobb_douglas", "exact_ces", "exact_ces_polynomial", "monte_carlo"])
     def test_verify_labels_independence(self, tmp_path, model, profit, independent):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(FAST_CONFIG, model=model, profit=profit, r=1.0)),
@@ -155,6 +159,22 @@ class TestSubcommands:
         assert main(["verify", "--config", str(path), "--out", out]) == 0
         agreement = json.loads(read(out + "/verify.json"))["closed_form_agreement"]
         assert agreement["independent"] is independent
+
+    @pytest.mark.parametrize("name, commands", [
+        ("kou_ces", ("verify", "simulate", "compare")),
+        ("merton_cobb_douglas", ("verify", "simulate", "compare")),
+        ("stable_ces", ("verify",)),
+    ], ids=["kou_ces", "merton_cobb_douglas", "stable_ces"])
+    def test_runs_write_no_warning(self, name, commands, tmp_path, capsys):
+        # sampled maxima leave every grid, and every table the package builds
+        # extrapolates exactly along b(u) = K e^{s u}: nothing to warn about
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for command in commands:
+                assert main([command, "--config", example_path(name),
+                             "--out", str(tmp_path / command)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name", EXAMPLES)
     def test_verify_reports_table_se(self, name, tmp_path):

@@ -1,6 +1,4 @@
 import os
-import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +6,7 @@ from numpy.polynomial.laguerre import laggauss
 
 import levyinvest.levy
 import levyinvest.policy
-from levyinvest.boundary import (BoundaryTable, ExtrapolationWarning,
-                                 closed_form_boundary_table, solve_boundary_grid)
+from levyinvest.boundary import BoundaryTable, closed_form_boundary_table, solve_boundary_grid
 from levyinvest.config import load_config
 from levyinvest.errors import ConditionViolation, DomainError
 from levyinvest.levy import LevyModel, default_t_max, laplace_exponent
@@ -191,20 +188,16 @@ class TestThreshold:
         g = table.grid
         xs = np.concatenate([g, 0.5 * (g[1:] + g[:-1]), g[0] - np.linspace(0.05, 1.0, 20),
                              g[-1] + np.linspace(0.05, 1.0, 20)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            for x in xs:
-                x = float(x)
-                v = stopping_value(CD, BD, R, table, x, float(table(x)), 1000,
-                                   np.random.default_rng(0), step=0.5, t_max=1.0)
-                assert v == (1.0, 0.0), x
+        for x in xs:
+            x = float(x)
+            v = stopping_value(CD, BD, R, table, x, float(table(x)), 1000,
+                               np.random.default_rng(0), step=0.5, t_max=1.0)
+            assert v == (1.0, 0.0), x
 
     def test_no_overflow_where_b_exceeds_every_float(self):
         # log b(800) is about 800, so b(x) overflows; the comparison must not
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            v = stopping_value(CD, BD, R, TABLE, 800.0, 1.0, 1000, np.random.default_rng(0),
-                               step=0.5, t_max=1.0)
+        v = stopping_value(CD, BD, R, TABLE, 800.0, 1.0, 1000, np.random.default_rng(0),
+                           step=0.5, t_max=1.0)
         assert v == (1.0, 0.0)
 
     def test_reads_the_table_once(self, monkeypatch):
@@ -281,12 +274,10 @@ class TestExponentialTimeValues:
 
         m, w_m = rule(factors.max_rates, factors.max_weights)
         neg_i, w_i = rule(factors.min_rates, factors.min_weights)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            b_m = table(cfg.x + m)[:, None]
-            res = exponential_time_values(cfg.profit, cfg.model, cfg.r, table, cfg.x,
-                                          cfg.y, cfg.scales, cfg.n_paths,
-                                          np.random.default_rng(cfg.seed))
+        b_m = table(cfg.x + m)[:, None]
+        res = exponential_time_values(cfg.profit, cfg.model, cfg.r, table, cfg.x,
+                                      cfg.y, cfg.scales, cfg.n_paths,
+                                      np.random.default_rng(cfg.seed))
         lz = cfg.x + m[:, None] - neg_i[None, :]
         assert [row.scale for row in res.rows] == list(cfg.scales)
         for row in res.rows:
@@ -418,62 +409,3 @@ def test_lookups_only_where_the_maximum_moved(monkeypatch):
         points.clear()
         call = run(BD)
         assert 0 < sum(points) <= 0.1 * call.n_paths * round(call.t_max / call.step)
-
-class TestExtrapolationReport:
-    # 40000 paths run as three chunks; the warning's range is reduced from
-    # per-chunk results after the join, so threads cannot lose an update.
-    # A short switch interval makes the threads interleave as often as they can.
-    # Every engine attributes its warning to the line that called it.
-    @pytest.mark.parametrize("engine", ["evaluate_profit", "compare_policies",
-                                        "exponential_time_values", "foc_residuals",
-                                        "stopping_value"])
-    def test_warning_text_worker_invariant(self, engine):
-        bx = float(TABLE(0.0))
-        texts = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (1, 4):
-                kwargs = dict(step=H, t_max=TM, workers=workers)
-                rng = np.random.default_rng(19)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    if engine == "evaluate_profit":
-                        evaluate_profit(CD, BD, R, TABLE, 0.0, 0.05, 40000, rng, **kwargs)
-                    elif engine == "compare_policies":
-                        compare_policies(CD, BD, R, TABLE, 0.0, 0.05, [0.5, 2.0], 40000,
-                                         rng, **kwargs)
-                    elif engine == "exponential_time_values":
-                        # r = 5 > psi(2) = 4 certifies the pool's variance
-                        exponential_time_values(CD, BD, 5.0, TABLE, 0.0, 0.05, [0.5, 2.0],
-                                                40000, rng, **kwargs)
-                    elif engine == "foc_residuals":
-                        foc_residuals(CD, BD, R, TABLE, 0.0, bx,
-                                      (StoppingRule.fixed(0.5),), 40000, rng, **kwargs)
-                    else:
-                        # the threshold x + a = 2.19 leaves the grid; at x = 0 it is inside
-                        stopping_value(CD, BD, R, TABLE, 1.5, 2.0 * float(TABLE(1.5)),
-                                       40000, rng, **kwargs)
-                ours = [w for w in caught if issubclass(w.category, ExtrapolationWarning)]
-                assert [w.filename for w in ours] == [__file__]
-                texts.append([str(w.message) for w in ours])
-        finally:
-            sys.setswitchinterval(interval)
-        assert texts[0] == texts[1]
-
-    @pytest.mark.parametrize("x, mult", [(0.0, 2.0), (1.5, 2.0), (3.0, 0.5)])
-    def test_stopping_value_names_the_points_it_read(self, x, mult):
-        # b is read at x and at the threshold x + a, never along the paths,
-        # which leave the grid [-2, 2] here
-        y = mult * float(TABLE(x))
-        a = TABLE.first_reach(np.log(y)) - x if mult > 1.0 else -np.inf
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stopping_value(CD, BD, R, TABLE, x, y, 4000, np.random.default_rng(19),
-                           step=H, t_max=TM)
-        texts = [str(w.message) for w in caught
-                 if issubclass(w.category, ExtrapolationWarning)]
-        hi = x + a if np.isfinite(a) else x
-        assert texts == ([] if hi <= 2.0 else
-                         [f"boundary evaluated on [{x!r}, {hi!r}], beyond its solved "
-                          f"grid [-2.0, 2.0]; edge-slope extrapolation was used"])
