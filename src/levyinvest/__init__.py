@@ -28,8 +28,7 @@ from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
                      check_assumptions, cobb_douglas, ces, evaluate,
                      kappa, log_profit, marginal_profit)
 from .wiener_hopf import (WienerHopfFactors, cramer_roots, exact_factors, inf_moment,
-                          inf_moment_with_se, sample_triplet,
-                          sup_moment_diagnostics, sup_moment_with_se,
+                          inf_moment_with_se, sample_triplet, sup_moment_diagnostics,
                           wh_identity_residual)
 
 __version__ = "0.1.0"
@@ -46,8 +45,7 @@ __all__ = [
     # factorization
     "WienerHopfFactors", "cramer_roots",
     "exact_factors", "sample_triplet", "inf_moment", "inf_moment_with_se",
-    "sup_moment_with_se", "sup_moment_diagnostics",
-    "wh_identity_residual",
+    "sup_moment_diagnostics", "wh_identity_residual",
     # profit
     "ProfitFunction", "cobb_douglas", "ces", "log_profit",
     "evaluate", "marginal_profit", "kappa", "AssumptionCheck",

@@ -131,6 +131,14 @@ class BoundaryTable:
         return float(res) if np.ndim(u) == 0 else res
 
 
+def _log_shock(u) -> float:
+    """u as a float; DomainError unless it is finite."""
+    u = float(u)
+    if not math.isfinite(u):
+        raise DomainError(f"log shock must be finite, got {u!r}")
+    return u
+
+
 def _rule(factors: WienerHopfFactors):
     """Nodes i, weights w with E[f(I)] = sum_j w_j f(i_j); w None: the pool mean.
 
@@ -198,10 +206,11 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
 def marginal_gap(p: ProfitFunction, factors: WienerHopfFactors, u: float,
                  y: float) -> tuple[float, float]:
     """E[pi_c(exp(u + I), y)] - r with its standard error (0 in exact mode)."""
+    u = _log_shock(u)
     if not y > 0:
         raise DomainError(f"capacity must be > 0, got {y!r}")
     nodes, w = _rule(factors)
-    lz = np.add.outer(np.array([float(u)]), nodes)
+    lz = np.add.outer(np.array([u]), nodes)
     gap, se = _gap(p, factors.r, lz, w, np.log([float(y)]), with_se=True)
     return float(gap[0]), 0.0 if se is None else float(se[0])
 
@@ -215,7 +224,7 @@ def solve_boundary_point(p: ProfitFunction, factors: WienerHopfFactors,
     never turns negative), then narrows that bracket in log y to width 1e-10
     with roots.bisect (Chandrupatla's method): b to 1e-10 relative.
     """
-    return float(_solve(p, factors, np.array([float(u)]))[0][0])
+    return float(_solve(p, factors, np.array([_log_shock(u)]))[0][0])
 
 
 def solve_boundary_grid(p: ProfitFunction, factors: WienerHopfFactors,
@@ -229,7 +238,7 @@ def solve_boundary_grid(p: ProfitFunction, factors: WienerHopfFactors,
     """
     if not n >= 2:
         raise DomainError(f"grid needs at least 2 points, got {n!r}")
-    if not u_max > u_min:
+    if not _log_shock(u_max) > _log_shock(u_min):
         raise DomainError(f"need u_max > u_min, got [{u_min!r}, {u_max!r}]")
     us = np.linspace(u_min, u_max, n)
     roots, ses, solver = _solve(p, factors, us)
@@ -253,6 +262,7 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
     tables, see BoundaryTable) stays finite in log coordinates however far
     they go.  The result does not depend on `workers`.
     """
+    u0 = _log_shock(u0)
     pool = sample_extrema(model, r, n, rng, workers=workers)
     mean, se = _mean_se(marginal_profit(p, u0 + pool.terminal,
                                         b.log(u0 + pool.running_max)))

@@ -43,9 +43,8 @@ from .config import ExperimentConfig, _as_seed, load_config
 from .errors import DomainError, LevyInvestError, UnsupportedModel, ValidationError
 from .profit import _certified_growth, _certified_variance, check_assumptions
 from .policy import _at_base, compare_policies, exponential_time_values
-from .wiener_hopf import (_identity_target, exact_factors, inf_moment_with_se,
-                          sample_triplet, sup_moment_diagnostics, sup_moment_with_se,
-                          wh_identity_residual)
+from .wiener_hopf import (_identity_target, exact_factors, inf_moment, inf_moment_with_se,
+                          sample_triplet, sup_moment_diagnostics, wh_identity_residual)
 
 __all__ = ["main"]
 
@@ -161,10 +160,10 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     else:
         exact_block = {
             "roots": list(exact.roots),
-            "inf_moment_at_1": inf_moment_with_se(exact, 1.0)[0],
+            "inf_moment_at_1": inf_moment(exact, 1.0),
         }
         try:
-            exact_block["sup_moment_at_1"] = sup_moment_with_se(exact, 1.0)[0]
+            exact_block["sup_moment_at_1"] = sup_moment_diagnostics(exact, 1.0)["estimate"]
         except DomainError as exc:
             exact_block["sup_moment_at_1"] = None
             exact_block["sup_moment_note"] = str(exc)

@@ -34,7 +34,6 @@ __all__ = [
     "sample_triplet",
     "inf_moment",
     "inf_moment_with_se",
-    "sup_moment_with_se",
     "sup_moment_diagnostics",
     "wh_identity_residual",
 ]
@@ -148,69 +147,52 @@ def sample_triplet(model: LevyModel, r: float, n: int, rng: np.random.Generator,
     return WienerHopfFactors(model=model, r=r, pool=pool)
 
 
-def _mixture_moment(weights, rates, lam: float, sign: int) -> float:
-    # E[e^{lam * sign * S}] for S ~ mixture of exponentials with the given
-    # rates: each term contributes rho / (rho - sign * lam).  sign=-1 for I
-    # (I = -S, always finite at lam >= 0), sign=+1 for M.
+def _moment(factors: WienerHopfFactors, lam: float,
+            sup: bool) -> tuple[float, float, np.ndarray | None]:
+    """E[exp(lam * M)] (sup) or E[exp(lam * I)], its standard error and the
+    per-draw terms exp(lam * extremum) of the pool; exact factors sum their
+    mixture (a rate rho contributes rho / (rho -+ lam)), SE 0.0, terms None."""
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
+    if not sup and lam < 0:
+        raise DomainError(f"inf_moment requires lambda >= 0, got {lam!r}")
+    if not factors.is_exact:
+        terms = np.exp(lam * (factors.pool.running_max if sup else factors.pool.running_min))
+        mean, se = _mean_se(terms)
+        return float(mean), float(se), terms
+    rates, weights = ((factors.max_rates, factors.max_weights) if sup
+                      else (factors.min_rates, factors.min_weights))
+    if sup and lam >= min(rates):
+        raise DomainError(f"sup moment diverges for lambda >= {min(rates)!r}, got {lam!r}")
     total = 0.0
     for w, rho in zip(weights, rates):
-        total += w * rho / (rho - sign * lam)
-    return total
+        total += w * rho / (rho - lam if sup else rho + lam)
+    return total, 0.0, None
 
 
 def inf_moment(factors: WienerHopfFactors, lam: float) -> float:
     """E[exp(lam * I)] for lam >= 0 (always finite since I <= 0)."""
-    return inf_moment_with_se(factors, lam)[0]
+    return _moment(factors, lam, sup=False)[0]
 
 
 def inf_moment_with_se(factors: WienerHopfFactors, lam: float) -> tuple[float, float]:
     """E[exp(lam * I)] and its standard error (0 in exact mode)."""
-    lam = float(lam)
-    if lam < 0:
-        raise DomainError(f"inf_moment requires lambda >= 0, got {lam!r}")
-    if factors.is_exact:
-        return _mixture_moment(factors.min_weights, factors.min_rates, lam, sign=-1), 0.0
-    mean, se = _mean_se(np.exp(lam * factors.pool.running_min))
-    return float(mean), float(se)
-
-
-def sup_moment_with_se(factors: WienerHopfFactors, lam: float) -> tuple[float, float]:
-    """E[exp(lam * M)] and its standard error (0 in exact mode).
-
-    Exact mode requires lam below the smallest positive root of psi = r
-    (the moment diverges there); Monte Carlo mode evaluates any lam but the
-    estimate may be heavy-tailed - see sup_moment_diagnostics.
-    """
-    lam = float(lam)
-    if factors.is_exact:
-        smallest = min(factors.max_rates)
-        if lam >= smallest:
-            raise DomainError(
-                f"sup moment diverges for lambda >= {smallest!r}, got {lam!r}"
-            )
-        return _mixture_moment(factors.max_weights, factors.max_rates, lam, sign=+1), 0.0
-    mean, se = _mean_se(np.exp(lam * factors.pool.running_max))
-    return float(mean), float(se)
+    return _moment(factors, lam, sup=False)[:2]
 
 
 def sup_moment_diagnostics(factors: WienerHopfFactors, lam: float) -> dict:
-    """Stability diagnostics for the Monte Carlo sup-moment estimator.
-
-    `max_term_share` is the largest single sample's share of the estimator
-    sum; values near 1 mean the estimate is dominated by one draw, the
-    telltale of a diverging (or barely finite) moment.
-    """
-    if factors.is_exact:
-        raise UnsupportedModel("diagnostics apply to Monte Carlo factors only")
-    terms = np.exp(float(lam) * factors.pool.running_max)
-    total = float(terms.sum())
-    mean, se = _mean_se(terms)
-    return {
-        "estimate": float(mean),
-        "se": float(se),
-        "max_term_share": float(terms.max() / total) if total > 0 else float("nan"),
-        "n": int(len(terms)),
-    }
+    """E[exp(lam * M)] as "estimate" with its "se", and "max_term_share": the
+    largest single draw's share of the estimator sum, where values near 1 mean
+    one draw dominates, the telltale of a diverging (or barely finite) moment.
+    Exact factors give se 0.0 and max_term_share None, and DomainError where the
+    moment diverges (lam at or above the smallest positive root of psi = r)."""
+    mean, se, terms = _moment(factors, lam, sup=True)
+    share = None
+    if terms is not None:
+        total = float(terms.sum())
+        share = float(terms.max() / total) if total > 0 else float("nan")
+    return {"estimate": mean, "se": se, "max_term_share": share}
 
 
 def _identity_target(model: LevyModel, r: float) -> float:
@@ -226,20 +208,19 @@ def _identity_target(model: LevyModel, r: float) -> float:
 def wh_identity_residual(factors: WienerHopfFactors) -> tuple[float, float]:
     """Monte Carlo check of E[e^M] * E[e^I] = r / (r - psi(1)) on the factors' pool.
 
-    Forms the product of the two sample means that sup_moment_with_se and
-    inf_moment_with_se report, and returns (product - target, propagated
-    standard error).  M and I = X_T - M are independent, so the covariance
-    of the two means is zero in law; the propagation still keeps its sample
-    value, since both means come from the same replicates.
+    Forms the product of the two sample means that sup_moment_diagnostics and
+    inf_moment_with_se report at lam = 1, and returns (product - target,
+    propagated standard error).  M and I = X_T - M are independent, so the
+    covariance of the two means is zero in law; the propagation still keeps
+    its sample value, since both means come from the same replicates.
     DomainError if psi(1) does not exist or r <= psi(1); UnsupportedModel on
     exact factors.
     """
     if factors.is_exact:
         raise UnsupportedModel("the identity residual applies to Monte Carlo factors only")
     target = _identity_target(factors.model, factors.r)
-    a, b = np.exp(factors.pool.running_max), np.exp(factors.pool.running_min)
-    mean_a = float(a.mean())
-    mean_b = float(b.mean())
+    mean_a, _, a = _moment(factors, 1.0, sup=True)
+    mean_b, _, b = _moment(factors, 1.0, sup=False)
     cov = np.cov(a, b, ddof=1)
     var_prod = (mean_b ** 2 * cov[0, 0] + mean_a ** 2 * cov[1, 1]
                 + 2.0 * mean_a * mean_b * cov[0, 1])

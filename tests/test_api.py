@@ -73,3 +73,12 @@ def test_family_branches_in_one_place():
     assert not any(f'"{member.value}"' in cli_source for member in Family)
     branches = inspect.getsource(wh._exponential_jumps).count("Family.")
     assert branches > 0 and inspect.getsource(wh).count("Family.") == branches
+
+
+def test_moments_in_one_place():
+    # E[e^{lam M}] and E[e^{lam I}] come from wiener_hopf._moment alone
+    import levyinvest.wiener_hopf as wh
+    assert not any(hasattr(wh, name) for name in ("_mixture_moment", "sup_moment_with_se"))
+    assert not hasattr(levyinvest, "sup_moment_with_se")
+    assert inspect.getsource(wh).count("np.exp(") == 1
+    assert "np.exp(" in inspect.getsource(wh._moment)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import levyinvest.boundary
 from levyinvest.boundary import (BoundaryTable, _rule, ces_boundary_constant,
                                  ces_polynomial_constant, closed_form_boundary_table,
                                  cobb_douglas_boundary, integral_equation_residual,
@@ -195,6 +196,25 @@ class TestSolvers:
     def test_grid_needs_two_points(self):
         with pytest.raises(DomainError):
             solve_boundary_grid(CD, WH, -1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("u", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_log_shock_rejected_before_any_evaluation(u, monkeypatch):
+    def evaluated(*args, **kwargs):
+        pytest.fail("the gap was evaluated or a pool was drawn")
+    monkeypatch.setattr(levyinvest.boundary, "marginal_profit", evaluated)
+    monkeypatch.setattr(levyinvest.boundary, "sample_extrema", evaluated)
+    table = BoundaryTable(grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]),
+                          provenance="test")
+    calls = [lambda: marginal_gap(CD, WH, u, 1.0),
+             lambda: solve_boundary_point(CD, WH, u),
+             lambda: solve_boundary_grid(CD, WH, -1.0, u, 5),
+             lambda: solve_boundary_grid(CD, WH, u, 1.0, 5),
+             lambda: integral_equation_residual(table, CD, BD, R, u, 1000,
+                                                np.random.default_rng(0))]
+    for call in calls:
+        with pytest.raises(DomainError, match="log shock must be finite"):
+            call()
 
 
 class TestScalingLaw:

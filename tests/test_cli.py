@@ -327,6 +327,41 @@ class TestDeterminism:
             verify[workers] = read(out + "/verify.json")
         assert verify[1] == verify[2]
 
+    # every number of wh_check.json at the config's seed, as float.hex: the exact
+    # roots and moments (None without exact factors), the Monte Carlo inf moment
+    # and SE, sup moment, SE and max_term_share, and the identity residual, SE, ratio
+    WH_PINS = {
+        "kou_ces": (
+            ["-0x1.c0e8df3353534p+3", "-0x1.621380290befcp+2", "0x1.5c397483997a3p+1",
+             "0x1.7ae44226f2ecap+3", "0x1.bd3ece8bdb5cbp-1", "0x1.8debe75209178p+0"],
+            ["0x1.bd131f8c4337fp-1", "0x1.cb3c2b21c621fp-11", "0x1.8e8b53a78029cp+0",
+             "0x1.ee58bb03f5a76p-8", "0x1.b5b41707b7261p-10"],
+            ["0x1.a2892b869fc00p-10", "0x1.b762b2a132d74p-8", "0x1.e7b45f7552c27p-3"],
+        ),
+        "merton_cobb_douglas": (
+            None,
+            ["0x1.85c77ce1cc6fap-1", "0x1.770a92f15704bp-10", "0x1.4b09ca8264228p+0",
+             "0x1.973319a842ecbp-9", "0x1.30cabcf8d2cbfp-11"],
+            ["-0x1.b134df7b6a400p-10", "0x1.8cd7a5bd6c46dp-9", "-0x1.17754f8932655p-1"],
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(WH_PINS))
+    def test_wh_check_pinned_bit_for_bit(self, name, workers, tmp_path):
+        assert main(["wh-check", "--config", example_path(name), "--out", str(tmp_path),
+                     "--workers", str(workers)]) == 0
+        doc = json.loads(read(str(tmp_path / "wh_check.json")))
+        exact, mc, identity = doc["exact"], doc["mc"], doc["identity"]
+        if exact is not None:
+            exact = [v.hex() for v in (*exact["roots"], exact["inf_moment_at_1"],
+                                       exact["sup_moment_at_1"])]
+        inf, sup = mc["inf_moment_at_1"], mc["sup_moment_at_1"]
+        moments = [v.hex() for v in (inf["estimate"], inf["se"], sup["estimate"], sup["se"],
+                                     sup["max_term_share"])]
+        check = [identity[key].hex() for key in ("residual", "se", "ratio")]
+        assert (exact, moments, check) == tuple(self.WH_PINS[name])
+
     def test_seed_override_changes_results(self, config_path, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["simulate", "--config", config_path, "--out", a])

@@ -6,15 +6,18 @@ from numpy.polynomial import polynomial as npoly
 
 from levyinvest.errors import BracketFailure, DomainError, UnsupportedModel
 from levyinvest.levy import LevyModel, laplace_exponent
-from levyinvest.wiener_hopf import (cramer_roots, exact_factors, inf_moment,
-                                    inf_moment_with_se, sample_triplet,
-                                    sup_moment_diagnostics, sup_moment_with_se,
-                                    wh_identity_residual)
+from levyinvest.wiener_hopf import (WienerHopfFactors, cramer_roots, exact_factors,
+                                    inf_moment, inf_moment_with_se, sample_triplet,
+                                    sup_moment_diagnostics, wh_identity_residual)
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
 KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
 MERTON = LevyModel.merton(0.0, 0.3, 2.0, -0.05, 0.2)
 R_BD, R_KOU = 2.0, 0.5
+
+
+def sup_moment(factors, lam):
+    return sup_moment_diagnostics(factors, lam)["estimate"]
 
 
 class TestCramerRoots:
@@ -115,19 +118,19 @@ class TestMoments:
         wh = exact_factors(BD, R_BD)
         b = math.sqrt(2.0)
         assert inf_moment(wh, 1.0) == pytest.approx(b / (b + 1.0))
-        assert sup_moment_with_se(wh, 1.0)[0] == pytest.approx(b / (b - 1.0))
+        assert sup_moment(wh, 1.0) == pytest.approx(b / (b - 1.0))
 
     def test_identity_from_exact_moments(self):
         for model, r in ((BD, R_BD), (KOU, R_KOU)):
             wh = exact_factors(model, r)
-            product = sup_moment_with_se(wh, 1.0)[0] * inf_moment(wh, 1.0)
+            product = sup_moment(wh, 1.0) * inf_moment(wh, 1.0)
             assert product == pytest.approx(r / (r - laplace_exponent(model, 1.0)),
                                             rel=1e-12)
 
     def test_moment_limits(self):
         wh = exact_factors(BD, R_BD)
         assert inf_moment(wh, 0.0) == pytest.approx(1.0)
-        assert sup_moment_with_se(wh, 0.0)[0] == pytest.approx(1.0)
+        assert sup_moment(wh, 0.0) == pytest.approx(1.0)
 
     def test_negative_lambda_rejected(self):
         wh = exact_factors(BD, R_BD)
@@ -137,14 +140,32 @@ class TestMoments:
     def test_sup_moment_divergence_guard(self):
         wh = exact_factors(BD, R_BD)
         with pytest.raises(DomainError):
-            sup_moment_with_se(wh, math.sqrt(2.0))
+            sup_moment(wh, math.sqrt(2.0))
         with pytest.raises(DomainError):
-            sup_moment_with_se(wh, 5.0)
+            sup_moment(wh, 5.0)
 
     def test_exact_moments_have_zero_se(self):
         wh = exact_factors(KOU, R_KOU)
         _, se = inf_moment_with_se(wh, 0.5)
         assert se == 0.0
+
+    def test_exact_diagnostics(self):
+        diag = sup_moment_diagnostics(exact_factors(BD, R_BD), 1.0)
+        b = math.sqrt(2.0)
+        assert diag == {"estimate": pytest.approx(b / (b - 1.0)), "se": 0.0,
+                        "max_term_share": None}
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lambda_rejected_before_any_pool_pass(self, lam):
+        class Untouchable:
+            def __getattr__(self, name):
+                pytest.fail(f"the pool was read: {name}")
+
+        pooled = WienerHopfFactors(model=KOU, r=R_KOU, pool=Untouchable())
+        for factors in (exact_factors(KOU, R_KOU), pooled):
+            for moment in (inf_moment, inf_moment_with_se, sup_moment_diagnostics):
+                with pytest.raises(DomainError, match="lambda must be finite"):
+                    moment(factors, lam)
 
 
 class TestMonteCarlo:
@@ -163,13 +184,9 @@ class TestMonteCarlo:
     def test_diagnostics_fields(self):
         wh = sample_triplet(BD, R_BD, 5000, np.random.default_rng(3))
         diag = sup_moment_diagnostics(wh, 1.0)
+        assert set(diag) == {"estimate", "se", "max_term_share"}
         assert 0 < diag["max_term_share"] <= 1.0
-        assert diag["n"] == 5000
         assert diag["se"] > 0
-
-    def test_diagnostics_need_mc(self):
-        with pytest.raises(UnsupportedModel):
-            sup_moment_diagnostics(exact_factors(BD, R_BD), 1.0)
 
     def test_identity_residual_within_band(self):
         res, se = wh_identity_residual(sample_triplet(KOU, R_KOU, 50000,
