@@ -170,8 +170,10 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
     to roots.bisect, which narrows them to width 1e-10 in x by Chandrupatla's
     method.  Exact mode solves all points in one lockstep block; Monte Carlo
     mode one point per block, so that each gap evaluation holds one
-    pool-length row.  `iterations` counts the gap evaluations of the
-    longest block."""
+    pool-length row.  A Monte Carlo root's SE is its gap's SE over the
+    gap's slope in y, the secant through the final bracket's ends, which the
+    solve has already evaluated.  `iterations` counts the gap evaluations of
+    the longest block."""
     if factors.r <= kappa(p):
         # the gap is bounded below by kappa - r >= 0, so there is no root;
         # the guard keeps roundoff near the floor from faking a sign change
@@ -182,20 +184,23 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
     for block in [us] if w is not None else np.split(us, len(us)):
         lz = np.add.outer(block, nodes)
         passes = 0
+        seen = {}  # Monte Carlo: the newest (x, gap) on each side, keyed by gap > 0
 
         def gap_at(x):
             nonlocal passes
             passes += 1
-            return _gap(p, r, lz, w, x)[0]
+            g = _gap(p, r, lz, w, x)[0]
+            if w is None:
+                seen[bool(g[0] > 0.0)] = x[0], g[0]
+            return g
 
         bracket = expand_bracket_geometric(gap_at, np.zeros(len(block)))
         x = bisect(gap_at, *bracket, rel_tol=0.0, abs_tol=_LOG_ROOT_TOL)
         root = np.exp(x)
         gap, se = _gap(p, r, lz, w, x, with_se=True)
         if se is not None:  # SE of the root: SE of the gap over its slope in y
-            dy = 0.01 * root
-            slope = (_gap(p, r, lz, w, np.log(root + dy))[0]
-                     - _gap(p, r, lz, w, np.log(root - dy))[0]) / (2.0 * dy)
+            (x_lo, g_lo), (x_hi, g_hi) = seen[True], seen[False]  # final bracket
+            slope = (g_hi - g_lo) / (x_hi - x_lo) / root  # d/dy = (d/dx) / y
             se = np.abs(se / slope) if slope[0] != 0.0 else np.full(1, np.inf)
         parts.append((root, se, np.abs(gap), passes))
     roots, ses, gaps, passes = zip(*parts)

@@ -13,10 +13,12 @@ the exponential moment exists.  Every simulation in the package advances
 paths with `_increment`: the Gaussian part is exact per step, the step's
 maximum comes from the Brownian-bridge law given its endpoints,
 compound-Poisson jumps land at the step's right end, and the stable family
-is drawn by Chambers-Mallows-Stuck.  `sample_extrema` steps the diffusive
-families from one exact jump arrival to the next and draws the stable
-family by stick-breaking, so its terminal value and running maximum at an
-independent exponential horizon carry no discretization bias.
+is drawn by Chambers-Mallows-Stuck, evaluated with tangents, logs and one
+exp in place of sin, cos and powers (see `_increment`).  `sample_extrema`
+steps the diffusive families from one exact jump arrival to the next and
+draws the stable family by stick-breaking, so its terminal value and
+running maximum at an independent exponential horizon carry no
+discretization bias.
 Replicates run in fixed chunks through `_run_chunks` and are reduced to a
 mean and standard error by `_mean_se`.
 """
@@ -227,14 +229,6 @@ def _jump_sizes(model: LevyModel, n: int, rng: np.random.Generator) -> np.ndarra
     return np.where(up, mag / model.eta_plus, -mag / model.eta_minus)
 
 
-def _stable_standard(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Chambers-Mallows-Stuck for the symmetric standard alpha-stable law.
-    phi = (rng.random(n) - 0.5) * math.pi
-    w = rng.exponential(1.0, size=n)
-    return (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha))
-
-
 def _jump_sums(model: LevyModel, counts: np.ndarray, rng: np.random.Generator):
     """Paths with at least one jump, and the sum of their `counts` jump sizes.
 
@@ -258,8 +252,18 @@ def _increment(model: LevyModel, x0: np.ndarray, dt, rng: np.random.Generator, *
     endpoints, one uniform per path.  Compound-Poisson jumps then land at
     the step's right end: counts[k] of them on path k, or
     Poisson(jump_intensity * dt) when counts is None.  Stable family: one
-    Chambers-Mallows-Stuck draw per path; the step's maximum is that of its
-    endpoints, biased inward by O(dt ** (1/alpha)).
+    Chambers-Mallows-Stuck draw per path, from phi = (u - 1/2) pi with u
+    uniform and then W ~ Exp(1), which scaled by dt ** (1/a) is
+
+        sin(a phi) cos(phi) ** (-1/a) (cos((1-a) phi) / W) ** ((1-a)/a) dt ** (1/a)
+          = sin(a phi) exp((log dt + log1p(t(phi))/2 + (a-1) log W
+                            + (a-1) log1p(t((1-a) phi))/2) / a),
+
+    t(v) = tan(v) ** 2, as 1/cos^2 = 1 + tan^2, and sin(a phi) = 2 tau /
+    (1 + tau^2) with tau = tan(a phi / 2): tangents, logs and one exp, which
+    numpy vectorizes, where float64 sin, cos and ** are several times
+    slower.  The step's maximum is that of its endpoints, biased inward by
+    O(dt ** (1/a)).
 
     `out` = (x1, step max, scratch), three float arrays shaped like x0 and
     distinct from it, which the step overwrites and returns the first two
@@ -269,11 +273,39 @@ def _increment(model: LevyModel, x0: np.ndarray, dt, rng: np.random.Generator, *
     # without `out`, numpy allocates each array where it is first written
     x1, hi, tmp = (None, None, None) if out is None else out
     if model.family is Family.STABLE:
-        alpha = model.stable_index
-        s = _stable_standard(alpha, n, rng)
-        s *= model.stable_scale * dt ** (1.0 / alpha)
-        x1 = np.add(x0, model.mu * dt, out=x1)
-        x1 += s
+        a = model.stable_index
+        phi = rng.random(n, out=tmp)
+        phi -= 0.5
+        phi *= math.pi
+        hi = rng.standard_exponential(n, out=hi)  # W, until its term joins x1
+        # x1 = the exponent, term by term in the order of the docstring
+        x1 = np.tan(phi, out=x1)
+        x1 *= x1
+        np.log1p(x1, out=x1)
+        x1 *= 0.5
+        with np.errstate(divide="ignore"):  # a stick of length 0 draws exp(-inf) = 0
+            x1 += np.log(dt)
+        np.log(hi, out=hi)
+        hi *= a - 1.0
+        x1 += hi
+        np.multiply(phi, 1.0 - a, out=hi)
+        np.tan(hi, out=hi)
+        hi *= hi
+        np.log1p(hi, out=hi)
+        hi *= 0.5 * (a - 1.0)
+        x1 += hi
+        x1 /= a
+        np.exp(x1, out=x1)
+        # phi becomes sin(a phi) = 2 tau / (1 + tau^2), tau = tan(a phi / 2)
+        phi *= 0.5 * a
+        np.tan(phi, out=phi)
+        np.multiply(phi, phi, out=hi)
+        hi += 1.0
+        phi += phi
+        phi /= hi
+        x1 *= phi
+        x1 *= model.stable_scale
+        x1 += np.add(x0, model.mu * dt, out=hi)
         return x1, np.maximum(x0, x1, out=hi)
     # x1 = (x0 + mu dt) + (sigma sqrt(dt)) z
     x1 = rng.standard_normal(n, out=x1)

@@ -38,6 +38,9 @@ __all__ = [
     "wh_identity_residual",
 ]
 
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
 @dataclass(frozen=True, eq=False)
 class WienerHopfFactors:
     """Distributional handles for (M, I) at an Exp(r) horizon.
@@ -151,13 +154,20 @@ def _moment(factors: WienerHopfFactors, lam: float,
             sup: bool) -> tuple[float, float, np.ndarray | None]:
     """E[exp(lam * M)] (sup) or E[exp(lam * I)], its standard error and the
     per-draw terms exp(lam * extremum) of the pool; exact factors sum their
-    mixture (a rate rho contributes rho / (rho -+ lam)), SE 0.0, terms None."""
+    mixture (a rate rho contributes rho / (rho -+ lam)), SE 0.0, terms None.
+    DomainError, before any exp, where pooled sup terms would overflow."""
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
     if not sup and lam < 0:
         raise DomainError(f"inf_moment requires lambda >= 0, got {lam!r}")
     if not factors.is_exact:
+        # M >= 0 >= I, so only sup terms at lam > 0 can overflow: in exp, or
+        # in the SE's sum of n squared deviations, each below exp(2 lam max M)
+        if sup and (2.0 * lam * float(factors.pool.running_max.max())
+                    >= _LOG_DBL_MAX - math.log(len(factors.pool))):
+            raise DomainError(f"sup moment terms overflow at lambda={lam!r}: "
+                              "2 lambda max(M) + log n passes log(DBL_MAX)")
         terms = np.exp(lam * (factors.pool.running_max if sup else factors.pool.running_min))
         mean, se = _mean_se(terms)
         return float(mean), float(se), terms

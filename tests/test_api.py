@@ -75,6 +75,14 @@ def test_family_branches_in_one_place():
     assert branches > 0 and inspect.getsource(wh).count("Family.") == branches
 
 
+def test_stable_draw_without_sin_or_cos():
+    # the Chambers-Mallows-Stuck draw runs on tangents, logs and one exp
+    import levyinvest.levy
+    assert not hasattr(levyinvest.levy, "_stable_standard")
+    source = inspect.getsource(levyinvest.levy)
+    assert "np.sin(" not in source and "np.cos(" not in source
+
+
 def test_moments_in_one_place():
     # E[e^{lam M}] and E[e^{lam I}] come from wiener_hopf._moment alone
     import levyinvest.wiener_hopf as wh

@@ -182,6 +182,38 @@ class TestSolvers:
             direct = np.log(solve_boundary_point(cfg.profit, pool, u))
             assert abs(tab.log(u) - direct) <= 2e-10, u
 
+    @pytest.mark.parametrize("name", ["merton_cobb_douglas", "stable_ces"])
+    def test_mc_se_slope_is_the_final_bracket_secant(self, name, monkeypatch):
+        # a Monte Carlo root's SE divides the gap's SE by the gap's slope in
+        # y; the secant through the final bracket's ends must agree with the
+        # +-1% central difference on the same pool, and no gap evaluation
+        # may follow a point's with_se call: passes + 1 per point
+        cfg = load_config(os.path.join(EXAMPLES, f"{name}.json"))
+        pool = sample_triplet(cfg.model, cfg.r, cfg.n_paths, np.random.default_rng(cfg.seed))
+        gap, calls = levyinvest.boundary._gap, []
+
+        def counting_gap(p, r, lz, w, lc, with_se=False):
+            calls.append((float(lc[0]), with_se))
+            return gap(p, r, lz, w, lc, with_se=with_se)
+
+        monkeypatch.setattr(levyinvest.boundary, "_gap", counting_gap)
+        tab = solve_boundary_grid(cfg.profit, pool, cfg.u_min, cfg.u_max, cfg.grid_n)
+        monkeypatch.undo()
+        ends = [i for i, (_, with_se) in enumerate(calls) if with_se]
+        assert len(ends) == cfg.grid_n and ends[-1] == len(calls) - 1
+        passes = np.diff([-1] + ends) - 1  # gap_at calls per point
+        assert passes.max() == tab.solver["iterations"]
+        for i in ends[:-1]:
+            assert calls[i + 1] == (0.0, False)  # the next point's walk from y = 1
+        nodes, w = _rule(pool)
+        for u, root, se in zip(tab.grid, tab.values, tab.ses):
+            lz = np.add.outer(np.array([u]), nodes)
+            dy = 0.01 * root
+            slope = (gap(cfg.profit, pool.r, lz, w, np.log([root + dy]))[0]
+                     - gap(cfg.profit, pool.r, lz, w, np.log([root - dy]))[0])[0] / (2.0 * dy)
+            gap_se = gap(cfg.profit, pool.r, lz, w, np.log([root]), with_se=True)[1][0]
+            assert se == pytest.approx(abs(gap_se / slope), rel=1e-3)
+
     def test_mc_mode_keeps_ses(self):
         pool = sample_triplet(BD, R, 20000, np.random.default_rng(0))
         tab = solve_boundary_grid(CD, pool, -0.5, 0.5, 5)

@@ -6,7 +6,7 @@ import pytest
 from levyinvest import levy
 from levyinvest.errors import ConstructionError, DomainError
 from levyinvest.levy import (_PARAMETERS, Family, LevyModel, _increment, _jump_sizes,
-                             _jump_sums, _mean_se, _stable_standard, _stick_extrema,
+                             _jump_sums, _mean_se, _stick_extrema,
                              default_step, laplace_exponent, sample_extrema)
 
 
@@ -142,9 +142,14 @@ def step_inputs(kind):
 def reference_increment(model, x0, dt, rng, counts=None):
     # `_increment` as one allocating expression per quantity
     if model.family is Family.STABLE:
-        alpha = model.stable_index
-        s = _stable_standard(alpha, len(x0), rng)
-        x1 = x0 + model.mu * dt + model.stable_scale * dt ** (1.0 / alpha) * s
+        a = model.stable_index
+        phi = (rng.random(len(x0)) - 0.5) * np.pi
+        w = rng.standard_exponential(len(x0))
+        tau = np.tan(a * phi / 2)
+        s = 2 * tau / (1 + tau ** 2) * np.exp(
+            (np.log(dt) + np.log1p(np.tan(phi) ** 2) / 2 + (a - 1) * np.log(w)
+             + (a - 1) * np.log1p(np.tan((1 - a) * phi) ** 2) / 2) / a)
+        x1 = x0 + model.mu * dt + s * model.stable_scale
         return x1, np.maximum(x0, x1)
     z = rng.standard_normal(len(x0))
     x1 = x0 + model.mu * dt + model.sigma * np.sqrt(dt) * z
@@ -185,6 +190,35 @@ class TestStepper:
         term = run_steps(model, n, h, k, seed=6)
         above = float(np.mean(term > model.mu * h * k))
         assert above == pytest.approx(0.5, abs=4 * 0.5 / np.sqrt(n))
+
+    @pytest.mark.parametrize("a", [1.05, 1.5, 1.95])
+    @pytest.mark.parametrize("per_path", [False, True], ids=["scalar", "per_path"])
+    def test_stable_increment_matches_classical_cms(self, a, per_path):
+        # the tangent route against Chambers-Mallows-Stuck in sin, cos and **
+        # on the same u and W, with u placed by hand at both ends and the middle
+        class FixedDraws:  # u, then W, as `_increment` asks for them (no `out` here)
+            def random(self, n, out=None):
+                return u.copy()
+
+            def standard_exponential(self, n, out=None):
+                return w.copy()
+
+        rng = np.random.default_rng(21)
+        u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53], rng.random(100_000)])
+        w = rng.standard_exponential(len(u))
+        dt = rng.exponential(0.5, size=len(u)) if per_path else 0.01
+        if per_path:
+            dt[4] = 0.0  # a stick of length 0, as rest * rng.random(n) can break off
+        phi = (u - 0.5) * np.pi
+        want = 0.5 * dt ** (1 / a) * (np.sin(a * phi) / np.cos(phi) ** (1 / a)
+                                      * (np.cos((1 - a) * phi) / w) ** ((1 - a) / a))
+        x0 = np.zeros(len(u))
+        got = _increment(LevyModel.stable(0.0, a, 0.5), x0, dt, FixedDraws())[0]
+        assert np.isfinite(got).all()
+        assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+        # u = 1/2 draws 0: the step is its drift, exactly
+        got = _increment(LevyModel.stable(0.3, a, 0.5), x0, dt, FixedDraws())[0]
+        assert got[2] == np.broadcast_to(0.3 * dt, u.shape)[2]
 
     def test_step_extrema_bracket_endpoints(self):
         for model in (BD, KOU, STABLE):

@@ -188,6 +188,17 @@ class TestMonteCarlo:
         assert 0 < diag["max_term_share"] <= 1.0
         assert diag["se"] > 0
 
+    def test_sup_moment_overflow_rejected_before_exp(self):
+        # at lam = 800 exp(lam M) overflows; just inside the edge every field,
+        # the SE's sum of squared deviations included, stays finite (and a
+        # RuntimeWarning would fail the suite)
+        wh = sample_triplet(KOU, R_KOU, 2000, np.random.default_rng(6))
+        with pytest.raises(DomainError, match="overflow"):
+            sup_moment_diagnostics(wh, 800.0)
+        edge = (math.log(np.finfo(float).max) - math.log(2000)) / (2 * wh.pool.running_max.max())
+        diag = sup_moment_diagnostics(wh, 0.999 * edge)
+        assert all(math.isfinite(v) for v in diag.values())
+
     def test_identity_residual_within_band(self):
         res, se = wh_identity_residual(sample_triplet(KOU, R_KOU, 50000,
                                                       np.random.default_rng(4)))
