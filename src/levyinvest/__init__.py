@@ -18,8 +18,7 @@ from .config import ExperimentConfig, load_config, parse_config
 from .errors import (BracketFailure, ConditionViolation, ConstructionError,
                      DomainError, LevyInvestError, MonotonicityViolation,
                      ParseError, UnsupportedModel, ValidationError)
-from .levy import (ExtremaPool, Family, LevyModel, default_step, default_t_max,
-                   laplace_exponent, sample_extrema)
+from .levy import ExtremaPool, Family, LevyModel, laplace_exponent, sample_extrema
 from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
                      PolicyEvaluation, StoppingRule, compare_policies,
                      evaluate_profit, exponential_time_values, foc_residuals,
@@ -40,8 +39,7 @@ __all__ = [
     "BracketFailure", "MonotonicityViolation", "ConditionViolation",
     "ParseError", "ValidationError",
     # shock models
-    "Family", "LevyModel", "ExtremaPool", "laplace_exponent", "default_step",
-    "default_t_max", "sample_extrema",
+    "Family", "LevyModel", "ExtremaPool", "laplace_exponent", "sample_extrema",
     # factorization
     "WienerHopfFactors", "cramer_roots",
     "exact_factors", "sample_triplet", "inf_moment", "inf_moment_with_se",

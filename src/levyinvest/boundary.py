@@ -12,10 +12,10 @@ y = 1 plus a bracketed root finder in log y (roots.bisect, Chandrupatla's
 method) always lands on the root when r > kappa.
 
 The expectation is a fixed weighted sum over nodes of I: Gauss-Laguerre per
-component of the exact exponential mixture of -I (exact mode, where all grid
-points are solved at once), or a fixed pool of simulated minima (Monte Carlo
-mode; one pool keeps the empirical gap, and so the grid, monotone).  Closed
-forms for cobb_douglas, ces and log profit serve as cross-checks.
+component of the exact exponential mixture of -I (exact mode), or a fixed
+pool of simulated minima (Monte Carlo mode; one pool keeps the empirical gap,
+and so the grid, monotone).  Both modes solve all grid points in one lockstep
+block.  Closed forms for cobb_douglas, ces and log profit serve as checks.
 """
 
 from __future__ import annotations
@@ -151,14 +151,21 @@ def _rule(factors: WienerHopfFactors):
     return (-t / rates).ravel(), (np.asarray(factors.min_weights)[:, None] * a).ravel()
 
 
-def _gap(p: ProfitFunction, r: float, lz: np.ndarray, w, lc: np.ndarray, with_se=False):
-    """Gap per row of log shocks lz at log capacities lc; its SE if asked (MC)."""
-    terms = marginal_profit(p, lz, lc[:, None])
+def _gap(p: ProfitFunction, r: float, us: np.ndarray, nodes: np.ndarray, w,
+         lc: np.ndarray, with_se=False):
+    """Gap at log shocks us and log capacities lc, one per point; its SE if asked (MC).
+    Monte Carlo mode reads the pool one point at a time through two pool-length
+    buffers: however many points it serves, an evaluation holds one row."""
     if w is not None:
-        return (terms * w).sum(axis=1) - r, None
-    # sum / n is ndarray.mean's arithmetic without its per-call overhead,
-    # which the Monte Carlo solve pays once per pass
-    mean, se = _mean_se(terms) if with_se else (terms.sum(axis=1) / terms.shape[1], None)
+        return (marginal_profit(p, np.add.outer(us, nodes), lc[:, None]) * w).sum(axis=1) - r, None
+    lz, terms = np.empty(len(nodes)), np.empty(len(nodes))
+    mean, se = np.empty(len(us)), np.empty(len(us)) if with_se else None
+    for k, (u, c) in enumerate(zip(us, lc)):
+        marginal_profit(p, np.add(u, nodes, out=lz), c, out=terms)
+        if with_se:
+            mean[k], se[k] = _mean_se(terms)
+        else:  # ndarray.mean's arithmetic without its per-call overhead
+            mean[k] = terms.sum() / len(terms)
     return mean - r, se
 
 
@@ -168,44 +175,39 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
     The gap falls in x = log y, so roots.expand_bracket_geometric walks
     decades from y = 1 and hands its brackets, with the gap at both ends,
     to roots.bisect, which narrows them to width 1e-10 in x by Chandrupatla's
-    method.  Exact mode solves all points in one lockstep block; Monte Carlo
-    mode one point per block, so that each gap evaluation holds one
-    pool-length row.  A Monte Carlo root's SE is its gap's SE over the
-    gap's slope in y, the secant through the final bracket's ends, which the
-    solve has already evaluated.  `iterations` counts the gap evaluations of
-    the longest block."""
+    method.  Both modes solve all points in one lockstep block, and every
+    point's root is the one its own solve would find.  A Monte Carlo root's
+    SE is its gap's SE over the gap's slope in y, the secant through the
+    final bracket's ends, which the solve has already evaluated.
+    `iterations` counts the block's gap evaluations, bracket walk included."""
     if factors.r <= kappa(p):
         # the gap is bounded below by kappa - r >= 0, so there is no root;
         # the guard keeps roundoff near the floor from faking a sign change
         raise BracketFailure(f"no boundary exists at r={factors.r!r}: the marginal "
                              f"profit never falls below {kappa(p)!r}")
     (nodes, w), r = _rule(factors), factors.r
-    parts = []
-    for block in [us] if w is not None else np.split(us, len(us)):
-        lz = np.add.outer(block, nodes)
-        passes = 0
-        seen = {}  # Monte Carlo: the newest (x, gap) on each side, keyed by gap > 0
+    passes = 0
+    ends = np.full((2, 2, len(us)), np.nan)  # MC: each point's newest (x, gap), gap > 0 then <= 0
 
-        def gap_at(x):
-            nonlocal passes
-            passes += 1
-            g = _gap(p, r, lz, w, x)[0]
-            if w is None:
-                seen[bool(g[0] > 0.0)] = x[0], g[0]
-            return g
+    def gap_at(x):
+        nonlocal passes
+        passes += 1
+        g = _gap(p, r, us, nodes, w, x)[0]
+        if w is None:
+            for side, where in enumerate((g > 0.0, g <= 0.0)):
+                np.copyto(ends[side], (x, g), where=where)
+        return g
 
-        bracket = expand_bracket_geometric(gap_at, np.zeros(len(block)))
-        x = bisect(gap_at, *bracket, rel_tol=0.0, abs_tol=_LOG_ROOT_TOL)
-        root = np.exp(x)
-        gap, se = _gap(p, r, lz, w, x, with_se=True)
-        if se is not None:  # SE of the root: SE of the gap over its slope in y
-            (x_lo, g_lo), (x_hi, g_hi) = seen[True], seen[False]  # final bracket
-            slope = (g_hi - g_lo) / (x_hi - x_lo) / root  # d/dy = (d/dx) / y
-            se = np.abs(se / slope) if slope[0] != 0.0 else np.full(1, np.inf)
-        parts.append((root, se, np.abs(gap), passes))
-    roots, ses, gaps, passes = zip(*parts)
-    solver = {"iterations": max(passes), "max_abs_gap": float(np.concatenate(gaps).max())}
-    return np.concatenate(roots), None if w is not None else np.concatenate(ses), solver
+    x = bisect(gap_at, *expand_bracket_geometric(gap_at, np.zeros(len(us))),
+               rel_tol=0.0, abs_tol=_LOG_ROOT_TOL)
+    root = np.exp(x)
+    gap, se = _gap(p, r, us, nodes, w, x, with_se=True)
+    if se is not None:  # SE of the root: SE of the gap over its slope in y
+        (x_lo, g_lo), (x_hi, g_hi) = ends  # the final bracket
+        slope = (g_hi - g_lo) / (x_hi - x_lo) / root  # d/dy = (d/dx) / y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            se = np.where(slope != 0.0, np.abs(se / slope), np.inf)
+    return root, se, {"iterations": passes, "max_abs_gap": float(np.abs(gap).max())}
 
 
 def marginal_gap(p: ProfitFunction, factors: WienerHopfFactors, u: float,
@@ -214,9 +216,8 @@ def marginal_gap(p: ProfitFunction, factors: WienerHopfFactors, u: float,
     u = _log_shock(u)
     if not y > 0:
         raise DomainError(f"capacity must be > 0, got {y!r}")
-    nodes, w = _rule(factors)
-    lz = np.add.outer(np.array([u]), nodes)
-    gap, se = _gap(p, factors.r, lz, w, np.log([float(y)]), with_se=True)
+    gap, se = _gap(p, factors.r, np.array([u]), *_rule(factors), np.log([float(y)]),
+                   with_se=True)
     return float(gap[0]), 0.0 if se is None else float(se[0])
 
 

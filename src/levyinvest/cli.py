@@ -40,7 +40,7 @@ import numpy as np
 
 from .boundary import closed_form_boundary_table, integral_equation_residual, solve_boundary_grid
 from .config import ExperimentConfig, _as_seed, load_config
-from .errors import DomainError, LevyInvestError, UnsupportedModel, ValidationError
+from .errors import LevyInvestError, UnsupportedModel, ValidationError
 from .profit import _certified_growth, _certified_variance, check_assumptions
 from .policy import _at_base, compare_policies, exponential_time_values
 from .wiener_hopf import (_identity_target, exact_factors, inf_moment, inf_moment_with_se,
@@ -158,15 +158,13 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     except UnsupportedModel:
         exact_block = None
     else:
+        # psi is convex with psi(0) = 0 and psi(1) < r, so psi = r has its
+        # smallest positive root above 1, where E[e^M] is finite
         exact_block = {
             "roots": list(exact.roots),
             "inf_moment_at_1": inf_moment(exact, 1.0),
+            "sup_moment_at_1": sup_moment_diagnostics(exact, 1.0)["estimate"],
         }
-        try:
-            exact_block["sup_moment_at_1"] = sup_moment_diagnostics(exact, 1.0)["estimate"]
-        except DomainError as exc:
-            exact_block["sup_moment_at_1"] = None
-            exact_block["sup_moment_note"] = str(exc)
     mc = sample_triplet(model, r, cfg.n_paths, rng, workers=workers)
     inf_est, inf_se = inf_moment_with_se(mc, 1.0)
     sup = sup_moment_diagnostics(mc, 1.0)
@@ -273,7 +271,11 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         if args.workers < 1:
             raise ValidationError("workers", f"must be >= 1, got {args.workers!r}")
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError("outputs", f"cannot create the output directory "
+                                             f"{cfg.out_dir!r}: {exc.strerror}") from exc
         return _HANDLERS[args.command](cfg, cfg.out_dir, args.workers)
     except LevyInvestError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}

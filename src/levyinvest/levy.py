@@ -40,8 +40,6 @@ __all__ = [
     "ExtremaPool",
     "laplace_exponent",
     "sample_extrema",
-    "default_step",
-    "default_t_max",
 ]
 
 # Paths are simulated in chunks of this many replicates.  Each chunk draws
@@ -184,16 +182,6 @@ def laplace_exponent(model: LevyModel, lam: float) -> float:
     if model.family is Family.STABLE and lam != 0.0:
         raise DomainError("symmetric_stable has no exponential moments away from 0")
     return _psi(model, lam)
-
-
-def default_step(r: float) -> float:
-    """Default simulation step: one thousandth of the mean discount horizon."""
-    return 1e-3 / r
-
-
-def default_t_max(r: float) -> float:
-    """Truncation horizon: twenty mean discount horizons (e^{-20} tail order)."""
-    return 20.0 / r
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ConditionViolation, DomainError
 from .levy import (_MIN_REPLICATES, LevyModel, _increment, _mean_se, _run_chunks,
-                   default_step, default_t_max, sample_extrema)
+                   sample_extrema)
 from .profit import (ProfitFunction, _certified_growth, _certified_variance, evaluate,
                      marginal_profit)
 
@@ -190,15 +190,16 @@ class FOCReport:
 def _check_state(x, y: float, n: int, r: float, step: float | None,
                  t_max: float | None) -> tuple[float, float, int]:
     """x as a float and the stepped grid's step h and step count N, N * h >= t_max,
-    once x, y, n and the grid are valid; None means `default_step(r)`/`default_t_max(r)`."""
+    once x, y, n and the grid are valid.  None means step 1e-3 / r, a thousandth of the
+    mean discount horizon, and t_max 20 / r, where the discount weight is e^{-20}."""
     if not math.isfinite(x):
         raise DomainError(f"initial log shock must be finite, got {x!r}")
     if not y > 0:
         raise DomainError(f"initial capacity must be > 0, got {y!r}")
     if n < _MIN_REPLICATES:
         raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
-    step = default_step(r) if step is None else step
-    t_max = default_t_max(r) if t_max is None else t_max
+    step = 1e-3 / r if step is None else step
+    t_max = 20.0 / r if t_max is None else t_max
     if not step > 0:
         raise DomainError(f"step must be > 0, got {step!r}")
     if not t_max > step:

@@ -58,9 +58,7 @@ def bisect(f: Callable, lo, hi, f_lo=None, f_hi=None, *, rel_tol: float = 1e-15,
     while True:
         d = b - a
         width = np.abs(d)
-        # Monte Carlo boundary blocks hold one point, where each array op costs
-        # more than its arithmetic: skip rel_tol's two ops when it is 0
-        tol = abs_tol + rel_tol * np.abs(a) if rel_tol else abs_tol
+        tol = abs_tol + rel_tol * np.abs(a)
         open_ &= width > tol
         with np.errstate(all="ignore"):  # NaN and 0/0 fail the test below
             fab, fcb = fa - fb, fc - fb

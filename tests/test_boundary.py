@@ -186,33 +186,60 @@ class TestSolvers:
     def test_mc_se_slope_is_the_final_bracket_secant(self, name, monkeypatch):
         # a Monte Carlo root's SE divides the gap's SE by the gap's slope in
         # y; the secant through the final bracket's ends must agree with the
-        # +-1% central difference on the same pool, and no gap evaluation
-        # may follow a point's with_se call: passes + 1 per point
+        # +-1% central difference on the same pool, and the one with_se call
+        # comes last, after the lockstep block's passes
         cfg = load_config(os.path.join(EXAMPLES, f"{name}.json"))
         pool = sample_triplet(cfg.model, cfg.r, cfg.n_paths, np.random.default_rng(cfg.seed))
         gap, calls = levyinvest.boundary._gap, []
 
-        def counting_gap(p, r, lz, w, lc, with_se=False):
-            calls.append((float(lc[0]), with_se))
-            return gap(p, r, lz, w, lc, with_se=with_se)
+        def counting_gap(p, r, us, nodes, w, lc, with_se=False):
+            calls.append(with_se)
+            return gap(p, r, us, nodes, w, lc, with_se=with_se)
 
         monkeypatch.setattr(levyinvest.boundary, "_gap", counting_gap)
         tab = solve_boundary_grid(cfg.profit, pool, cfg.u_min, cfg.u_max, cfg.grid_n)
         monkeypatch.undo()
-        ends = [i for i, (_, with_se) in enumerate(calls) if with_se]
-        assert len(ends) == cfg.grid_n and ends[-1] == len(calls) - 1
-        passes = np.diff([-1] + ends) - 1  # gap_at calls per point
-        assert passes.max() == tab.solver["iterations"]
-        for i in ends[:-1]:
-            assert calls[i + 1] == (0.0, False)  # the next point's walk from y = 1
+        assert calls == [False] * tab.solver["iterations"] + [True]
         nodes, w = _rule(pool)
         for u, root, se in zip(tab.grid, tab.values, tab.ses):
-            lz = np.add.outer(np.array([u]), nodes)
+            us = np.array([u])
             dy = 0.01 * root
-            slope = (gap(cfg.profit, pool.r, lz, w, np.log([root + dy]))[0]
-                     - gap(cfg.profit, pool.r, lz, w, np.log([root - dy]))[0])[0] / (2.0 * dy)
-            gap_se = gap(cfg.profit, pool.r, lz, w, np.log([root]), with_se=True)[1][0]
+            at = lambda y, **kw: gap(cfg.profit, pool.r, us, nodes, w, np.log([y]), **kw)  # noqa: E731
+            slope = (at(root + dy)[0] - at(root - dy)[0])[0] / (2.0 * dy)
+            gap_se = at(root, with_se=True)[1][0]
             assert se == pytest.approx(abs(gap_se / slope), rel=1e-3)
+
+    @pytest.mark.parametrize("name", ["merton_cobb_douglas", "brownian_cobb_douglas"])
+    def test_grid_is_one_lockstep_solve(self, name, monkeypatch):
+        # one bracket walk and one bisect serve every grid point in both modes,
+        # and a Monte Carlo kernel call never sees more than one pool row
+        cfg = load_config(os.path.join(EXAMPLES, f"{name}.json"))
+        factors = (exact_factors(cfg.model, cfg.r) if name.startswith("brownian")
+                   else sample_triplet(cfg.model, cfg.r, cfg.n_paths,
+                                       np.random.default_rng(cfg.seed)))
+        calls, shapes = [], []
+
+        def counted(f):
+            def wrapped(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return wrapped
+
+        def recording(p, lz, lc, out=None):
+            shapes.append(np.broadcast(lz, lc).shape)
+            return kernel(p, lz, lc, out=out)
+
+        kernel = levyinvest.boundary.marginal_profit
+        for f in (levyinvest.boundary.bisect, levyinvest.boundary.expand_bracket_geometric):
+            monkeypatch.setattr(levyinvest.boundary, f.__name__, counted(f))
+        monkeypatch.setattr(levyinvest.boundary, "marginal_profit", recording)
+        tab = solve_boundary_grid(cfg.profit, factors, cfg.u_min, cfg.u_max, cfg.grid_n)
+        assert calls == ["expand_bracket_geometric", "bisect"]
+        if factors.is_exact:
+            assert set(shapes) == {(cfg.grid_n, len(_rule(factors)[0]))}
+        else:
+            assert set(shapes) == {(cfg.n_paths,)}
+            assert len(shapes) == cfg.grid_n * (tab.solver["iterations"] + 1)
 
     def test_mc_mode_keeps_ses(self):
         pool = sample_triplet(BD, R, 20000, np.random.default_rng(0))
@@ -293,7 +320,7 @@ class TestRule:
         pool = sample_triplet(BD, R, 5000, np.random.default_rng(4))
         tab = solve_boundary_grid(CD, pool, -0.5, 0.5, 5)
         points = [solve_boundary_point(CD, pool, u) for u in tab.grid]
-        assert np.allclose(tab.values, points, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(tab.values, points)
 
 
 class TestClosedForms:

@@ -20,6 +20,7 @@ from levyinvest.errors import ConditionViolation, DomainError
 from levyinvest.levy import LevyModel, laplace_exponent
 from levyinvest.policy import exponential_time_values
 from levyinvest.profit import ces, cobb_douglas
+from levyinvest.wiener_hopf import _identity_target, exact_factors
 
 FAST_CONFIG = {
     "model": {"family": "brownian_drift", "mu": 0.0, "sigma": 1.4142135623730951},
@@ -223,6 +224,25 @@ class TestSubcommands:
         monkeypatch.setattr(levyinvest.wiener_hopf, "sample_extrema", counting)
         assert main(["wh-check", "--config", config_path, "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+    def test_wh_check_exact_sup_moment_exists(self):
+        # wh-check reads E[e^M] at 1 off exact factors only once _identity_target
+        # passed: psi is convex with psi(0) = 0 and psi(1) < r, so every rate of
+        # M's exponential mixture, a root of psi = r, lies above 1
+        models = [LevyModel.brownian(mu, sigma) for mu in (-0.5, 0.0, 0.4)
+                  for sigma in (0.1, 1.0, 1.6)]
+        models += [LevyModel.kou(mu, 0.2, lam, p_up, eta, 3.0) for mu in (-0.2, 0.1)
+                   for lam in (0.5, 4.0) for p_up in (0.2, 0.8) for eta in (1.2, 2.0, 10.0)]
+        checked = 0
+        for model in models:
+            for r in (0.05, 0.3, 1.0, 2.5, 8.0):
+                try:
+                    _identity_target(model, r)
+                except DomainError:
+                    continue
+                checked += 1
+                assert min(exact_factors(model, r).max_rates) > 1.0, (model, r)
+        assert checked >= 100
 
     @pytest.mark.parametrize("name", ["merton_cobb_douglas", "kou_ces"])
     def test_wh_check_identity_is_the_printed_moment_product(self, name, tmp_path):
@@ -544,6 +564,26 @@ class TestErrorHandling:
         check = next(c for c in checks if c["name"] == "moment_condition")
         assert (check["ok"], check["severity"]) == (False, "fail")
         assert check["detail"] == error["message"]
+
+    @pytest.mark.parametrize("under_a_file", [False, True])
+    def test_unusable_out_is_a_json_error(self, under_a_file, tmp_path, capsys, monkeypatch):
+        # --out naming a regular file, or a path under one, fails before any work
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = str(blocker / "o" if under_a_file else blocker)
+
+        def expensive(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        for name in ("exact_factors", "sample_triplet", "solve_boundary_grid"):
+            monkeypatch.setattr(levyinvest.cli, name, expensive)
+        assert main(["boundary", "--config", example_path("kou_ces"), "--out", out]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and captured.err == ""
+        error = json.loads(lines[0])["error"]
+        assert (error["type"], error["key"]) == ("ValidationError", "outputs")
+        assert repr(out) in error["message"]
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

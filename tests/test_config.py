@@ -2,11 +2,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from levyinvest.boundary import BoundaryTable
 from levyinvest.config import _MODELS, _PROFITS, load_config, parse_config
 from levyinvest.errors import ParseError, ValidationError
-from levyinvest.levy import Family, default_step, default_t_max
+from levyinvest.levy import Family, LevyModel
+from levyinvest.policy import exponential_time_values
+from levyinvest.profit import log_profit
 
 MINIMAL = {
     "model": {"family": "brownian_drift", "mu": 0.0, "sigma": 1.0},
@@ -43,6 +47,16 @@ PROFIT_OUT_OF_RANGE = [
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def resolved_grid(step, t_max, r):
+    """The stepped grid's (step, t_max) as the policy engines resolve them at
+    rate r, read off an exponential-time result, which runs no time grid."""
+    flat = BoundaryTable(grid=[-1.0, 1.0], values=[1.0, 1.0], provenance="flat")
+    res = exponential_time_values(log_profit(), LevyModel.brownian(0.0, 0.5), r, flat, 0.0,
+                                  1.0, [1.0], 1000, np.random.default_rng(0), step=step,
+                                  t_max=t_max)
+    return res.step, res.t_max
+
+
 def cfg_text(**overrides) -> str:
     doc = json.loads(json.dumps(MINIMAL))
     doc.update(overrides)
@@ -53,8 +67,8 @@ class TestDefaults:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(cfg_text())
         assert cfg.seed == 0
-        assert cfg.step is None and default_step(cfg.r) == pytest.approx(1e-3 / 2.0)
-        assert cfg.t_max is None and default_t_max(cfg.r) == pytest.approx(10.0)
+        assert cfg.step is None and cfg.t_max is None
+        assert resolved_grid(cfg.step, cfg.t_max, cfg.r) == pytest.approx((1e-3 / 2.0, 10.0))
         assert cfg.u_min == -2.0 and cfg.u_max == 2.0 and cfg.grid_n == 41
         assert cfg.x == 0.0 and cfg.y == 1.0
         assert cfg.scales == (0.5, 0.8, 1.0, 1.25, 2.0)

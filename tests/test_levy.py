@@ -6,8 +6,8 @@ import pytest
 from levyinvest import levy
 from levyinvest.errors import ConstructionError, DomainError
 from levyinvest.levy import (_PARAMETERS, Family, LevyModel, _increment, _jump_sizes,
-                             _jump_sums, _mean_se, _stick_extrema,
-                             default_step, laplace_exponent, sample_extrema)
+                             _jump_sums, _mean_se, _stick_extrema, laplace_exponent,
+                             sample_extrema)
 
 
 BD = LevyModel.brownian(0.5, 1.0)
@@ -113,11 +113,6 @@ class TestLaplaceExponent:
     def test_zero_is_zero(self):
         for m in (BD, MERTON, KOU):
             assert laplace_exponent(m, 0.0) == 0.0
-
-
-class TestSampling:
-    def test_default_step(self):
-        assert default_step(2.0) == pytest.approx(5e-4)
 
 
 def run_steps(model, n, h, k, seed):

@@ -9,7 +9,7 @@ import levyinvest.policy
 from levyinvest.boundary import BoundaryTable, closed_form_boundary_table, solve_boundary_grid
 from levyinvest.config import load_config
 from levyinvest.errors import ConditionViolation, DomainError
-from levyinvest.levy import LevyModel, default_t_max, laplace_exponent
+from levyinvest.levy import LevyModel, laplace_exponent
 from levyinvest.policy import (StoppingRule, compare_policies, evaluate_profit,
                                exponential_time_values, foc_residuals, stopping_value)
 from levyinvest.profit import cobb_douglas, evaluate
@@ -90,8 +90,18 @@ class TestEvaluateProfit:
             evaluate_profit(CD, BD, R, TABLE, 0.0, 1.0, 10,
                             np.random.default_rng(8), step=H, t_max=TM)
 
+    @pytest.mark.parametrize("step, t_max", [(0.0, TM), (-H, TM), (H, H), (H, 0.5 * H)])
+    def test_grid_validation(self, step, t_max):
+        with pytest.raises(DomainError):
+            evaluate_profit(CD, BD, R, TABLE, 0.0, 1.0, N,
+                            np.random.default_rng(7), step=step, t_max=t_max)
+
     def test_default_horizon(self):
-        assert default_t_max(R) == pytest.approx(10.0)
+        # None: step 1e-3 / r and t_max 20 / r, reported by the exponential-time
+        # engine without a time grid (r = 5 > psi(2) = 4 certifies its variance)
+        res = exponential_time_values(CD, BD, 5.0, TABLE, 0.0, 0.05, [1.0], 1000,
+                                      np.random.default_rng(0))
+        assert (res.step, res.t_max) == pytest.approx((2e-4, 4.0))
 
 
 class TestComparePolicies:
@@ -133,6 +143,21 @@ class TestFOC:
         with pytest.raises(DomainError):
             foc_residuals(CD, BD, R, TABLE, 0.0, 1.0, (), N,
                           np.random.default_rng(14), step=H, t_max=TM)
+
+    def test_to_dict_mirrors_the_report(self):
+        # the shape of the benchmark's foc.json
+        rules = (StoppingRule.fixed(0.5), StoppingRule.hit_above(0.3),
+                 StoppingRule.hit_below(-0.4))
+        rep = foc_residuals(CD, BD, R, TABLE, 0.0, 1.0, rules, 1000,
+                            np.random.default_rng(16), step=H, t_max=TM)
+        doc = rep.to_dict()
+        assert doc == {"entries": doc["entries"], "slackness": rep.slackness,
+                       "slackness_se": rep.slackness_se, "n_paths": 1000, "step": rep.step,
+                       "t_max": rep.t_max}
+        assert [e["rule"] for e in doc["entries"]] == ["t=0.5", "X >= 0.3", "X <= -0.4"]
+        for e, entry in zip(doc["entries"], rep.entries, strict=True):
+            assert e == {"rule": entry.rule.label(), "supergradient": entry.supergradient,
+                         "se": entry.se, "hit_fraction": entry.hit_fraction}
 
     def test_deep_interior_stop_is_strictly_suboptimal(self):
         # stopping late at a fixed time wastes the option value: strongly negative

@@ -114,8 +114,7 @@ class TestBisect:
                 merton, 1.0, 20000, np.random.default_rng(3)), np.zeros(1)),
         }[case]
         nodes, w = _rule(factors)
-        lz = np.add.outer(us, nodes)
-        f = counting(lambda x: _gap(p, factors.r, lz, w, x)[0])
+        f = counting(lambda x: _gap(p, factors.r, us, nodes, w, x)[0])
         x = bisect(f, *expand_bracket_geometric(f, np.zeros(len(us))), rel_tol=0.0,
                    abs_tol=1e-10)
         assert f.calls <= MAX_GAP_PASSES
@@ -123,7 +122,7 @@ class TestBisect:
             ref = (cobb_douglas_boundary if p.kind == "cobb_douglas" else log_boundary)(
                 p, factors, us)
             np.testing.assert_allclose(x, np.log(ref), rtol=0.0, atol=1e-10)
-        assert np.abs(_gap(p, factors.r, lz, w, x)[0]).max() < 1e-10
+        assert np.abs(_gap(p, factors.r, us, nodes, w, x)[0]).max() < 1e-10
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-5.0, 2.0), (0.3, 10.0), (10.0, -3.0)])
     def test_plateau_beside_a_cliff(self, lo, hi):
