@@ -11,9 +11,8 @@ induced capacity policy, and first-order optimality conditions.
 """
 
 from .boundary import (BoundaryTable, ces_boundary_constant, ces_polynomial_constant,
-                       closed_form_boundary_table, cobb_douglas_boundary,
-                       integral_equation_residual, log_boundary, marginal_gap,
-                       solve_boundary_grid, solve_boundary_point)
+                       closed_form_boundary_table, integral_equation_residual,
+                       marginal_gap, solve_boundary_grid, solve_boundary_point)
 from .config import ExperimentConfig, load_config, parse_config
 from .errors import (BracketFailure, ConditionViolation, ConstructionError,
                      DomainError, LevyInvestError, MonotonicityViolation,
@@ -51,8 +50,7 @@ __all__ = [
     # boundary
     "BoundaryTable", "marginal_gap",
     "solve_boundary_point", "solve_boundary_grid", "integral_equation_residual",
-    "cobb_douglas_boundary", "ces_boundary_constant", "ces_polynomial_constant",
-    "log_boundary", "closed_form_boundary_table",
+    "ces_boundary_constant", "ces_polynomial_constant", "closed_form_boundary_table",
     # policy
     "StoppingRule", "PolicyEvaluation", "ComparisonRow", "ComparisonResult",
     "FOCEntry", "FOCReport", "evaluate_profit", "compare_policies",

@@ -28,7 +28,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .errors import (BracketFailure, DomainError, MonotonicityViolation,
                      UnsupportedModel)
-from .levy import LevyModel, _mean_se, sample_extrema
+from .levy import LevyModel, _check_replicates, _mean_se, sample_extrema
 from .profit import ProfitFunction, kappa, marginal_profit
 from .roots import bisect, expand_bracket_geometric
 from .wiener_hopf import WienerHopfFactors, inf_moment
@@ -39,8 +39,6 @@ __all__ = [
     "solve_boundary_point",
     "solve_boundary_grid",
     "integral_equation_residual",
-    "cobb_douglas_boundary",
-    "log_boundary",
     "ces_boundary_constant",
     "ces_polynomial_constant",
     "closed_form_boundary_table",
@@ -266,9 +264,11 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
     log b(u0 + M) from `b.log`: sampled maxima routinely leave the solved
     grid, and edge-slope extrapolation (exact on solved and closed-form
     tables, see BoundaryTable) stays finite in log coordinates however far
-    they go.  The result does not depend on `workers`.
+    they go.  The result does not depend on `workers`.  DomainError, before
+    any draw, below levy's minimum replicate count.
     """
     u0 = _log_shock(u0)
+    _check_replicates(n)
     pool = sample_extrema(model, r, n, rng, workers=workers)
     mean, se = _mean_se(marginal_profit(p, u0 + pool.terminal,
                                         b.log(u0 + pool.running_max)))
@@ -276,26 +276,6 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
 
 
 # -- closed forms -------------------------------------------------------------
-
-
-def cobb_douglas_boundary(p: ProfitFunction, factors: WienerHopfFactors,
-                          u: float):
-    """Closed-form cobb_douglas boundary: (theta * e^u) ** (alpha / (1 - beta)).
-
-    theta = (beta * E[e^{alpha I}] / r) ** (1 / alpha).  Accepts scalar or
-    array u.
-    """
-    if p.kind != "cobb_douglas":
-        raise UnsupportedModel(f"closed form is for cobb_douglas, got {p.kind!r}")
-    base = (p.beta * inf_moment(factors, p.alpha) / factors.r) ** (1.0 / p.alpha)
-    return (base * np.exp(u)) ** (p.alpha / (1.0 - p.beta))
-
-
-def log_boundary(p: ProfitFunction, factors: WienerHopfFactors, u: float):
-    """Closed-form log-profit boundary: E[e^I] * e^u / r."""
-    if p.kind != "log":
-        raise UnsupportedModel(f"closed form is for log profit, got {p.kind!r}")
-    return inf_moment(factors, 1.0) * np.exp(u) / factors.r
 
 
 def ces_boundary_constant(p: ProfitFunction, factors: WienerHopfFactors) -> float:
@@ -356,13 +336,18 @@ def ces_polynomial_constant(alpha: float, n: int, moments, r: float) -> float:
 
 def closed_form_boundary_table(p: ProfitFunction, factors: WienerHopfFactors,
                                u_min: float, u_max: float, n: int) -> BoundaryTable:
-    """Boundary table from the closed form matching the profit kind; a ces
-    constant comes from `ces_polynomial_constant` on exact moments where the
-    factors are exact and 1/gamma is an integer, else `ces_boundary_constant`."""
+    """Boundary table from the closed form matching the profit kind.
+
+    cobb_douglas: b(u) = (theta * e^u) ** (alpha / (1 - beta)), with
+    theta = (beta * E[e^{alpha I}] / r) ** (1 / alpha).  log: b(u) = E[e^I] * e^u / r.
+    ces: b(u) = K * e^u, K from `ces_polynomial_constant` on exact moments where
+    the factors are exact and 1/gamma is an integer, else `ces_boundary_constant`.
+    """
     us = np.linspace(u_min, u_max, n)
     provenance = f"{p.kind}_closed_form"
     if p.kind == "cobb_douglas":
-        vals = cobb_douglas_boundary(p, factors, us)
+        theta = (p.beta * inf_moment(factors, p.alpha) / factors.r) ** (1.0 / p.alpha)
+        vals = (theta * np.exp(us)) ** (p.alpha / (1.0 - p.beta))
     elif p.kind == "ces":
         m = round(1.0 / p.gamma)
         if factors.is_exact and 1.0 / p.gamma == m:  # m >= 2, as gamma < 1
@@ -373,7 +358,7 @@ def closed_form_boundary_table(p: ProfitFunction, factors: WienerHopfFactors,
             k = ces_boundary_constant(p, factors)
         vals = k * np.exp(us)
     elif p.kind == "log":
-        vals = log_boundary(p, factors, us)
+        vals = inf_moment(factors, 1.0) * np.exp(us) / factors.r
     else:
         raise UnsupportedModel(f"no closed-form boundary for {p.kind!r} profit")
     return BoundaryTable(grid=us, values=np.asarray(vals, dtype=float),

@@ -47,7 +47,7 @@ __all__ = [
 # how chunks are scheduled across workers.
 _CHUNK = 16384
 # fewest replicates a Monte Carlo estimate runs on: config's mc.n_paths and
-# the policy engines both enforce it
+# `_check_replicates` enforce it
 _MIN_REPLICATES = 1_000
 
 _STICKS = 40  # uniform sticks per stable horizon (see _stick_extrema)
@@ -340,6 +340,12 @@ def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> lis
         return [run(ci) for ci in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(n_chunks)))
+
+
+def _check_replicates(n: int) -> None:
+    """DomainError, before any draw, unless an estimate gets _MIN_REPLICATES draws."""
+    if n < _MIN_REPLICATES:
+        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
 
 
 def _mean_se(a: np.ndarray):

@@ -31,12 +31,12 @@ exponent lam (`profit._certified_variance`); the engine refuses otherwise.
 The stepped engine serves every estimate: the values (`evaluate_profit`,
 `compare_policies`), the first-order conditions and the stopping value.
 All of these come from one forward pass, `_forward`, on the grid t_j = j * step
-up to t_max, with one of two accumulators; only `_forward` reads the table.  The
-capacity changes only where the running maximum makes a new high (a few
-percent of paths per step), so `_forward` looks b up on those paths alone and
-hands them to the accumulators that reflect, which keep log C and C per path
-and redo them, and the investment increment, there only; the profit flow runs
-on every path, and the results are bit for bit those of a lookup everywhere.
+up to t_max, with one of two accumulators.  The pass alone reads the table and
+owns the capacity: it changes only where the running maximum makes a new high
+(a few percent of paths per step), so `_forward` looks b up, redoes log C and C
+and forms the investment increment on those paths alone, and the accumulators
+integrate what it hands them; the profit flow runs on every path, and the
+results are bit for bit those of a lookup everywhere.
 The value accumulator integrates each policy's profit flow by the trapezoid rule
 and its investment by a left-endpoint Stieltjes sum, and the truncation order
 e^{-(r - growth) t_max} is reported for the certified growth rate of the
@@ -65,7 +65,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConditionViolation, DomainError
-from .levy import (_MIN_REPLICATES, LevyModel, _increment, _mean_se, _run_chunks,
+from .levy import (LevyModel, _check_replicates, _increment, _mean_se, _run_chunks,
                    sample_extrema)
 from .profit import (ProfitFunction, _certified_growth, _certified_variance, evaluate,
                      marginal_profit)
@@ -196,8 +196,7 @@ def _check_state(x, y: float, n: int, r: float, step: float | None,
         raise DomainError(f"initial log shock must be finite, got {x!r}")
     if not y > 0:
         raise DomainError(f"initial capacity must be > 0, got {y!r}")
-    if n < _MIN_REPLICATES:
-        raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
+    _check_replicates(n)
     step = 1e-3 / r if step is None else step
     t_max = 20.0 / r if t_max is None else t_max
     if not step > 0:
@@ -208,31 +207,35 @@ def _check_state(x, y: float, n: int, r: float, step: float | None,
 
 
 def _scales(scales) -> list[float]:
-    """The policy scales as floats, all > 0, with the base scale 1.0 first if missing."""
+    """The policy scales as floats in (0, inf), with the base scale 1.0 first if missing."""
     scales = [float(s) for s in scales]
-    if any(s <= 0 for s in scales):
-        raise DomainError("policy scales must be > 0")
+    if not all(0.0 < s < math.inf for s in scales):
+        raise DomainError(f"policy scales must be finite and > 0, got {scales!r}")
     return scales if 1.0 in scales else [1.0] + scales
 
 
-def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
-    """Advance n replicate shock paths from x over the grid t_j = j * h, j = 0..N.
+def _forward(model, r, b, x, y, scales, n, rng, h, n_steps, workers, new):
+    """Advance n replicate shock paths from x over the grid t_j = j * h, j = 0..N,
+    under the policy C = max(y, s * b(x + sup X)) of each scale s, or C = y
+    throughout when `scales` is None.
 
     `new(h, disc, m)` (disc[j] = e^{-r t_j}) builds a chunk's accumulator of m
-    paths at index 0; `step(j, x_j, lz_j, moved, lb_moved)` then runs until
-    `done`, with x_j = X_{t_j} and lz_j = x + x_j.  Both are buffers the
-    chunk owns and overwrites at the next step (x_j swaps with the buffer the
-    increment writes), so the accumulator keeps neither.  If the accumulator
-    `reflect`s, w_j = x + sup X takes each step's bridge maximum, `moved`
-    indexes the paths whose w_j rose at step j (all of them at j = 1) and
-    lb_moved = log b(w_j[moved]) is a fresh array the accumulator may
-    overwrite; elsewhere w_j, hence the capacity, is as at step j - 1.
-    Otherwise both are None.  A step allocates only those moved-sized arrays,
+    paths at index 0; `step(j, x_j, lz_j, lc, c, moved, invest)` then runs
+    until `done`, with x_j = X_{t_j}, lz_j = x + x_j, and lc[k], c[k] scale
+    k's log C and C per path (floats when C = y).  w_j = x + sup X takes each
+    step's bridge maximum; `moved` indexes the paths whose w_j rose at step j
+    (all of them at j = 1), and only there is b read, lc and c redone and
+    invest[k] = e^{-r t_{j-1}} (C_j - C_{j-1}) formed, a fresh array; with
+    C = y both are None.  The other arguments are buffers the chunk owns and
+    overwrites at a later step (x_j swaps with the increment's buffer), so
+    the accumulator keeps none.  A step allocates only moved-sized arrays,
     plus the jump families' Poisson counts and a profit kernel's one
     temporary (see `evaluate`).  Returns the `result()` arrays joined on the
     last axis.
     """
     disc = np.exp(-r * h * np.arange(n_steps + 1))
+    ly = math.log(y)
+    log_scales = None if scales is None else [math.log(s) for s in scales]
 
     def chunk(lo: int, hi: int, sub: np.random.Generator):
         m = hi - lo
@@ -241,7 +244,10 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
         # the step maximum there is at least X_0 = 0, so w_1 >= x
         x_j, w_j, lz = np.zeros(m), np.full(m, -np.inf), np.empty(m)
         x_next, top = np.empty(m), np.empty(m)
-        moved = lb = None
+        if scales is None:
+            lc, c, moved, invest = [ly], [y], None, None
+        else:
+            lc, c = np.full((len(scales), m), ly), np.full((len(scales), m), float(y))
         for j in range(1, n_steps + 1):
             if acc.done:
                 break
@@ -249,13 +255,19 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
             x_next, top = _increment(model, x_j, h, sub, out=(x_next, top, lz))
             x_j, x_next = x_next, x_j
             np.add(x, x_j, out=lz)
-            if acc.reflect:
+            if scales is not None:
                 top += x
                 moved = np.flatnonzero(top > w_j)
                 w_moved = top[moved]
                 w_j[moved] = w_moved
                 lb = b.log(w_moved)
-            acc.step(j, x_j, lz, moved, lb)
+                invest = []
+                for k, ls in enumerate(log_scales):
+                    lc_new = np.maximum(ly, lb + ls if ls else lb)
+                    c_new = np.exp(lc_new)
+                    invest.append(disc[j - 1] * (c_new - c[k][moved]))
+                    lc[k][moved], c[k][moved] = lc_new, c_new
+            acc.step(j, x_j, lz, lc, c, moved, invest)
         return acc.result()
 
     results = _run_chunks(n, rng, workers, chunk)
@@ -263,30 +275,23 @@ def _forward(model, r, b, x, n, rng, h, n_steps, workers, new):
 
 
 class _Value:
-    """Value J and investment PV of the policy max(y, s * b) per scale s; log C
-    and C per path are redone, and the investment (0 elsewhere) added, where
-    the running maximum moved, while the profit flow runs on every path."""
+    """Value J and investment PV per policy of the pass: the profit flow runs
+    on every path, and the investment is added where the pass moved C."""
 
-    reflect, done = True, False
+    done = False
 
-    def __init__(self, p, x, y, scales, h, disc, m):
+    def __init__(self, p, x, y, n_scales, h, disc, m):
         self.p, self.h, self.disc = p, h, disc
-        self.ly, self.log_scales = math.log(y), [math.log(s) for s in scales]
-        pi0 = float(evaluate(p, x, self.ly))
-        self.j_acc = np.full((len(scales), m), 0.5 * h * disc[0] * pi0)  # C_0 = y
-        self.pv_acc = np.zeros((len(scales), m))
-        self.lc = np.full((len(scales), m), self.ly)
-        self.c = np.full((len(scales), m), float(y))
+        pi0 = float(evaluate(p, x, math.log(y)))
+        self.j_acc = np.full((n_scales, m), 0.5 * h * disc[0] * pi0)  # C_0 = y
+        self.pv_acc = np.zeros((n_scales, m))
         self.flow = np.empty(m)
 
-    def step(self, j, x_j, lz, moved, lb):
+    def step(self, j, x_j, lz, lc, c, moved, invest):
         w = self.h if j < len(self.disc) - 1 else 0.5 * self.h
-        for k, ls in enumerate(self.log_scales):
-            lc_new = np.maximum(self.ly, ls + lb)
-            c_new = np.exp(lc_new)
-            self.pv_acc[k][moved] += self.disc[j - 1] * (c_new - self.c[k][moved])
-            self.lc[k][moved], self.c[k][moved] = lc_new, c_new
-            flow = evaluate(self.p, lz, self.lc[k], out=self.flow)
+        for k, dc in enumerate(invest):
+            self.pv_acc[k][moved] += dc
+            flow = evaluate(self.p, lz, lc[k], out=self.flow)
             flow *= w * self.disc[j]
             self.j_acc[k] += flow
 
@@ -295,46 +300,41 @@ class _Value:
 
 
 class _FirstHits:
-    """Running trapezoid A_j of e^{-rs} pi_c(z_s, C_s); A_j and e^{-r t_j} at the
-    first index where each stop holds.  A stop is data: ("fixed", grid index),
-    or ("hit_above", level) / ("hit_below", level) on X.  `reflect`: C is
-    max(y, b(w_j)), kept per path with its log and redone only where w_j
-    moved, and the slackness is summed by parts, so that no terms growing
-    with C cancel; else C = y, and stepping ends once all paths stop."""
+    """Running trapezoid A_j of e^{-rs} pi_c(z_s, C_s), for the pass's first
+    policy or C = y; A_j and e^{-r t_j} at the first index where each stop
+    holds.  A stop is data: ("fixed", grid index), or ("hit_above", level) /
+    ("hit_below", level) on X.  Where the pass moves C, the slackness is summed
+    by parts, so that no terms growing with C cancel; with C held at y,
+    stepping ends once all paths stop."""
 
-    def __init__(self, p, x, y, reflect, stops, h, disc, m):
-        self.p, self.y, self.ly, self.reflect, self.stops = p, y, math.log(y), reflect, stops
-        self.h, self.disc = h, disc
-        self.lc = np.full(m, self.ly) if reflect else self.ly
-        self.c = np.full(m, float(y))
-        pi_c0 = float(marginal_profit(p, x, self.ly))
+    done = False
+
+    def __init__(self, p, x, y, stops, h, disc, m):
+        self.p, self.y, self.stops, self.h, self.disc = p, y, stops, h, disc
+        pi_c0 = float(marginal_profit(p, x, math.log(y)))
         self.f, self.f_next = np.full(m, disc[0] * pi_c0), np.empty(m)
         self.a, self.slack, self.dslack = np.zeros(m), np.zeros(m), np.empty(m)
         self.hit = np.zeros((len(stops), m), dtype=bool)
         self.a_tau, self.d_tau = np.zeros((len(stops), m)), np.zeros((len(stops), m))
         self._record(0, np.zeros(m))
 
-    def step(self, j, x_j, lz, moved, lb):
-        if self.reflect:
-            lc_new = np.maximum(self.ly, lb, out=lb)
-            c_new = np.exp(lc_new)
-            invest = self.disc[j - 1] * (c_new - self.c[moved])
-            self.lc[moved], self.c[moved] = lc_new, c_new
-        f = marginal_profit(self.p, lz, self.lc, out=self.f_next)
+    def step(self, j, x_j, lz, lc, c, moved, invest):
+        f = marginal_profit(self.p, lz, lc[0], out=self.f_next)
         f *= self.disc[j]
         # the last flow is spent once da is formed, so da takes its buffer,
         # and that buffer takes the next step's flow
         da = np.add(self.f, f, out=self.f)
         da *= 0.5 * self.h
-        if self.reflect:
+        if moved is not None:
             # sum_j (A_N - A_{j-1}) dC_j = sum_j (A_j - A_{j-1}) (C_j - y)
-            ds = np.subtract(self.c, self.y, out=self.dslack)
+            ds = np.subtract(c[0], self.y, out=self.dslack)
             ds *= da
-            ds[moved] -= invest
+            ds[moved] -= invest[0]
             self.slack += ds
         self.a += da
         self.f, self.f_next = f, da
         self._record(j, x_j)
+        self.done = moved is None and bool(self.hit.all())
 
     def _record(self, j: int, x_j: np.ndarray) -> None:
         for k, (kind, at) in enumerate(self.stops):
@@ -347,7 +347,6 @@ class _FirstHits:
             np.copyto(self.a_tau[k], self.a, where=newly)
             np.copyto(self.d_tau[k], self.disc[j], where=newly)
             self.hit[k] |= newly
-        self.done = not self.reflect and bool(self.hit.all())
 
     def result(self):
         return self.a, self.a_tau, self.d_tau, self.hit, self.slack
@@ -403,8 +402,8 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     scales = _scales(scales)
     growth = _certified_growth(p, model, r)
     x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
-    j_rows, pv_rows = _forward(model, r, b, x, n_paths, rng, h, n_steps, workers,
-                               partial(_Value, p, x, y, scales))
+    j_rows, pv_rows = _forward(model, r, b, x, y, scales, n_paths, rng, h, n_steps,
+                               workers, partial(_Value, p, x, y, len(scales)))
     j_base = j_rows[scales.index(1.0)]
     rows = tuple(_row(s, j_rows[k], pv_rows[k], j_base) for k, s in enumerate(scales))
     return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=n_steps * h,
@@ -475,8 +474,8 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     if any(kind == "fixed" and k > n_steps for kind, k in stops):
         raise DomainError("fixed stopping times must lie within the truncation horizon")
     a_end, a_tau, d_tau, hit, slack = _forward(
-        model, r, b, x, n_paths, rng, h, n_steps, workers,
-        partial(_FirstHits, p, x, y, True, stops))
+        model, r, b, x, y, (1.0,), n_paths, rng, h, n_steps, workers,
+        partial(_FirstHits, p, x, y, stops))
     sg, sg_se = _mean_se(np.where(hit, a_end - a_tau - d_tau, 0.0))
     slackness, slackness_se = _mean_se(slack)
     entries = tuple(FOCEntry(rule=rule, supergradient=float(sg[k]), se=float(sg_se[k]),
@@ -495,18 +494,20 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     Estimates E[ integral_0^tau e^{-rs} pi_c(e^{x + X_s}, y) ds + e^{-r tau} ]
     with e^{-r tau} = 0 when tau never occurs before t_max.  b is nondecreasing,
     so tau is the first passage of X above a = inf{u : b(u) >= y} - x, read
-    once off the table; a = -inf, and the result exactly (1.0, 0.0), when
-    y <= b(x) as `b(x)` computes it.  Never exceeds 1 beyond noise.  b is
-    read at x and at the threshold x + a only.
+    once off the table; the result is exactly (1.0, 0.0), before any path is
+    stepped, when y <= b(x) as `b(x)` computes it.  Never exceeds 1 beyond
+    noise.  b is read at x and at the threshold x + a only.
     ConditionViolation when no growth certificate exists, before any path.
     """
     _certified_growth(p, model, r)
     x, h, n_steps = _check_state(x, y, n_paths, r, step, t_max)
     # in logs first, so that b(x) is formed only below y and cannot overflow
     ly, lbx = math.log(y), b.log(x)
-    a = -math.inf if lbx >= ly or y <= np.exp(lbx) else b.first_reach(ly) - x
+    if lbx >= ly or y <= np.exp(lbx):
+        return 1.0, 0.0
+    a = b.first_reach(ly) - x
     a_end, a_tau, d_tau, hit, _ = _forward(
-        model, r, b, x, n_paths, rng, h, n_steps, workers,
-        partial(_FirstHits, p, x, y, False, [("hit_above", a)]))
+        model, r, b, x, y, None, n_paths, rng, h, n_steps, workers,
+        partial(_FirstHits, p, x, y, [("hit_above", a)]))
     mean, se = _mean_se(np.where(hit[0], a_tau[0] + d_tau[0], a_end))
     return float(mean), float(se)

@@ -23,8 +23,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import BracketFailure, DomainError, UnsupportedModel
-from .levy import (ExtremaPool, Family, LevyModel, _mean_se, _psi, laplace_exponent,
-                   sample_extrema)
+from .levy import (ExtremaPool, Family, LevyModel, _check_replicates, _mean_se, _psi,
+                   laplace_exponent, sample_extrema)
 from .roots import bisect
 
 __all__ = [
@@ -145,7 +145,9 @@ def sample_triplet(model: LevyModel, r: float, n: int, rng: np.random.Generator,
 
     Each replicate uses its own exponential horizon, with no time grid, and
     I = X_T - M is exact in law and independent of M (levy.sample_extrema).
+    DomainError, before any draw, below levy's minimum replicate count.
     """
+    _check_replicates(n)
     pool = sample_extrema(model, r, n, rng, workers=workers)
     return WienerHopfFactors(model=model, r=r, pool=pool)
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -40,6 +41,17 @@ def test_policy_reads_the_table_in_one_place():
     import levyinvest.policy
     assert not hasattr(levyinvest.policy, "_Seen")
     assert "self.b" not in inspect.getsource(levyinvest.policy)
+
+
+def test_policy_capacity_in_one_place():
+    # the forward pass forms C and its investment; the accumulators only integrate
+    import levyinvest.policy as policy
+    for acc in (policy._Value, policy._FirstHits):
+        assert not hasattr(acc, "reflect")
+        assert "reflect" not in inspect.signature(acc).parameters
+        source = inspect.getsource(acc)
+        assert "np.maximum(" not in source and "np.exp(" not in source
+        assert not re.search(r"self\.(lc|c|ly)\b", source)
 
 
 def test_extrema_sampled_in_one_place():

@@ -7,9 +7,8 @@ import pytest
 import levyinvest.boundary
 from levyinvest.boundary import (BoundaryTable, _rule, ces_boundary_constant,
                                  ces_polynomial_constant, closed_form_boundary_table,
-                                 cobb_douglas_boundary, integral_equation_residual,
-                                 log_boundary, marginal_gap, solve_boundary_grid,
-                                 solve_boundary_point)
+                                 integral_equation_residual, marginal_gap,
+                                 solve_boundary_grid, solve_boundary_point)
 from levyinvest.config import load_config
 from levyinvest.errors import BracketFailure, DomainError, MonotonicityViolation
 from levyinvest.levy import LevyModel
@@ -24,6 +23,11 @@ KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
 WH_KOU = exact_factors(KOU, 0.5)
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 FAR = (-8.0, 6.0, 12.0)  # log shocks far off every grid used here
+
+
+def closed_form_at(p, factors, u):
+    """The closed-form boundary at u: the first grid point of a table from u."""
+    return closed_form_boundary_table(p, factors, u, u + 1.0, 2).values[0]
 
 
 class TestBoundaryTable:
@@ -142,7 +146,7 @@ class TestMarginalGap:
         assert lo < 0 < hi
 
     def test_zero_at_closed_form_root(self):
-        b = cobb_douglas_boundary(CD, WH, 0.7)
+        b = closed_form_at(CD, WH, 0.7)
         gap, _ = marginal_gap(CD, WH, 0.7, b)
         assert gap == pytest.approx(0.0, abs=1e-9)
 
@@ -155,7 +159,7 @@ class TestSolvers:
     def test_point_matches_closed_form(self):
         for u in (-1.0, 0.0, 1.3):
             got = solve_boundary_point(CD, WH, u)
-            assert got == pytest.approx(cobb_douglas_boundary(CD, WH, u), rel=1e-8)
+            assert got == pytest.approx(closed_form_at(CD, WH, u), rel=1e-8)
 
     def test_grid_matches_closed_form(self):
         tab = solve_boundary_grid(CD, WH, -1.0, 1.0, 9)
@@ -276,6 +280,15 @@ def test_non_finite_log_shock_rejected_before_any_evaluation(u, monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("n", [1, 999])
+def test_residual_needs_enough_draws_before_any_draw(n, monkeypatch):
+    monkeypatch.setattr(levyinvest.boundary, "sample_extrema",
+                        lambda *args, **kwargs: pytest.fail("a pool was drawn"))
+    table = closed_form_boundary_table(CD, WH, -1.0, 1.0, 5)
+    with pytest.raises(DomainError, match="replicates"):
+        integral_equation_residual(table, CD, BD, R, 0.0, n, np.random.default_rng(0))
+
+
 class TestScalingLaw:
     # the law that makes edge-slope extrapolation exact on every table the
     # package builds: log b(u) - s u is one constant, on the grid and far off it
@@ -328,13 +341,13 @@ class TestClosedForms:
         # b(u) = (theta e^u)^(alpha / (1 - beta)), theta = (beta E e^{alpha I} / r)^(1/alpha)
         e_ai = inf_moment(WH, 0.5)
         theta = (0.5 * e_ai / R) ** 2.0
-        assert cobb_douglas_boundary(CD, WH, 0.0) == pytest.approx(theta, rel=1e-12)
-        assert cobb_douglas_boundary(CD, WH, 1.0) == pytest.approx(theta * np.e,
-                                                                   rel=1e-12)
+        b0, b1 = closed_form_boundary_table(CD, WH, 0.0, 1.0, 2).values
+        assert b0 == pytest.approx(theta, rel=1e-12)
+        assert b1 == pytest.approx(theta * np.e, rel=1e-12)
 
     def test_log_boundary_formula(self):
         p = log_profit()
-        assert log_boundary(p, WH, 0.3) == pytest.approx(
+        assert closed_form_at(p, WH, 0.3) == pytest.approx(
             inf_moment(WH, 1.0) * np.exp(0.3) / R, rel=1e-12)
 
     def test_ces_constant_solves_its_equation(self):

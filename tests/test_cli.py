@@ -447,6 +447,8 @@ class TestPolicyEngine:
         ({"n_paths": 999}, DomainError),
         ({"scales": [0.5, 0.0]}, DomainError),
         ({"scales": [-2.0]}, DomainError),
+        ({"scales": [0.5, math.nan]}, DomainError),
+        ({"scales": [math.inf]}, DomainError),
         # no growth certificate: stable has no exponential moments
         ({"model": LevyModel.stable(0.0, 1.5, 0.5)}, ConditionViolation),
         # no variance certificate: psi(2) = 4 >= r = 2 for lam = 1 ...
@@ -456,7 +458,8 @@ class TestPolicyEngine:
         ({"model": LevyModel.kou(0.0, 0.2, 1.0, 0.4, 1.5, 6.0), "r": 2.0},
          ConditionViolation),
     ], ids=["valid", "y_zero", "y_negative", "few_paths", "scale_zero", "scale_negative",
-            "no_growth_certificate", "brownian_variance", "kou_beyond_moment"])
+            "scale_nan", "scale_inf", "no_growth_certificate", "brownian_variance",
+            "kou_beyond_moment"])
     def test_exponential_time_rejects_before_sampling(self, change, error, pool_calls):
         call = dict(self.CALL, rng=np.random.default_rng(3), **change)
         if error is None:  # the recording patch sees a valid call

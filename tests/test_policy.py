@@ -124,6 +124,15 @@ class TestComparePolicies:
             compare_policies(CD, BD, R, TABLE, 0.0, 1.0, [0.5, -1.0], N,
                              np.random.default_rng(11), step=H, t_max=TM)
 
+    @pytest.mark.parametrize("scales", [[0.5, float("nan")], [float("inf")]],
+                             ids=["scale_nan", "scale_inf"])
+    def test_non_finite_scales_rejected_before_any_draw(self, scales, monkeypatch):
+        monkeypatch.setattr(levyinvest.policy, "_increment",
+                            lambda *args, **kwargs: pytest.fail("a path was stepped"))
+        with pytest.raises(DomainError):
+            compare_policies(CD, BD, R, TABLE, 0.0, 1.0, scales, N,
+                             np.random.default_rng(11), step=H, t_max=TM)
+
 
 class TestFOC:
     def test_never_hit_rule_contributes_zero(self):
@@ -175,6 +184,14 @@ class TestStoppingValue:
         v, se = stopping_value(CD, BD, R, TABLE, 0.0, 0.5 * bx, N,
                                np.random.default_rng(16), step=H, t_max=TM)
         assert v == 1.0 and se == 0.0
+
+    @pytest.mark.parametrize("mult", [0.5, 1.0])
+    def test_no_pass_where_y_is_at_most_b(self, mult, monkeypatch):
+        monkeypatch.setattr(levyinvest.policy, "_forward",
+                            lambda *args: pytest.fail("a forward pass ran"))
+        v = stopping_value(CD, BD, R, TABLE, 0.0, mult * float(TABLE(0.0)), N,
+                           np.random.default_rng(16), step=H, t_max=TM)
+        assert v == (1.0, 0.0)
 
     def test_below_one_outside(self):
         bx = float(TABLE(0.0))

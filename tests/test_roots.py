@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levyinvest.boundary import _gap, _rule, cobb_douglas_boundary, log_boundary
+from levyinvest.boundary import _gap, _rule, closed_form_boundary_table
 from levyinvest.errors import BracketFailure
 from levyinvest.levy import LevyModel
 from levyinvest.profit import cobb_douglas, log_profit
@@ -119,9 +119,9 @@ class TestBisect:
                    abs_tol=1e-10)
         assert f.calls <= MAX_GAP_PASSES
         if factors.is_exact:
-            ref = (cobb_douglas_boundary if p.kind == "cobb_douglas" else log_boundary)(
-                p, factors, us)
-            np.testing.assert_allclose(x, np.log(ref), rtol=0.0, atol=1e-10)
+            ref = closed_form_boundary_table(p, factors, us[0], us[-1], len(us))
+            np.testing.assert_array_equal(ref.grid, us)
+            np.testing.assert_allclose(x, np.log(ref.values), rtol=0.0, atol=1e-10)
         assert np.abs(_gap(p, factors.r, us, nodes, w, x)[0]).max() < 1e-10
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-5.0, 2.0), (0.3, 10.0), (10.0, -3.0)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import levyinvest.wiener_hopf
 from levyinvest.errors import BracketFailure, DomainError, UnsupportedModel
 from levyinvest.levy import LevyModel, laplace_exponent
 from levyinvest.wiener_hopf import (WienerHopfFactors, cramer_roots, exact_factors,
@@ -175,6 +176,14 @@ class TestMonteCarlo:
         for lam in (0.25, 0.5, 1.0):
             est, se = inf_moment_with_se(wh_mc, lam)
             assert abs(est - inf_moment(wh_ex, lam)) < 3.5 * se
+
+    @pytest.mark.parametrize("n", [1, 999])
+    def test_too_few_draws_rejected_before_any_draw(self, n, monkeypatch):
+        # one draw has no SE, and the grid solve and wh-check would warn and report NaN
+        monkeypatch.setattr(levyinvest.wiener_hopf, "sample_extrema",
+                            lambda *args, **kwargs: pytest.fail("a pool was drawn"))
+        with pytest.raises(DomainError, match="replicates"):
+            sample_triplet(BD, R_BD, n, np.random.default_rng(7))
 
     def test_mc_mode_flag_and_size(self):
         wh = sample_triplet(KOU, R_KOU, 5000, np.random.default_rng(2))
