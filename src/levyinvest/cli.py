@@ -125,12 +125,19 @@ def _cmd_boundary(cfg: ExperimentConfig, out: str, workers: int) -> int:
 def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
     rng = np.random.default_rng(cfg.seed)
     factors, table = _solve_table(cfg, rng, workers)
+    # "y" is b(u0): a point where it overflows fails before any pool is drawn
+    with np.errstate(over="ignore"):
+        ys = [float(table(u0)) for u0 in cfg.verify_u0]
+    for i, (u0, y) in enumerate(zip(cfg.verify_u0, ys)):
+        if not math.isfinite(y):
+            raise ValidationError(f"verify.u0[{i}]", f"b({u0!r}) = exp({table.log(u0)!r}) "
+                                                     "overflows a float")
     points = []
-    for u0 in cfg.verify_u0:
+    for u0, y in zip(cfg.verify_u0, ys):
         res, se = integral_equation_residual(table, cfg.profit, cfg.model, cfg.r,
                                              u0, cfg.n_paths, rng, workers=workers)
         table_se = None if table.ses is None else float(np.interp(u0, table.grid, table.ses))
-        points.append({"u0": float(u0), "y": float(table(u0)),
+        points.append({"u0": float(u0), "y": y,
                        "residual": res, "se": se, "table_se": table_se,
                        "ratio": _ratio(res, se)})
     # every config profit kind has a closed form

@@ -26,7 +26,6 @@ mean and standard error by `_mean_se`.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -325,7 +324,8 @@ def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> lis
 
     Every chunk owns one child generator spawned from rng, and the results
     come back in chunk order, so they never depend on `workers`.  Callers
-    reduce the results after the join; chunks share no mutable state.
+    reduce the results after the join; chunks share no mutable state.  A
+    thread pool runs the chunks only when workers > 1 and there are several.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
@@ -338,6 +338,8 @@ def _run_chunks(n: int, rng: np.random.Generator, workers: int, chunk_fn) -> lis
 
     if workers == 1 or n_chunks == 1:
         return [run(ci) for ci in range(n_chunks)]
+    # imported here: concurrent.futures loads logging, which one worker never needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(n_chunks)))
 

@@ -476,7 +476,11 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     a_end, a_tau, d_tau, hit, slack = _forward(
         model, r, b, x, y, (1.0,), n_paths, rng, h, n_steps, workers,
         partial(_FirstHits, p, x, y, stops))
-    sg, sg_se = _mean_se(np.where(hit, a_end - a_tau - d_tau, 0.0))
+    # A_N - A_tau - e^{-r tau} where the stop was hit, else 0, formed in a_tau
+    terms = np.subtract(a_end, a_tau, out=a_tau)
+    terms -= d_tau
+    terms[~hit] = 0.0
+    sg, sg_se = _mean_se(terms)
     slackness, slackness_se = _mean_se(slack)
     entries = tuple(FOCEntry(rule=rule, supergradient=float(sg[k]), se=float(sg_se[k]),
                              hit_fraction=float(hit[k].mean()))

@@ -152,12 +152,14 @@ def sample_triplet(model: LevyModel, r: float, n: int, rng: np.random.Generator,
     return WienerHopfFactors(model=model, r=r, pool=pool)
 
 
-def _moment(factors: WienerHopfFactors, lam: float,
-            sup: bool) -> tuple[float, float, np.ndarray | None]:
+def _moment(factors: WienerHopfFactors, lam: float, sup: bool,
+            out: np.ndarray | None = None) -> tuple[float, float, np.ndarray | None]:
     """E[exp(lam * M)] (sup) or E[exp(lam * I)], its standard error and the
     per-draw terms exp(lam * extremum) of the pool; exact factors sum their
     mixture (a rate rho contributes rho / (rho -+ lam)), SE 0.0, terms None.
-    DomainError, before any exp, where pooled sup terms would overflow."""
+    The pool terms are formed in one array, `out` when given (one row of
+    len(pool) floats), I as X_T - M there, so that no other pool-sized array
+    is held.  DomainError, before any exp, where pooled sup terms would overflow."""
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
@@ -170,7 +172,13 @@ def _moment(factors: WienerHopfFactors, lam: float,
                     >= _LOG_DBL_MAX - math.log(len(factors.pool))):
             raise DomainError(f"sup moment terms overflow at lambda={lam!r}: "
                               "2 lambda max(M) + log n passes log(DBL_MAX)")
-        terms = np.exp(lam * (factors.pool.running_max if sup else factors.pool.running_min))
+        pool = factors.pool
+        if sup:
+            terms = np.multiply(pool.running_max, lam, out=out)
+        else:
+            terms = np.subtract(pool.terminal, pool.running_max, out=out)
+            terms *= lam
+        np.exp(terms, out=terms)
         mean, se = _mean_se(terms)
         return float(mean), float(se), terms
     rates, weights = ((factors.max_rates, factors.max_weights) if sup
@@ -224,17 +232,23 @@ def wh_identity_residual(factors: WienerHopfFactors) -> tuple[float, float]:
     inf_moment_with_se report at lam = 1, and returns (product - target,
     propagated standard error).  M and I = X_T - M are independent, so the
     covariance of the two means is zero in law; the propagation still keeps
-    its sample value, since both means come from the same replicates.
+    its sample value, since both means come from the same replicates.  The
+    sup and inf terms fill the two rows of one (2, n) block, and their
+    covariance is formed in that block with np.cov's arithmetic (ddof 1).
     DomainError if psi(1) does not exist or r <= psi(1); UnsupportedModel on
     exact factors.
     """
     if factors.is_exact:
         raise UnsupportedModel("the identity residual applies to Monte Carlo factors only")
     target = _identity_target(factors.model, factors.r)
-    mean_a, _, a = _moment(factors, 1.0, sup=True)
-    mean_b, _, b = _moment(factors, 1.0, sup=False)
-    cov = np.cov(a, b, ddof=1)
+    n = len(factors.pool)
+    t = np.empty((2, n))
+    mean_a = _moment(factors, 1.0, sup=True, out=t[0])[0]
+    mean_b = _moment(factors, 1.0, sup=False, out=t[1])[0]
+    t -= t.mean(axis=1)[:, None]
+    cov = np.dot(t, t.T)
+    cov *= 1.0 / (n - 1)
     var_prod = (mean_b ** 2 * cov[0, 0] + mean_a ** 2 * cov[1, 1]
                 + 2.0 * mean_a * mean_b * cov[0, 1])
-    se = math.sqrt(max(var_prod, 0.0) / len(a))
+    se = math.sqrt(max(var_prod, 0.0) / n)
     return mean_a * mean_b - target, se

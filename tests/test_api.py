@@ -26,7 +26,10 @@ def test_submodule_exports_resolve(name):
 
 
 def test_import_does_not_load_scipy():
-    code = "import levyinvest, sys; assert 'scipy' not in sys.modules"
+    # nor the thread pool and the logging it imports, loaded only for --workers > 1
+    code = ("import levyinvest, levyinvest.cli, sys; assert 'scipy' not in sys.modules; "
+            "assert 'concurrent.futures' not in sys.modules; "
+            "assert 'logging' not in sys.modules")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
 

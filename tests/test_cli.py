@@ -588,6 +588,32 @@ class TestErrorHandling:
         assert (error["type"], error["key"]) == ("ValidationError", "outputs")
         assert repr(out) in error["message"]
 
+    def test_verify_u0_past_float_range_rejected_before_sampling(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # log b(800) is about 799.4 on brownian_log: b(u0) overflows, and "y"
+        # would be written as Infinity, which is not JSON
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(example("brownian_log", verify={"u0": [0.0, 800.0]})),
+                        encoding="utf-8")
+
+        def expensive(*args, **kwargs):
+            raise AssertionError("a residual pool was drawn before b(u0) was checked")
+
+        monkeypatch.setattr(levyinvest.cli, "integral_equation_residual", expensive)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["verify", "--config", str(path), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ValidationError" and error["key"] == "verify.u0[1]"
+        assert not (out / "verify.json").exists()
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x"])

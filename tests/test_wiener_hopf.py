@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,20 @@ class TestMonteCarlo:
                                                       np.random.default_rng(4)))
         assert se > 0
         assert abs(res) < 3.5 * se
+
+    def test_identity_residual_holds_one_term_block(self):
+        # the sup and inf terms share one (2, n) block, centred in place for
+        # their covariance: under 2 pool sizes on top of the pool, where
+        # separate term arrays and np.cov's stacked copy take 2.5
+        factors = sample_triplet(MERTON, 1.0, 100_000, np.random.default_rng(3))
+        pool_bytes = factors.pool.terminal.nbytes + factors.pool.running_max.nbytes
+        tracemalloc.start()
+        try:
+            wh_identity_residual(factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * pool_bytes
 
     def test_identity_needs_subcritical_rate(self):
         with pytest.raises(DomainError):
