@@ -137,6 +137,16 @@ def _log_shock(u) -> float:
     return u
 
 
+def _grid(u_min: float, u_max: float, n: int) -> np.ndarray:
+    """n evenly spaced log shocks from u_min to u_max; DomainError unless
+    n >= 2 and both ends are finite with u_max > u_min."""
+    if not n >= 2:
+        raise DomainError(f"grid needs at least 2 points, got {n!r}")
+    if not _log_shock(u_max) > _log_shock(u_min):
+        raise DomainError(f"need u_max > u_min, got [{u_min!r}, {u_max!r}]")
+    return np.linspace(u_min, u_max, n)
+
+
 def _rule(factors: WienerHopfFactors):
     """Nodes i, weights w with E[f(I)] = sum_j w_j f(i_j); w None: the pool mean.
 
@@ -240,11 +250,7 @@ def solve_boundary_grid(p: ProfitFunction, factors: WienerHopfFactors,
     empirical gap - and so the grid - monotone, and store per-point
     delta-method standard errors.  `solver` records passes and final |gap|.
     """
-    if not n >= 2:
-        raise DomainError(f"grid needs at least 2 points, got {n!r}")
-    if not _log_shock(u_max) > _log_shock(u_min):
-        raise DomainError(f"need u_max > u_min, got [{u_min!r}, {u_max!r}]")
-    us = np.linspace(u_min, u_max, n)
+    us = _grid(u_min, u_max, n)
     roots, ses, solver = _solve(p, factors, us)
     return BoundaryTable(grid=us, values=roots, provenance=GENERIC_SOLVER,
                          ses=ses, solver=solver)
@@ -342,8 +348,9 @@ def closed_form_boundary_table(p: ProfitFunction, factors: WienerHopfFactors,
     theta = (beta * E[e^{alpha I}] / r) ** (1 / alpha).  log: b(u) = E[e^I] * e^u / r.
     ces: b(u) = K * e^u, K from `ces_polynomial_constant` on exact moments where
     the factors are exact and 1/gamma is an integer, else `ces_boundary_constant`.
+    The grid is checked as in `solve_boundary_grid`, before any moment or root.
     """
-    us = np.linspace(u_min, u_max, n)
+    us = _grid(u_min, u_max, n)
     provenance = f"{p.kind}_closed_form"
     if p.kind == "cobb_douglas":
         theta = (p.beta * inf_moment(factors, p.alpha) / factors.r) ** (1.0 / p.alpha)

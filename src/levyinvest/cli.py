@@ -25,11 +25,17 @@ any worker count.  CSV cells use '.' decimals and 17 significant digits;
 every Monte Carlo estimate is emitted next to its standard error.  Module
 errors are reported as a one-line JSON object on stdout with exit status 1;
 an unknown subcommand exits with the usage text and status 2.
+
+Each subcommand computes its artifacts as text and `main` alone writes them.
+A rejected run writes no artifact and removes the output directories it
+created; an artifact that cannot be written is the JSON error with key
+"outputs".
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -48,9 +54,6 @@ from .wiener_hopf import (_identity_target, exact_factors, inf_moment, inf_momen
 
 __all__ = ["main"]
 
-_SUBCOMMANDS = ("boundary", "verify", "wh-check", "simulate", "compare",
-                "check-assumptions")
-
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
@@ -63,67 +66,50 @@ def _ratio(residual: float, se: float) -> float:
     return residual / se if se > 0 else 0.0
 
 
-def _dump_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
+def _json(cfg: ExperimentConfig, payload: dict) -> str:
+    """The JSON artifact text: the config digest and seed, then `payload`."""
+    doc = {"config_sha256": cfg.config_sha256, "seed": cfg.seed, **payload}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _dump_csv(path: str, identity: dict, header: list[str], rows) -> None:
-    lines = [f"# config_sha256: {identity['config_sha256']}",
-             f"# seed: {identity['seed']}",
-             ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
-def _identity(cfg: ExperimentConfig) -> dict:
-    return {"config_sha256": cfg.config_sha256, "seed": cfg.seed}
-
-
-def _factors(cfg: ExperimentConfig, rng: np.random.Generator, workers: int):
-    """Exact factorization when the model has one, otherwise sampled."""
-    try:
-        return exact_factors(cfg.model, cfg.r)
-    except UnsupportedModel:
-        return sample_triplet(cfg.model, cfg.r, cfg.n_paths, rng, workers=workers)
+def _csv(cfg: ExperimentConfig, header: list[str], rows) -> str:
+    """The CSV artifact text: the config digest and seed as comments, then the table."""
+    lines = [f"# config_sha256: {cfg.config_sha256}", f"# seed: {cfg.seed}",
+             *(",".join(row) for row in [header, *rows])]
+    return "\n".join(lines) + "\n"
 
 
 def _solve_table(cfg: ExperimentConfig, rng: np.random.Generator, workers: int):
-    factors = _factors(cfg, rng, workers)
-    table = solve_boundary_grid(cfg.profit, factors, cfg.u_min, cfg.u_max, cfg.grid_n)
-    return factors, table
+    """The factors, exact when the model has them, else sampled, and the solved table."""
+    try:
+        factors = exact_factors(cfg.model, cfg.r)
+    except UnsupportedModel:
+        factors = sample_triplet(cfg.model, cfg.r, cfg.n_paths, rng, workers=workers)
+    return factors, solve_boundary_grid(cfg.profit, factors, cfg.u_min, cfg.u_max, cfg.grid_n)
 
 
-def _cmd_boundary(cfg: ExperimentConfig, out: str, workers: int) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_boundary(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:
     _, table = _solve_table(cfg, rng, workers)
-    ident = _identity(cfg)
     rows = []
     for i in range(len(table.grid)):
         se = "" if table.ses is None else _fmt(table.ses[i])
         rows.append([_fmt(table.grid[i]), _fmt(table.values[i]), table.provenance, se])
-    _dump_csv(os.path.join(out, "boundary.csv"), ident,
-              ["u", "b", "provenance", "se_if_mc"], rows)
-    payload = dict(ident)
-    payload.update({
-        "family": cfg.model.family.value,
-        "profit": cfg.profit.kind,
-        "r": cfg.r,
-        "provenance": table.provenance,
-        "u": [float(v) for v in table.grid],
-        "b": [float(v) for v in table.values],
-        "se": None if table.ses is None else [float(v) for v in table.ses],
-        "solver": table.solver,
-    })
-    _dump_json(os.path.join(out, "boundary.json"), payload)
-    return 0
+    return {
+        "boundary.csv": _csv(cfg, ["u", "b", "provenance", "se_if_mc"], rows),
+        "boundary.json": _json(cfg, {
+            "family": cfg.model.family.value,
+            "profit": cfg.profit.kind,
+            "r": cfg.r,
+            "provenance": table.provenance,
+            "u": [float(v) for v in table.grid],
+            "b": [float(v) for v in table.values],
+            "se": None if table.ses is None else [float(v) for v in table.ses],
+            "solver": table.solver,
+        }),
+    }
 
 
-def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_verify(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:
     factors, table = _solve_table(cfg, rng, workers)
     # "y" is b(u0): a point where it overflows fails before any pool is drawn
     with np.errstate(over="ignore"):
@@ -149,15 +135,12 @@ def _cmd_verify(cfg: ExperimentConfig, out: str, workers: int) -> int:
     agreement = {"available": True, "provenance": closed.provenance,
                  "max_rel_err": float(rel.max()),
                  "independent": factors.is_exact and closed.provenance != "ces_closed_form"}
-    payload = dict(_identity(cfg))
-    payload.update({"integral_equation": points, "closed_form_agreement": agreement,
-                    "n_paths": cfg.n_paths})
-    _dump_json(os.path.join(out, "verify.json"), payload)
-    return 0
+    return {"verify.json": _json(cfg, {"integral_equation": points,
+                                       "closed_form_agreement": agreement,
+                                       "n_paths": cfg.n_paths})}
 
 
-def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_wh_check(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:
     model, r = cfg.model, cfg.r
     _identity_target(model, r)  # fail before any pool is sampled
     try:
@@ -176,8 +159,7 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
     inf_est, inf_se = inf_moment_with_se(mc, 1.0)
     sup = sup_moment_diagnostics(mc, 1.0)
     residual, res_se = wh_identity_residual(mc)
-    payload = dict(_identity(cfg))
-    payload.update({
+    return {"wh_check.json": _json(cfg, {
         "family": model.family.value,
         "r": r,
         "exact": exact_block,
@@ -189,57 +171,44 @@ def _cmd_wh_check(cfg: ExperimentConfig, out: str, workers: int) -> int:
         },
         "identity": {"residual": residual, "se": res_se,
                      "ratio": _ratio(residual, res_se)},
-    })
-    _dump_json(os.path.join(out, "wh_check.json"), payload)
-    return 0
+    })}
 
 
-def _policy_values(cfg: ExperimentConfig, scales, workers: int):
+def _policy_values(cfg: ExperimentConfig, rng: np.random.Generator, scales, workers: int):
     """The solved table's policies at `scales`, on the exponential-time engine
     when its variance is certified, else on the stepped engine."""
     _certified_growth(cfg.profit, cfg.model, cfg.r)  # fail before the table is solved
     engine = (exponential_time_values if _certified_variance(cfg.profit, cfg.model, cfg.r)
               else compare_policies)
-    rng = np.random.default_rng(cfg.seed)
     _, table = _solve_table(cfg, rng, workers)
     return engine(cfg.profit, cfg.model, cfg.r, table, cfg.x, cfg.y, scales,
                   cfg.n_paths, rng, step=cfg.step, t_max=cfg.t_max, workers=workers)
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out: str, workers: int) -> int:
-    ev = _at_base(_policy_values(cfg, (1.0,), workers))
-    payload = dict(_identity(cfg))
-    payload.update({"state": {"x": cfg.x, "y": cfg.y}})
-    payload.update(dataclasses.asdict(ev))
-    _dump_json(os.path.join(out, "simulate.json"), payload)
-    return 0
+def _cmd_simulate(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:
+    ev = _at_base(_policy_values(cfg, rng, (1.0,), workers))
+    return {"simulate.json": _json(cfg, {"state": {"x": cfg.x, "y": cfg.y},
+                                         **dataclasses.asdict(ev)})}
 
 
-def _cmd_compare(cfg: ExperimentConfig, out: str, workers: int) -> int:
-    result = _policy_values(cfg, cfg.scales, workers)
-    ident = _identity(cfg)
+def _cmd_compare(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:
+    result = _policy_values(cfg, rng, cfg.scales, workers)
     header = ["scale", "j_value", "j_se", "pv_investment", "pv_investment_se",
               "base_minus_this", "base_minus_this_se"]
     rows = [[_fmt(row.scale), _fmt(row.j_value), _fmt(row.j_se),
              _fmt(row.pv_investment), _fmt(row.pv_investment_se),
              _fmt(row.base_minus_this), _fmt(row.base_minus_this_se)]
             for row in result.rows]
-    _dump_csv(os.path.join(out, "compare.csv"), ident, header, rows)
-    payload = dict(ident)
-    payload.update({"state": {"x": cfg.x, "y": cfg.y}})
-    payload.update(dataclasses.asdict(result))
-    _dump_json(os.path.join(out, "compare.json"), payload)
-    return 0
+    payload = {"state": {"x": cfg.x, "y": cfg.y}, **dataclasses.asdict(result)}
+    return {"compare.csv": _csv(cfg, header, rows), "compare.json": _json(cfg, payload)}
 
 
-def _cmd_check_assumptions(cfg: ExperimentConfig, out: str, workers: int) -> int:
+def _cmd_check_assumptions(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:
     report = check_assumptions(cfg.profit, cfg.model, cfg.r)
-    payload = dict(_identity(cfg))
-    payload.update(report.to_dict())
-    _dump_json(os.path.join(out, "assumptions.json"), payload)
-    return 0
+    return {"assumptions.json": _json(cfg, report.to_dict())}
 
 
+# subcommand -> handler(cfg, rng, workers) -> {artifact file name: text}
 _HANDLERS = {
     "boundary": _cmd_boundary,
     "verify": _cmd_verify,
@@ -256,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimal irreversible-investment boundaries under "
                     "exponential Levy shocks: solve, verify, and simulate.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-    for name in _SUBCOMMANDS:
+    for name in _HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None,
@@ -268,8 +237,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _new_dirs(path: str) -> list[str]:
+    """`path` and those of its ancestors that do not exist yet, deepest first."""
+    path = os.path.abspath(path)
+    return [] if os.path.lexists(path) else [path, *_new_dirs(os.path.dirname(path))]
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    new_dirs, written = [], []
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -278,13 +254,28 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         if args.workers < 1:
             raise ValidationError("workers", f"must be >= 1, got {args.workers!r}")
+        new_dirs = _new_dirs(cfg.out_dir)
         try:
             os.makedirs(cfg.out_dir, exist_ok=True)
         except OSError as exc:
             raise ValidationError("outputs", f"cannot create the output directory "
                                              f"{cfg.out_dir!r}: {exc.strerror}") from exc
-        return _HANDLERS[args.command](cfg, cfg.out_dir, args.workers)
+        artifacts = _HANDLERS[args.command](cfg, np.random.default_rng(cfg.seed), args.workers)
+        for name, text in artifacts.items():
+            path = os.path.join(cfg.out_dir, name)
+            try:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    written.append(path)
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError("outputs", f"cannot write {path!r}: {exc.strerror}") from exc
+        return 0
     except LevyInvestError as exc:
+        # a rejected run leaves no artifact and no directory of its own behind
+        for remove, paths in ((os.remove, written), (os.rmdir, new_dirs)):
+            for path in paths:
+                with contextlib.suppress(OSError):
+                    remove(path)
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ValidationError):
             error["key"] = exc.key

@@ -105,3 +105,15 @@ def test_moments_in_one_place():
     assert not hasattr(levyinvest, "sup_moment_with_se")
     assert inspect.getsource(wh).count("np.exp(") == 1
     assert "np.exp(" in inspect.getsource(wh._moment)
+
+
+def test_artifacts_written_in_one_place():
+    # subcommands return {file name: text}; main alone creates the rng and opens files
+    import levyinvest.cli as cli
+    source = inspect.getsource(cli)
+    assert source.count("open(") == 1 and "open(" in inspect.getsource(cli.main)
+    assert source.count("default_rng(") == 1
+    assert not any(hasattr(cli, name) for name in ("_dump_json", "_dump_csv", "_identity",
+                                                    "_SUBCOMMANDS"))
+    for handler in cli._HANDLERS.values():
+        assert list(inspect.signature(handler).parameters) == ["cfg", "rng", "workers"]

@@ -256,9 +256,21 @@ class TestSolvers:
         with pytest.raises(BracketFailure):
             solve_boundary_point(p, wh_low, 0.0)
 
-    def test_grid_needs_two_points(self):
-        with pytest.raises(DomainError):
-            solve_boundary_grid(CD, WH, -1.0, 1.0, 1)
+    @pytest.mark.parametrize("u_min, u_max, n", [
+        (-1.0, 1.0, 1), (1.0, 1.0, 5), (1.0, -1.0, 5), (-1.0, float("inf"), 5),
+        (float("nan"), 1.0, 5)], ids=["one_point", "equal_ends", "reversed", "inf_end",
+                                      "nan_end"])
+    @pytest.mark.parametrize("build", [solve_boundary_grid, closed_form_boundary_table],
+                             ids=["solved", "closed_form"])
+    def test_bad_grid_rejected_before_any_work(self, build, u_min, u_max, n, monkeypatch):
+        def work(*args, **kwargs):
+            pytest.fail("a moment or a root was computed")
+        for name in ("_solve", "inf_moment"):
+            monkeypatch.setattr(levyinvest.boundary, name, work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                build(CD, WH, u_min, u_max, n)
 
 
 @pytest.mark.parametrize("u", [float("nan"), float("inf"), float("-inf")])

@@ -612,7 +612,30 @@ class TestErrorHandling:
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["type"] == "ValidationError" and error["key"] == "verify.u0[1]"
-        assert not (out / "verify.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "wh-check"])
+    def test_rejected_run_leaves_no_directory(self, command, tmp_path, capsys):
+        # the handler rejects stable_ces after main made --out and its missing parent
+        out = tmp_path / "a" / "b"
+        assert main([command, "--config", example_path("stable_ces"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1 and captured.err == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_artifact_is_a_json_error(self, config_path, tmp_path, capsys):
+        # a directory where boundary.json goes: no traceback, the run takes back
+        # the boundary.csv it wrote, and what was there before it stays
+        out = tmp_path / "o"
+        (out / "boundary.json").mkdir(parents=True)
+        assert main(["boundary", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and captured.err == ""
+        error = json.loads(lines[0])["error"]
+        assert (error["type"], error["key"]) == ("ValidationError", "outputs")
+        assert error["message"].startswith(f"cannot write {str(out / 'boundary.json')!r}: ")
+        assert [p.name for p in out.iterdir()] == ["boundary.json"]
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
