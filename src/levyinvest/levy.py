@@ -386,26 +386,36 @@ def _extrema_chunk(model: LevyModel, r: float, n: int, rng: np.random.Generator)
     Horizon first, then the path.  The stable family is drawn by
     stick-breaking (`_stick_extrema`).  Diffusive families step from one
     jump arrival to the next (or to the horizon), so each jump sits at its
-    exact time and the bridge maxima make the draw exact in law.
+    exact time and the bridge maxima make the draw exact in law.  Brownian
+    motion has no arrivals and takes one `_increment` to its horizon.  The
+    first segment starts every path at t = 0 and X = 0, so it runs on whole
+    arrays with no index gathers; later segments gather only the paths still
+    short of their horizons, each once (`idx` is unique).  The draws and
+    their arithmetic are those of stepping every segment by gathers.
     """
     horizon = rng.exponential(1.0 / r, size=n)
     if model.family is Family.STABLE:
         return _stick_extrema(model, horizon, rng)
-    x = np.zeros(n)
-    m = np.zeros(n)
-    t = np.zeros(n)
     q = model.jump_intensity
-    idx = np.arange(n)
+    if q == 0.0:
+        x, m = _increment(model, np.zeros(n), horizon, rng)
+        return x, np.maximum(0.0, m, out=m)
+    # the first segment ends at t = min(first arrival, horizon), which is also its length
+    t = rng.exponential(1.0 / q, size=n)
+    np.minimum(t, horizon, out=t)
+    # a path that has not reached its horizon stopped at a jump arrival
+    running = t < horizon
+    x, m = _increment(model, np.zeros(n), t, rng, counts=running)
+    np.maximum(0.0, m, out=m)
+    idx = np.flatnonzero(running)
     while idx.size:
         t0, end = t[idx], horizon[idx]
-        gap = rng.exponential(1.0 / q, size=idx.size) if q > 0.0 else np.inf
-        seg_end = np.minimum(t0 + gap, end)
-        dt, done = seg_end - t0, seg_end >= end
+        seg_end = np.minimum(t0 + rng.exponential(1.0 / q, size=idx.size), end)
+        running = seg_end < end
         t[idx] = seg_end
-        # a path that has not reached its horizon stopped at a jump arrival
-        x[idx], hi = _increment(model, x[idx], dt, rng, counts=~done)
-        np.maximum.at(m, idx, hi)
-        idx = idx[~done]
+        x[idx], hi = _increment(model, x[idx], seg_end - t0, rng, counts=running)
+        m[idx] = np.maximum(m[idx], hi)
+        idx = idx[running]
     return x, m
 
 

@@ -41,11 +41,14 @@ The value accumulator integrates each policy's profit flow by the trapezoid rule
 and its investment by a left-endpoint Stieltjes sum, and the truncation order
 e^{-(r - growth) t_max} is reported for the certified growth rate of the
 integrand.  The first-hit accumulator keeps the running trapezoid A_j of
-e^{-rs} pi_c(z_s, C_s) and records A_j and e^{-r t_j} where each stop (a grid
-index, or a level of X hit from below or above) first holds.  Then the
-supergradient is A_N - A_tau - e^{-r tau} (0 if tau never occurs before
-t_max), the slackness sum_j (A_N - A_{j-1} - e^{-r t_{j-1}}) dC_j, and the
-stopping value A_tau + e^{-r tau} (A_N if tau never occurs).
+e^{-rs} pi_c(z_s, C_s) and records, per path, the grid index tau where each
+stop (a grid index, or a level of X hit from below or above) first holds,
+with A_tau there; e^{-r tau} is read off the grid's discount factors.  Each
+chunk then forms its finished rows in the A_tau buffer: the supergradient
+terms A_N - A_tau - e^{-r tau} (0 if tau never occurs before t_max) with a
+hit count per stop, beside the slackness sum_j (A_N - A_{j-1} -
+e^{-r t_{j-1}}) dC_j; or the stopping value A_tau + e^{-r tau} (A_N if tau
+never occurs).
 
 All estimators reuse common random numbers across policy scales and run in
 fixed-size replicate chunks with spawned substreams, so results depend only
@@ -230,8 +233,9 @@ def _forward(model, r, b, x, y, scales, n, rng, h, n_steps, workers, new):
     overwrites at a later step (x_j swaps with the increment's buffer), so
     the accumulator keeps none.  A step allocates only moved-sized arrays,
     plus the jump families' Poisson counts and a profit kernel's one
-    temporary (see `evaluate`).  Returns the `result()` arrays joined on the
-    last axis.
+    temporary (see `evaluate`); w_j exists only where C moves.  Returns the
+    `result()` arrays joined on the last axis: each chunk reduces its paths
+    to finished rows first, so the join holds one array per result.
     """
     disc = np.exp(-r * h * np.arange(n_steps + 1))
     ly = math.log(y)
@@ -240,13 +244,13 @@ def _forward(model, r, b, x, y, scales, n, rng, h, n_steps, workers, new):
     def chunk(lo: int, hi: int, sub: np.random.Generator):
         m = hi - lo
         acc = new(h, disc, m)
-        # w starts below every level, so that every path reads b at j = 1;
-        # the step maximum there is at least X_0 = 0, so w_1 >= x
-        x_j, w_j, lz = np.zeros(m), np.full(m, -np.inf), np.empty(m)
-        x_next, top = np.empty(m), np.empty(m)
+        x_j, lz, x_next, top = np.zeros(m), np.empty(m), np.empty(m), np.empty(m)
         if scales is None:
             lc, c, moved, invest = [ly], [y], None, None
         else:
+            # w starts below every level, so that every path reads b at j = 1;
+            # the step maximum there is at least X_0 = 0, so w_1 >= x
+            w_j = np.full(m, -np.inf)
             lc, c = np.full((len(scales), m), ly), np.full((len(scales), m), float(y))
         for j in range(1, n_steps + 1):
             if acc.done:
@@ -301,11 +305,14 @@ class _Value:
 
 class _FirstHits:
     """Running trapezoid A_j of e^{-rs} pi_c(z_s, C_s), for the pass's first
-    policy or C = y; A_j and e^{-r t_j} at the first index where each stop
-    holds.  A stop is data: ("fixed", grid index), or ("hit_above", level) /
-    ("hit_below", level) on X.  Where the pass moves C, the slackness is summed
-    by parts, so that no terms growing with C cancel; with C held at y,
-    stepping ends once all paths stop."""
+    policy or C = y, and per stop and path the first grid index tau where the
+    stop holds (-1 while it has not) with A_tau there.  A stop is data:
+    ("fixed", grid index), or ("hit_above", level) / ("hit_below", level) on
+    X.  Where the pass moves C, the slackness is summed by parts, so that no
+    terms growing with C cancel; with C held at y, stepping ends once all
+    paths stop.  `result()` turns each A_tau row, in its own buffer, into the
+    supergradient terms A_N - A_tau - e^{-r tau} (0 where the stop was never
+    hit) and returns them with each stop's hit count and the slackness."""
 
     done = False
 
@@ -314,8 +321,8 @@ class _FirstHits:
         pi_c0 = float(marginal_profit(p, x, math.log(y)))
         self.f, self.f_next = np.full(m, disc[0] * pi_c0), np.empty(m)
         self.a, self.slack, self.dslack = np.zeros(m), np.zeros(m), np.empty(m)
-        self.hit = np.zeros((len(stops), m), dtype=bool)
-        self.a_tau, self.d_tau = np.zeros((len(stops), m)), np.zeros((len(stops), m))
+        self.tau = np.full((len(stops), m), -1, dtype=np.int32)
+        self.a_tau = np.zeros((len(stops), m))
         self._record(0, np.zeros(m))
 
     def step(self, j, x_j, lz, lc, c, moved, invest):
@@ -334,22 +341,48 @@ class _FirstHits:
         self.a += da
         self.f, self.f_next = f, da
         self._record(j, x_j)
-        self.done = moved is None and bool(self.hit.all())
+        self.done = moved is None and bool(self.tau.min() >= 0)
 
     def _record(self, j: int, x_j: np.ndarray) -> None:
         for k, (kind, at) in enumerate(self.stops):
             if kind == "fixed":
                 if j != at:
                     continue
-                newly = ~self.hit[k]
+                newly = self.tau[k] < 0
             else:
-                newly = (x_j >= at if kind == "hit_above" else x_j <= at) & ~self.hit[k]
+                newly = (x_j >= at if kind == "hit_above" else x_j <= at) & (self.tau[k] < 0)
             np.copyto(self.a_tau[k], self.a, where=newly)
-            np.copyto(self.d_tau[k], self.disc[j], where=newly)
-            self.hit[k] |= newly
+            np.copyto(self.tau[k], j, where=newly)
+
+    def _disc_at(self, tau: np.ndarray) -> np.ndarray:
+        """e^{-r t_tau} per path (any value where tau = -1), in the slackness
+        step's buffer.  The spent flow buffer holds tau widened to int64, so
+        that np.take makes no index copy of its own."""
+        idx = self.f.view(np.int64)
+        np.copyto(idx, tau)
+        return np.take(self.disc, idx, out=self.dslack, mode="clip")
 
     def result(self):
-        return self.a, self.a_tau, self.d_tau, self.hit, self.slack
+        hits = np.empty((len(self.stops), 1), dtype=np.int64)  # a column per chunk when joined
+        for k, (row, tau) in enumerate(zip(self.a_tau, self.tau)):
+            missed = tau < 0
+            np.subtract(self.a, row, out=row)
+            row -= self._disc_at(tau)
+            row[missed] = 0.0
+            hits[k] = tau.size - np.count_nonzero(missed)
+        return self.a_tau, hits, self.slack
+
+
+class _StoppingValue(_FirstHits):
+    """The first-hit pass of one stop, whose `result()` is the one row
+    A_tau + e^{-r tau} where the stop was hit and A_N elsewhere, formed in
+    the A_tau buffer."""
+
+    def result(self):
+        row, tau = self.a_tau[0], self.tau[0]
+        row += self._disc_at(tau)
+        np.copyto(row, self.a, where=tau < 0)
+        return (row,)
 
 
 # -- value estimation -----------------------------------------------------------
@@ -473,17 +506,12 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
              for rule in rules]
     if any(kind == "fixed" and k > n_steps for kind, k in stops):
         raise DomainError("fixed stopping times must lie within the truncation horizon")
-    a_end, a_tau, d_tau, hit, slack = _forward(
-        model, r, b, x, y, (1.0,), n_paths, rng, h, n_steps, workers,
-        partial(_FirstHits, p, x, y, stops))
-    # A_N - A_tau - e^{-r tau} where the stop was hit, else 0, formed in a_tau
-    terms = np.subtract(a_end, a_tau, out=a_tau)
-    terms -= d_tau
-    terms[~hit] = 0.0
+    terms, hits, slack = _forward(model, r, b, x, y, (1.0,), n_paths, rng, h, n_steps,
+                                  workers, partial(_FirstHits, p, x, y, stops))
     sg, sg_se = _mean_se(terms)
     slackness, slackness_se = _mean_se(slack)
     entries = tuple(FOCEntry(rule=rule, supergradient=float(sg[k]), se=float(sg_se[k]),
-                             hit_fraction=float(hit[k].mean()))
+                             hit_fraction=float(hits[k].sum() / n_paths))
                     for k, rule in enumerate(rules))
     return FOCReport(entries=entries, slackness=float(slackness), slackness_se=float(slackness_se),
                      n_paths=n_paths, step=h, t_max=n_steps * h)
@@ -510,8 +538,7 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     if lbx >= ly or y <= np.exp(lbx):
         return 1.0, 0.0
     a = b.first_reach(ly) - x
-    a_end, a_tau, d_tau, hit, _ = _forward(
-        model, r, b, x, y, None, n_paths, rng, h, n_steps, workers,
-        partial(_FirstHits, p, x, y, [("hit_above", a)]))
-    mean, se = _mean_se(np.where(hit[0], a_tau[0] + d_tau[0], a_end))
+    values, = _forward(model, r, b, x, y, None, n_paths, rng, h, n_steps, workers,
+                       partial(_StoppingValue, p, x, y, [("hit_above", a)]))
+    mean, se = _mean_se(values)
     return float(mean), float(se)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +338,38 @@ class TestExtremaPool:
         got = [pool.terminal[:5], pool.running_max[:5], pool.running_min[:5]]
         for column, want in zip(got, expected):
             assert column == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    # SHA-256 of terminal.tobytes() + running_max.tobytes() for 20000 draws,
+    # one full chunk and a partial one, recorded before the first jump
+    # segment ran in place: every draw and every rounding of the pool
+    POOL_SHA256 = {
+        "brownian": (BD, "b17ac7f9c02edbebdeb77cdb28f5e48f6f62fc271fa2bd22952cffbb3d1411cf"),
+        "merton": (MERTON, "5eb8badaf862c94487fa73fecbe4783b6bfd7bc82354fbd934084e48a482229a"),
+        "kou": (KOU, "d32e82cbdbc6f15cc9099df440ecfa45efcd1357b2f83f4deb53d15dbdfc10f9"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family", sorted(POOL_SHA256))
+    def test_whole_pool_pinned_bit_for_bit(self, family, workers):
+        model, want = self.POOL_SHA256[family]
+        pool = sample_extrema(model, 1.0, 20000, np.random.default_rng(20241017),
+                              workers=workers)
+        got = hashlib.sha256(pool.terminal.tobytes() + pool.running_max.tobytes())
+        assert got.hexdigest() == want
+
+    def test_jump_chunk_working_set(self):
+        # horizons, arrival times, the two outputs and the increment's
+        # buffers: 10.1 float arrays of the chunk's length.  Index gathers
+        # and full-size segment copies in the first segment took 17.4.
+        m = levy._CHUNK
+        sample_extrema(KOU, 1.0, 1000, np.random.default_rng(8))
+        tracemalloc.start()
+        try:
+            sample_extrema(KOU, 1.0, m, np.random.default_rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * m
 
 
 def stable_spitzer(lam, r, scale, alpha, nq=400, nt=2000):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,3 +452,41 @@ def test_lookups_only_where_the_maximum_moved(monkeypatch):
         points.clear()
         call = run(BD)
         assert 0 < sum(points) <= 0.1 * call.n_paths * round(call.t_max / call.step)
+
+
+def _chunk_peak(run) -> float:
+    """The traced peak of run(_CHUNK) after a warm-up run(1000), in float
+    arrays of one full chunk's length."""
+    m = levyinvest.levy._CHUNK
+    run(1000)
+    tracemalloc.start()
+    try:
+        run(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * m)
+
+
+def test_first_hit_pass_holds_hit_indices():
+    # criterion 9's five stops keep an A_tau row and an int32 hit index each
+    # (7.5 arrays), beside the pass's buffers, the accumulator's five and
+    # the temporaries of step 1, where every path moves: 26.6 arrays.  With a
+    # float e^{-r tau} row and a bool hit row per stop the pass took 29.7.
+    y = float(TABLE(0.0))
+    peak = _chunk_peak(lambda n: foc_residuals(CD, BD, R, TABLE, 0.0, y, RULES, n,
+                                               np.random.default_rng(5), step=0.05,
+                                               t_max=2.5))
+    assert peak <= 28.0
+
+
+def test_stopping_pass_holds_hit_indices():
+    # one stop and no capacity to move: the four path buffers of the
+    # increment, the accumulator's five, one A_tau row and one hit index,
+    # 10.9 arrays; e^{-r tau} is gathered into a spent buffer.  The float
+    # e^{-r tau} and bool hit rows and the unused running maximum took 12.5.
+    y = 2.0 * float(TABLE(0.0))
+    peak = _chunk_peak(lambda n: stopping_value(CD, BD, R, TABLE, 0.0, y, n,
+                                                np.random.default_rng(6), step=0.05,
+                                                t_max=2.5))
+    assert peak <= 11.5
