@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .errors import (BracketFailure, DomainError, MonotonicityViolation,
                      UnsupportedModel)
@@ -47,7 +46,32 @@ __all__ = [
 GENERIC_SOLVER = "generic_solver"
 
 _LOG_ROOT_TOL = 1e-10  # final bracket width in log y
-_LAGUERRE_NODES = 32  # per mixture component of -I
+# The 32-point Gauss-Laguerre rule, laggauss(32) of numpy.polynomial written
+# out bit for bit (tested), applied per mixture component of -I: a fixed
+# table, so that exact mode computes no eigenvalues.  32 nodes already sit
+# at the rounding floor of the boundary.
+_LAGUERRE_NODES = np.array([
+    0.04448936583326739, 0.23452610951961825, 0.5768846293018863, 1.072448753817818,
+    1.7224087764446456, 2.5283367064257942, 3.492213273021994, 4.616456769749767,
+    5.903958504174244, 7.358126733186241, 8.982940924212597, 10.78301863253997,
+    12.763697986742725, 14.931139755522558, 17.292454336715316, 19.855860940336054,
+    22.630889013196775, 25.628636022459247, 28.862101816323474, 32.346629153964734,
+    36.10049480575197, 40.14571977153944, 44.50920799575494, 49.22439498730864,
+    54.33372133339691, 59.89250916213402, 65.97537728793505, 72.68762809066271,
+    80.18744697791352, 88.7353404178924, 98.82954286828398, 111.7513980979377,
+])
+_LAGUERRE_WEIGHTS = np.array([
+    0.10921834195242515, 0.2104431079387924, 0.23521322966984298, 0.19590333597287354,
+    0.1299837862860684, 0.07057862386571556, 0.03176091250917397, 0.011918214834838204,
+    0.003738816294611417, 0.0009808033066149246, 0.0002148649188013578,
+    3.920341967987801e-05, 5.934541612868448e-06, 7.41640457866734e-07,
+    7.604567879120552e-08, 6.350602226625618e-09, 4.281382971040738e-10,
+    2.305899491891237e-11, 9.799379288726772e-13, 3.2378016577291567e-14,
+    8.171823443420549e-16, 1.542133833393811e-17, 2.119792290163547e-19,
+    2.0544296737880036e-21, 1.3469825866373617e-23, 5.661294130397462e-26,
+    1.4185605454629684e-28, 1.9133754944539943e-31, 1.1922487600982012e-34,
+    2.6715112192396625e-38, 1.3386169421064243e-42, 4.5105361938987784e-48,
+])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +178,9 @@ def _rule(factors: WienerHopfFactors):
     nodes (t_j, a_j) give E[f(I)] = sum_k w_k sum_j a_j f(-t_j / rho_k)."""
     if not factors.is_exact:
         return factors.pool.running_min, None
-    t, a = laggauss(_LAGUERRE_NODES)
     rates = np.asarray(factors.min_rates, dtype=float)[:, None]
-    return (-t / rates).ravel(), (np.asarray(factors.min_weights)[:, None] * a).ravel()
+    return ((-_LAGUERRE_NODES / rates).ravel(),
+            (np.asarray(factors.min_weights)[:, None] * _LAGUERRE_WEIGHTS).ravel())
 
 
 def _gap(p: ProfitFunction, r: float, us: np.ndarray, nodes: np.ndarray, w,

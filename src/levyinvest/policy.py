@@ -320,7 +320,8 @@ class _FirstHits:
         self.p, self.y, self.stops, self.h, self.disc = p, y, stops, h, disc
         pi_c0 = float(marginal_profit(p, x, math.log(y)))
         self.f, self.f_next = np.full(m, disc[0] * pi_c0), np.empty(m)
-        self.a, self.slack, self.dslack = np.zeros(m), np.zeros(m), np.empty(m)
+        self.a, self.dslack = np.zeros(m), np.empty(m)
+        self.slack = None  # allocated once the pass first moves C
         self.tau = np.full((len(stops), m), -1, dtype=np.int32)
         self.a_tau = np.zeros((len(stops), m))
         self._record(0, np.zeros(m))
@@ -337,6 +338,8 @@ class _FirstHits:
             ds = np.subtract(c[0], self.y, out=self.dslack)
             ds *= da
             ds[moved] -= invest[0]
+            if self.slack is None:
+                self.slack = np.zeros(len(ds))
             self.slack += ds
         self.a += da
         self.f, self.f_next = f, da

@@ -10,7 +10,9 @@ exponential jump components (`_exponential_jumps`: brownian_drift and kou)
 both factors are rational: M and -I are finite mixtures of exponentials
 whose rates are the positive respectively (sign-flipped) negative roots of
 psi(lam) = r, psi continued across its poles, and whose weights follow from
-one product formula (Lewis & Mordecki, J. Appl. Prob. 2008).  Everything
+one product formula (Lewis & Mordecki, J. Appl. Prob. 2008).  Each root is
+bracketed between adjacent poles (or beyond the outermost one) and solved
+on psi - r itself, with no polynomial and no eigenvalue routine.  Everything
 else falls back to Monte Carlo over (X_T, M) draws, I read as X_T - M.
 """
 
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import BracketFailure, DomainError, UnsupportedModel
 from .levy import (ExtremaPool, Family, LevyModel, _check_replicates, _mean_se, _psi,
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
+_MAX_DOUBLINGS = 1024  # 2.0 ** 1024 overflows
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,39 +85,43 @@ def cramer_roots(model: LevyModel, r: float) -> tuple[float, ...]:
     """All real roots of psi(lam) = r, sorted ascending.
 
     m up and n down exponential jump components give m+1 positive and n+1
-    negative roots, one between each pair of adjacent poles (0 separates the
-    signs).  They are located as the roots of the polynomial (psi - r) * pole
-    factors, each given a 1e-9 relative bracket clipped to its pole interval,
-    and then solved on psi - r itself, all in one roots.bisect call
-    (Chandrupatla's method, which never leaves a bracket).  psi - r rises
-    through every positive root and falls through every negative one, which
-    orients the brackets; BracketFailure if a bracket's end values do not
-    have those signs.  The end values checked are the ones roots.bisect
-    starts from.
+    negative roots, one between each pair of adjacent poles, 0 separating
+    the signs, and one beyond each outermost pole.  Each root is bracketed
+    in its own interval: the ends next to a pole are the neighbouring
+    floats of that pole, on the interval's side, so psi is never evaluated
+    at a pole, and each outer end starts 1 beyond the outermost pole and
+    doubles its distance until psi - r > 0.  psi - r rises through every
+    positive root and falls through every negative one, which orients the
+    brackets; BracketFailure if a bracket's end values do not have those
+    signs.  All brackets are solved in one roots.bisect call (Chandrupatla's
+    method, which never leaves a bracket) to a relative width of 2**-52,
+    about one ulp, starting from the end values checked here.
     """
     if not r > 0:
         raise DomainError(f"discount rate must be > 0, got {r!r}")
     up, down = _exponential_jumps(model)
-    q = model.jump_intensity
-    # psi - r = num / den: add the jump terms q p eta / (eta -+ lam) one by one
-    num, den = np.array([-q - r, model.mu, 0.5 * model.sigma ** 2]), np.ones(1)
-    for p, eta, sign in [(p, eta, -1.0) for p, eta in up] + [(p, eta, 1.0) for p, eta in down]:
-        num = npoly.polyadd(npoly.polymul(num, (eta, sign)), q * p * eta * den)
-        den = npoly.polymul(den, (eta, sign))
-    located = np.sort(npoly.polyroots(num).real)
-    edges = np.array([-math.inf, *sorted([0.0, *(e for _, e in up), *(-e for _, e in down)]),
-                      math.inf])
-    inside = np.nextafter(edges[:-1], edges[1:]), np.nextafter(edges[1:], edges[:-1])
-    below = np.clip(located - 1e-9 * np.abs(located), *inside)
-    above = np.clip(located + 1e-9 * np.abs(located), *inside)
-    positive = edges[:-1] >= 0.0
-    lo, hi = np.where(positive, above, below), np.where(positive, below, above)
     g = lambda lam: _psi(model, lam) - r
+    poles = np.array(sorted([0.0, *(e for _, e in up), *(-e for _, e in down)]))
+    outer = [_beyond(g, float(poles[0]), -1.0), _beyond(g, float(poles[-1]), 1.0)]
+    left = np.array([outer[0], *np.nextafter(poles, math.inf)])
+    right = np.array([*np.nextafter(poles, -math.inf), outer[1]])
+    positive = left > 0.0
+    lo, hi = np.where(positive, right, left), np.where(positive, left, right)
     g_lo, g_hi = g(lo), g(hi)
     if not (np.all(g_lo > 0.0) and np.all(g_hi <= 0.0)):
         raise BracketFailure(f"psi - r does not change sign as expected on the brackets "
-                             f"around the located roots {located.tolist()!r}")
-    return tuple(float(x) for x in bisect(g, lo, hi, g_lo, g_hi))
+                             f"between the poles {poles.tolist()!r}")
+    return tuple(float(x) for x in bisect(g, lo, hi, g_lo, g_hi, rel_tol=2.0 ** -52))
+
+
+def _beyond(g, pole: float, step: float) -> float:
+    """pole + step * 2**k for the first k >= 0 with g > 0 there; BracketFailure
+    if there is none before step * 2**k overflows."""
+    for k in range(_MAX_DOUBLINGS):
+        x = pole + step * 2.0 ** k
+        if g(x) > 0.0:
+            return x
+    raise BracketFailure(f"psi - r stays <= 0 beyond the pole at {pole!r}")
 
 
 def _mixture_weights(rates, jumps) -> tuple[float, ...]:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
 import subprocess
@@ -25,12 +26,40 @@ def test_submodule_exports_resolve(name):
     assert missing == []
 
 
-def test_import_does_not_load_scipy():
+EXACT_MODE_WITHOUT_LAPACK = """
+import math, sys
+import numpy.linalg
+
+def refuse(*args, **kwargs):
+    raise AssertionError("exact mode called an eigenvalue routine")
+
+for name in ("eigvals", "eigvalsh", "eig", "eigh"):
+    setattr(numpy.linalg, name, refuse)
+import levyinvest as lv
+from levyinvest.cli import main
+
+kou = lv.LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
+lv.exact_factors(lv.LevyModel.brownian(0.0, math.sqrt(2.0)), 2.0)
+factors = lv.exact_factors(kou, 0.5)
+lv.solve_boundary_grid(lv.ces(0.5, 0.5), factors, -1.0, 1.0, 5)
+lv.closed_form_boundary_table(lv.ces(0.5, 0.5), factors, -1.0, 1.0, 5)
+assert main(["boundary", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+def test_import_does_not_load_scipy(tmp_path):
     # nor the thread pool and the logging it imports, loaded only for --workers > 1
     code = ("import levyinvest, levyinvest.cli, sys; assert 'scipy' not in sys.modules; "
             "assert 'concurrent.futures' not in sys.modules; "
             "assert 'logging' not in sys.modules")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    # exact mode runs on a fixed Gauss-Laguerre table and pole brackets:
+    # no numpy.polynomial, and no LAPACK eigenvalue routine
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "kou_ces.json")
+    cp = subprocess.run([sys.executable, "-c", EXACT_MODE_WITHOUT_LAPACK, config,
+                         str(tmp_path / "out")], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
 import levyinvest.boundary
 from levyinvest.boundary import (BoundaryTable, _rule, ces_boundary_constant,
@@ -322,6 +323,15 @@ class TestScalingLaw:
 
 
 class TestRule:
+    @pytest.mark.parametrize("wh", [WH, WH_KOU], ids=["brownian", "kou"])
+    def test_table_is_laggauss_bit_for_bit(self, wh):
+        # the fixed table reproduces the rule computed by numpy.polynomial
+        t, a = laggauss(32)
+        rates, mix = np.array(wh.min_rates)[:, None], np.array(wh.min_weights)[:, None]
+        nodes, weights = _rule(wh)
+        assert nodes.tobytes() == (-t / rates).ravel().tobytes()
+        assert weights.tobytes() == (mix * a).ravel().tobytes()
+
     @pytest.mark.parametrize("wh", [WH, WH_KOU], ids=["brownian", "kou"])
     def test_exponential_moments_match_exact(self, wh):
         nodes, weights = _rule(wh)

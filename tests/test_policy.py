@@ -482,11 +482,12 @@ def test_first_hit_pass_holds_hit_indices():
 
 def test_stopping_pass_holds_hit_indices():
     # one stop and no capacity to move: the four path buffers of the
-    # increment, the accumulator's five, one A_tau row and one hit index,
-    # 10.9 arrays; e^{-r tau} is gathered into a spent buffer.  The float
-    # e^{-r tau} and bool hit rows and the unused running maximum took 12.5.
+    # increment, the accumulator's four, one A_tau row and one hit index,
+    # 9.9 arrays; e^{-r tau} is gathered into a spent buffer, and no
+    # slackness sum is allocated.  The float e^{-r tau} and bool hit rows, the
+    # unused running maximum and the slackness sum took 12.5.
     y = 2.0 * float(TABLE(0.0))
     peak = _chunk_peak(lambda n: stopping_value(CD, BD, R, TABLE, 0.0, y, n,
                                                 np.random.default_rng(6), step=0.05,
                                                 t_max=2.5))
-    assert peak <= 11.5
+    assert peak <= 10.5

@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 
 import levyinvest.wiener_hopf
 from levyinvest.errors import BracketFailure, DomainError, UnsupportedModel
-from levyinvest.levy import LevyModel, laplace_exponent
+from levyinvest.levy import LevyModel, _psi, laplace_exponent
 from levyinvest.wiener_hopf import (WienerHopfFactors, cramer_roots, exact_factors,
                                     inf_moment, inf_moment_with_se, sample_triplet,
                                     sup_moment_diagnostics, wh_identity_residual)
@@ -16,6 +16,9 @@ BD = LevyModel.brownian(0.0, np.sqrt(2.0))
 KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
 MERTON = LevyModel.merton(0.0, 0.3, 2.0, -0.05, 0.2)
 R_BD, R_KOU = 2.0, 0.5
+# (mu, p_up, eta_plus, eta_minus, r) of Kou models with sigma 0.3, intensity 2
+KOU_CASES = [(0.1, 0.5, 10.0, 10.0, 0.5), (-0.3, 0.2, 3.0, 25.0, 0.05),
+             (0.8, 0.9, 40.0, 2.0, 2.0), (0.0, 0.5, 1.5, 1.5, 10.0)]
 
 
 def sup_moment(factors, lam):
@@ -57,9 +60,7 @@ class TestCramerRoots:
         assert cramer_roots(LevyModel.brownian(mu, sigma), r) == pytest.approx(
             expected, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("mu, p_up, eta_plus, eta_minus, r", [
-        (0.1, 0.5, 10.0, 10.0, 0.5), (-0.3, 0.2, 3.0, 25.0, 0.05),
-        (0.8, 0.9, 40.0, 2.0, 2.0), (0.0, 0.5, 1.5, 1.5, 10.0)])
+    @pytest.mark.parametrize("mu, p_up, eta_plus, eta_minus, r", KOU_CASES)
     def test_kou_roots_interlace_and_weights_match_partial_fractions(
             self, mu, p_up, eta_plus, eta_minus, r):
         model = LevyModel.kou(mu, 0.3, 2.0, p_up, eta_plus, eta_minus)
@@ -74,12 +75,38 @@ class TestCramerRoots:
                     b2 * (ep - b1) / (ep * (b2 - b1)), b1 * (b2 - ep) / (ep * (b2 - b1)))
         assert wh.min_weights + wh.max_weights == pytest.approx(expected, rel=1e-9)
 
-    def test_misplaced_root_is_never_returned(self, monkeypatch):
-        # a located root on the pole: its bracket is clipped to one side of
-        # the pole, so the root finder cannot converge to the pole instead
-        located = np.array(cramer_roots(KOU, R_KOU))
-        located[-1] = KOU.eta_plus
-        monkeypatch.setattr(npoly, "polyroots", lambda c: located)
+    @pytest.mark.parametrize("model, r", [
+        *((LevyModel.kou(mu, 0.3, 2.0, p_up, eta_plus, eta_minus), r)
+          for mu, p_up, eta_plus, eta_minus, r in KOU_CASES),
+        (BD, R_BD), (LevyModel.brownian(2.0, 0.05), 0.01)],
+        ids=["kou0", "kou1", "kou2", "kou3", "brownian", "brownian_drift"])
+    def test_every_root_is_a_sign_change_of_psi(self, model, r):
+        # each root is a float where the computed psi - r crosses 0: its
+        # neighbours on either side have opposite signs, or psi - r is 0 there
+        for x in cramer_roots(model, r):
+            g = [_psi(model, float(v)) - r for v in np.nextafter(x, [-math.inf, math.inf])]
+            assert _psi(model, x) == r or g[0] * g[1] < 0.0
+
+    def test_outer_roots_found_by_doubling(self):
+        # sigma = 1e-3 puts the outer negative root near -2 mu / sigma^2, so
+        # its bracket's outer end doubled its distance from the pole 18 times;
+        # the roots of the polynomial (psi - r) (10 - lam) (10 + lam) check all four
+        model = LevyModel.kou(0.1, 1e-3, 1.0, 0.5, 10.0, 10.0)
+        roots = cramer_roots(model, R_KOU)
+        assert roots[0] < -10.0 - 2.0 ** 17
+        base = (-model.jump_intensity - R_KOU, model.mu, 0.5 * model.sigma ** 2)
+        num = npoly.polyadd(npoly.polymul(base, (100.0, 0.0, -1.0)),
+                            (100.0 * model.jump_intensity,))
+        assert roots == pytest.approx(sorted(npoly.polyroots(num).real), rel=1e-9)
+
+    @pytest.mark.parametrize("flip", [
+        lambda psi: lambda m, lam: -psi(m, lam),  # psi - r falls through positive roots
+        lambda psi: lambda m, lam: psi(m, lam) + 1e300,  # psi > r next to the poles
+        lambda psi: lambda m, lam: 0.0 * lam,  # psi < r out to overflow
+    ], ids=["negated", "shifted", "flat"])
+    def test_misoriented_psi_raises(self, flip, monkeypatch):
+        monkeypatch.setattr(levyinvest.wiener_hopf, "_psi",
+                            flip(levyinvest.wiener_hopf._psi))
         with pytest.raises(BracketFailure):
             cramer_roots(KOU, R_KOU)
 

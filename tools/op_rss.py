@@ -11,6 +11,9 @@ Artifacts go to a temporary directory; nothing under DIR is written.
 
 Prints one line after the imports and one after each op: the op, its exit
 status, its latency and the process's peak RSS so far (`ru_maxrss`, MB).
+An op line ends with the modules that the op imported first, one name per
+newly loaded package (new keys of `sys.modules` whose parent is not new
+too), so that an op whose peak comes from an import shows it by name.
 With --traced, tracemalloc runs from the end of the imports on, each op line
 adds the op's traced peak (MB), and the RSS readings include tracemalloc's
 own bookkeeping.  After the last op, one line per op gives the SHA-256 of
@@ -39,6 +42,14 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _new_imports(loaded: set) -> str:
+    """The line suffix "  imports a, b" naming the packages first imported
+    since `loaded` was taken, each by its outermost new name; "" if none."""
+    new = set(sys.modules) - loaded
+    roots = sorted(name for name in new if name.rpartition(".")[0] not in new)
+    return f"  imports {', '.join(roots)}" if roots else ""
+
+
 def run_ops(tree: str, workload: str, seed: int, traced: bool) -> None:
     """Run the workload's ops in this process and print the readings."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
@@ -65,6 +76,7 @@ def run_ops(tree: str, workload: str, seed: int, traced: bool) -> None:
         runs = []
         for op, cfg_path in zip(ops, paths):
             out_dir = os.path.join(tmp, "out", op.op_id)
+            loaded = set(sys.modules)
             if traced:
                 tracemalloc.reset_peak()
             t0 = time.perf_counter()
@@ -73,6 +85,7 @@ def run_ops(tree: str, workload: str, seed: int, traced: bool) -> None:
             line = f"{op.op_id:34} {str(rc):>4} {latency:10.3f} {_rss_mb():13.3f}"
             if traced:
                 line += f" {tracemalloc.get_traced_memory()[1] / 2 ** 20:15.3f}"
+            line += _new_imports(loaded)
             print(line if crash is None else f"{line}  crashed", flush=True)
             runs.append((op.op_id, out_dir, stdout))
         # digests read the artifacts back, so they wait until every reading is taken
