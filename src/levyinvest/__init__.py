@@ -17,17 +17,15 @@ from .config import ExperimentConfig, load_config, parse_config
 from .errors import (BracketFailure, ConditionViolation, ConstructionError,
                      DomainError, LevyInvestError, MonotonicityViolation,
                      ParseError, UnsupportedModel, ValidationError)
-from .levy import ExtremaPool, Family, LevyModel, laplace_exponent, sample_extrema
-from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport,
-                     PolicyEvaluation, StoppingRule, compare_policies,
-                     evaluate_profit, exponential_time_values, foc_residuals,
+from .levy import Estimate, ExtremaPool, Family, LevyModel, laplace_exponent, sample_extrema
+from .policy import (ComparisonResult, ComparisonRow, FOCEntry, FOCReport, StoppingRule,
+                     compare_policies, exponential_time_values, foc_residuals,
                      stopping_value)
 from .profit import (AssumptionCheck, AssumptionReport, ProfitFunction,
                      check_assumptions, cobb_douglas, ces, evaluate,
                      kappa, log_profit, marginal_profit)
 from .wiener_hopf import (WienerHopfFactors, cramer_roots, exact_factors, inf_moment,
-                          inf_moment_with_se, sample_triplet, sup_moment_diagnostics,
-                          wh_identity_residual)
+                          moment_estimate, sample_triplet, wh_identity_residual)
 
 __version__ = "0.1.0"
 
@@ -37,12 +35,11 @@ __all__ = [
     "LevyInvestError", "ConstructionError", "DomainError", "UnsupportedModel",
     "BracketFailure", "MonotonicityViolation", "ConditionViolation",
     "ParseError", "ValidationError",
-    # shock models
-    "Family", "LevyModel", "ExtremaPool", "laplace_exponent", "sample_extrema",
+    # shock models and estimates
+    "Family", "LevyModel", "ExtremaPool", "Estimate", "laplace_exponent", "sample_extrema",
     # factorization
-    "WienerHopfFactors", "cramer_roots",
-    "exact_factors", "sample_triplet", "inf_moment", "inf_moment_with_se",
-    "sup_moment_diagnostics", "wh_identity_residual",
+    "WienerHopfFactors", "cramer_roots", "exact_factors", "sample_triplet",
+    "inf_moment", "moment_estimate", "wh_identity_residual",
     # profit
     "ProfitFunction", "cobb_douglas", "ces", "log_profit",
     "evaluate", "marginal_profit", "kappa", "AssumptionCheck",
@@ -52,9 +49,8 @@ __all__ = [
     "solve_boundary_point", "solve_boundary_grid", "integral_equation_residual",
     "ces_boundary_constant", "ces_polynomial_constant", "closed_form_boundary_table",
     # policy
-    "StoppingRule", "PolicyEvaluation", "ComparisonRow", "ComparisonResult",
-    "FOCEntry", "FOCReport", "evaluate_profit", "compare_policies",
-    "exponential_time_values", "foc_residuals", "stopping_value",
+    "StoppingRule", "ComparisonRow", "ComparisonResult", "FOCEntry", "FOCReport",
+    "compare_policies", "exponential_time_values", "foc_residuals", "stopping_value",
     # configuration
     "ExperimentConfig", "load_config", "parse_config",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (BracketFailure, DomainError, MonotonicityViolation,
                      UnsupportedModel)
-from .levy import LevyModel, _check_replicates, _mean_se, sample_extrema
+from .levy import Estimate, LevyModel, _check_replicates, _mean_se, sample_extrema
 from .profit import ProfitFunction, kappa, marginal_profit
 from .roots import bisect, expand_bracket_geometric
 from .wiener_hopf import WienerHopfFactors, inf_moment
@@ -243,14 +243,14 @@ def _solve(p: ProfitFunction, factors: WienerHopfFactors, us: np.ndarray):
 
 
 def marginal_gap(p: ProfitFunction, factors: WienerHopfFactors, u: float,
-                 y: float) -> tuple[float, float]:
+                 y: float) -> Estimate:
     """E[pi_c(exp(u + I), y)] - r with its standard error (0 in exact mode)."""
     u = _log_shock(u)
     if not y > 0:
         raise DomainError(f"capacity must be > 0, got {y!r}")
     gap, se = _gap(p, factors.r, np.array([u]), *_rule(factors), np.log([float(y)]),
                    with_se=True)
-    return float(gap[0]), 0.0 if se is None else float(se[0])
+    return Estimate(float(gap[0]), 0.0 if se is None else float(se[0]))
 
 
 def solve_boundary_point(p: ProfitFunction, factors: WienerHopfFactors,
@@ -282,7 +282,7 @@ def solve_boundary_grid(p: ProfitFunction, factors: WienerHopfFactors,
 
 def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
                                u0: float, n: int, rng: np.random.Generator, *,
-                               workers: int = 1) -> tuple[float, float]:
+                               workers: int = 1) -> Estimate:
     """Monte Carlo residual of the boundary's integral characterization.
 
     Averages pi_c(exp(u0 + X_T), b(u0 + M)) - r over one pool of n draws of
@@ -302,7 +302,7 @@ def integral_equation_residual(b, p: ProfitFunction, model: LevyModel, r: float,
     pool = sample_extrema(model, r, n, rng, workers=workers)
     mean, se = _mean_se(marginal_profit(p, u0 + pool.terminal,
                                         b.log(u0 + pool.running_max)))
-    return float(mean) - r, float(se)
+    return Estimate(float(mean) - r, float(se))
 
 
 # -- closed forms -------------------------------------------------------------

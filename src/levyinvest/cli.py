@@ -47,10 +47,11 @@ import numpy as np
 from .boundary import closed_form_boundary_table, integral_equation_residual, solve_boundary_grid
 from .config import ExperimentConfig, _as_seed, load_config
 from .errors import LevyInvestError, UnsupportedModel, ValidationError
+from .levy import Estimate
 from .profit import _certified_growth, _certified_variance, check_assumptions
-from .policy import _at_base, compare_policies, exponential_time_values
-from .wiener_hopf import (_identity_target, exact_factors, inf_moment, inf_moment_with_se,
-                          sample_triplet, sup_moment_diagnostics, wh_identity_residual)
+from .policy import _check_state, compare_policies, exponential_time_values
+from .wiener_hopf import (_identity_target, exact_factors, inf_moment, moment_estimate,
+                          sample_triplet, wh_identity_residual)
 
 __all__ = ["main"]
 
@@ -59,11 +60,13 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _ratio(residual: float, se: float) -> float:
-    """residual / se; NaN unless both are finite, 0 when the SE is 0."""
-    if not (math.isfinite(residual) and math.isfinite(se)):
-        return math.nan
-    return residual / se if se > 0 else 0.0
+def _residual(est: Estimate) -> dict:
+    """An estimated residual with its SE and their ratio, NaN unless both are
+    finite and 0 when the SE is 0."""
+    residual, se = est
+    finite = math.isfinite(residual) and math.isfinite(se)
+    ratio = (residual / se if se > 0 else 0.0) if finite else math.nan
+    return {"residual": residual, "se": se, "ratio": ratio}
 
 
 def _json(cfg: ExperimentConfig, payload: dict) -> str:
@@ -120,12 +123,10 @@ def _cmd_verify(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -
                                                      "overflows a float")
     points = []
     for u0, y in zip(cfg.verify_u0, ys):
-        res, se = integral_equation_residual(table, cfg.profit, cfg.model, cfg.r,
-                                             u0, cfg.n_paths, rng, workers=workers)
+        est = integral_equation_residual(table, cfg.profit, cfg.model, cfg.r,
+                                         u0, cfg.n_paths, rng, workers=workers)
         table_se = None if table.ses is None else float(np.interp(u0, table.grid, table.ses))
-        points.append({"u0": float(u0), "y": y,
-                       "residual": res, "se": se, "table_se": table_se,
-                       "ratio": _ratio(res, se)})
+        points.append({"u0": float(u0), "y": y, "table_se": table_se, **_residual(est)})
     # every config profit kind has a closed form
     closed = closed_form_boundary_table(cfg.profit, factors,
                                         cfg.u_min, cfg.u_max, cfg.grid_n)
@@ -153,31 +154,32 @@ def _cmd_wh_check(cfg: ExperimentConfig, rng: np.random.Generator, workers: int)
         exact_block = {
             "roots": list(exact.roots),
             "inf_moment_at_1": inf_moment(exact, 1.0),
-            "sup_moment_at_1": sup_moment_diagnostics(exact, 1.0)["estimate"],
+            "sup_moment_at_1": moment_estimate(exact, 1.0, sup=True)[0].value,
         }
     mc = sample_triplet(model, r, cfg.n_paths, rng, workers=workers)
-    inf_est, inf_se = inf_moment_with_se(mc, 1.0)
-    sup = sup_moment_diagnostics(mc, 1.0)
-    residual, res_se = wh_identity_residual(mc)
+    inf_est, _ = moment_estimate(mc, 1.0)
+    sup_est, share = moment_estimate(mc, 1.0, sup=True)
+    identity = _residual(wh_identity_residual(mc))
     return {"wh_check.json": _json(cfg, {
         "family": model.family.value,
         "r": r,
         "exact": exact_block,
         "mc": {
             "n": cfg.n_paths,
-            "inf_moment_at_1": {"estimate": inf_est, "se": inf_se},
-            "sup_moment_at_1": {"estimate": sup["estimate"], "se": sup["se"],
-                                "max_term_share": sup["max_term_share"]},
+            "inf_moment_at_1": {"estimate": inf_est.value, "se": inf_est.se},
+            "sup_moment_at_1": {"estimate": sup_est.value, "se": sup_est.se,
+                                "max_term_share": share},
         },
-        "identity": {"residual": residual, "se": res_se,
-                     "ratio": _ratio(residual, res_se)},
+        "identity": identity,
     })}
 
 
 def _policy_values(cfg: ExperimentConfig, rng: np.random.Generator, scales, workers: int):
     """The solved table's policies at `scales`, on the exponential-time engine
     when its variance is certified, else on the stepped engine."""
-    _certified_growth(cfg.profit, cfg.model, cfg.r)  # fail before the table is solved
+    # fail before the table is solved
+    _certified_growth(cfg.profit, cfg.model, cfg.r)
+    _check_state(cfg.x, cfg.y, cfg.n_paths, cfg.r, cfg.step, cfg.t_max)
     engine = (exponential_time_values if _certified_variance(cfg.profit, cfg.model, cfg.r)
               else compare_policies)
     _, table = _solve_table(cfg, rng, workers)
@@ -186,9 +188,12 @@ def _policy_values(cfg: ExperimentConfig, rng: np.random.Generator, scales, work
 
 
 def _cmd_simulate(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:
-    ev = _at_base(_policy_values(cfg, rng, (1.0,), workers))
+    # the comparison at the base scale alone, its one row's fields at the top level
+    result = dataclasses.asdict(_policy_values(cfg, rng, (1.0,), workers))
+    row, = result.pop("rows")
+    del row["scale"], row["base_minus_this"], row["base_minus_this_se"]
     return {"simulate.json": _json(cfg, {"state": {"x": cfg.x, "y": cfg.y},
-                                         **dataclasses.asdict(ev)})}
+                                         **result, **row})}
 
 
 def _cmd_compare(cfg: ExperimentConfig, rng: np.random.Generator, workers: int) -> dict:

@@ -20,7 +20,7 @@ draws the stable family by stick-breaking, so its terminal value and
 running maximum at an independent exponential horizon carry no
 discretization bias.
 Replicates run in fixed chunks through `_run_chunks` and are reduced to a
-mean and standard error by `_mean_se`.
+mean and standard error, an `Estimate`, by `_mean_se`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError
 
 __all__ = [
+    "Estimate",
     "Family",
     "LevyModel",
     "ExtremaPool",
@@ -350,9 +352,17 @@ def _check_replicates(n: int) -> None:
         raise DomainError(f"need at least {_MIN_REPLICATES} replicates, got {n!r}")
 
 
-def _mean_se(a: np.ndarray):
+class Estimate(NamedTuple):
+    """A value and its standard error, 0.0 for an exact value; unpacks as
+    `value, se`."""
+
+    value: float
+    se: float
+
+
+def _mean_se(a: np.ndarray) -> Estimate:
     """Mean and standard error std(ddof=1) / sqrt(n) of `a` over its last axis."""
-    return a.mean(axis=-1), a.std(ddof=1, axis=-1) / math.sqrt(a.shape[-1])
+    return Estimate(a.mean(axis=-1), a.std(ddof=1, axis=-1) / math.sqrt(a.shape[-1]))
 
 
 # -- extrema at an exponential horizon -----------------------------------------

@@ -28,8 +28,8 @@ one `sample_extrema` pool draws (X_T, M) in its exact joint law.  Its
 estimator has a finite variance when psi(2 lam) < r for every growth
 exponent lam (`profit._certified_variance`); the engine refuses otherwise.
 
-The stepped engine serves every estimate: the values (`evaluate_profit`,
-`compare_policies`), the first-order conditions and the stopping value.
+The stepped engine serves every estimate: the values (`compare_policies`),
+the first-order conditions and the stopping value.
 All of these come from one forward pass, `_forward`, on the grid t_j = j * step
 up to t_max, with one of two accumulators.  The pass alone reads the table and
 owns the capacity: it changes only where the running maximum makes a new high
@@ -68,20 +68,19 @@ from functools import partial
 import numpy as np
 
 from .errors import ConditionViolation, DomainError
-from .levy import (LevyModel, _check_replicates, _increment, _mean_se, _run_chunks,
-                   sample_extrema)
+from .levy import (Estimate, LevyModel, _check_replicates, _increment, _mean_se,
+                   _run_chunks, sample_extrema)
 from .profit import (ProfitFunction, _certified_growth, _certified_variance, evaluate,
                      marginal_profit)
 
 __all__ = [
     "StoppingRule",
-    "PolicyEvaluation",
     "ComparisonRow",
     "ComparisonResult",
     "FOCEntry",
     "FOCReport",
-    "evaluate_profit",
     "compare_policies",
+    "evaluate_profit",
     "exponential_time_values",
     "foc_residuals",
     "stopping_value",
@@ -124,19 +123,6 @@ class StoppingRule:
         if self.kind == "fixed":
             return f"t={self.at:g}"
         return f"X {'>=' if self.kind == 'hit_above' else '<='} {self.at:g}"
-
-
-@dataclass(frozen=True)
-class PolicyEvaluation:
-    j_value: float
-    j_se: float
-    pv_investment: float
-    pv_investment_se: float
-    n_paths: int
-    step: float
-    t_max: float
-    tail_bound: float
-    engine: str = "stepped"
 
 
 @dataclass(frozen=True)
@@ -391,31 +377,6 @@ class _StoppingValue(_FirstHits):
 # -- value estimation -----------------------------------------------------------
 
 
-def evaluate_profit(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
-                    y: float, n_paths: int, rng: np.random.Generator, *,
-                    step: float | None = None, t_max: float | None = None,
-                    workers: int = 1) -> PolicyEvaluation:
-    """Monte Carlo value of the reflection policy generated by boundary b.
-
-    Returns the discounted-profit-minus-investment estimate with standard
-    errors, the truncation horizon, and the certified tail-order bound
-    exp(-(r - growth) * t_max).  ConditionViolation when no growth
-    certificate exists for the (profit, model) pair.
-    """
-    res = compare_policies(p, model, r, b, x, y, (1.0,), n_paths, rng,
-                           step=step, t_max=t_max, workers=workers)
-    return _at_base(res)
-
-
-def _at_base(res: ComparisonResult) -> PolicyEvaluation:
-    """The base-scale (1.0) row of a comparison, as a PolicyEvaluation."""
-    row = next(row for row in res.rows if row.scale == 1.0)
-    return PolicyEvaluation(
-        j_value=row.j_value, j_se=row.j_se, pv_investment=row.pv_investment,
-        pv_investment_se=row.pv_investment_se, n_paths=res.n_paths, step=res.step,
-        t_max=res.t_max, tail_bound=res.tail_bound, engine=res.engine)
-
-
 def _row(scale: float, j: np.ndarray, pv: np.ndarray, j_base: np.ndarray) -> ComparisonRow:
     """The row of `scale` from its value and investment samples, paired with j_base."""
     (j_mean, j_se), (pv_mean, pv_se) = _mean_se(j), _mean_se(pv)
@@ -444,6 +405,14 @@ def compare_policies(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     rows = tuple(_row(s, j_rows[k], pv_rows[k], j_base) for k, s in enumerate(scales))
     return ComparisonResult(rows=rows, n_paths=n_paths, step=h, t_max=n_steps * h,
                             tail_bound=math.exp(-(r - growth) * n_steps * h))
+
+
+def evaluate_profit(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
+                    y: float, n_paths: int, rng: np.random.Generator,
+                    **kwargs) -> ComparisonResult:
+    """`compare_policies` at the base scale alone.  No caller in the package:
+    it stays while `bench/tracer.py` names it as a target."""
+    return compare_policies(p, model, r, b, x, y, (1.0,), n_paths, rng, **kwargs)
 
 
 def exponential_time_values(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
@@ -523,7 +492,7 @@ def foc_residuals(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
 def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
                    y: float, n_paths: int, rng: np.random.Generator, *,
                    step: float | None = None, t_max: float | None = None,
-                   workers: int = 1) -> tuple[float, float]:
+                   workers: int = 1) -> Estimate:
     """Value of stopping at the first grid time where b(x + X) reaches y.
 
     Estimates E[ integral_0^tau e^{-rs} pi_c(e^{x + X_s}, y) ds + e^{-r tau} ]
@@ -539,9 +508,9 @@ def stopping_value(p: ProfitFunction, model: LevyModel, r: float, b, x: float,
     # in logs first, so that b(x) is formed only below y and cannot overflow
     ly, lbx = math.log(y), b.log(x)
     if lbx >= ly or y <= np.exp(lbx):
-        return 1.0, 0.0
+        return Estimate(1.0, 0.0)
     a = b.first_reach(ly) - x
     values, = _forward(model, r, b, x, y, None, n_paths, rng, h, n_steps, workers,
                        partial(_StoppingValue, p, x, y, [("hit_above", a)]))
     mean, se = _mean_se(values)
-    return float(mean), float(se)
+    return Estimate(float(mean), float(se))

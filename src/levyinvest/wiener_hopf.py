@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, DomainError, UnsupportedModel
-from .levy import (ExtremaPool, Family, LevyModel, _check_replicates, _mean_se, _psi,
-                   laplace_exponent, sample_extrema)
+from .levy import (Estimate, ExtremaPool, Family, LevyModel, _check_replicates, _mean_se,
+                   _psi, laplace_exponent, sample_extrema)
 from .roots import bisect
 
 __all__ = [
@@ -34,8 +34,7 @@ __all__ = [
     "exact_factors",
     "sample_triplet",
     "inf_moment",
-    "inf_moment_with_se",
-    "sup_moment_diagnostics",
+    "moment_estimate",
     "wh_identity_residual",
 ]
 
@@ -159,8 +158,8 @@ def sample_triplet(model: LevyModel, r: float, n: int, rng: np.random.Generator,
 
 
 def _moment(factors: WienerHopfFactors, lam: float, sup: bool,
-            out: np.ndarray | None = None) -> tuple[float, float, np.ndarray | None]:
-    """E[exp(lam * M)] (sup) or E[exp(lam * I)], its standard error and the
+            out: np.ndarray | None = None) -> tuple[Estimate, np.ndarray | None]:
+    """E[exp(lam * M)] (sup) or E[exp(lam * I)] with its standard error, and the
     per-draw terms exp(lam * extremum) of the pool; exact factors sum their
     mixture (a rate rho contributes rho / (rho -+ lam)), SE 0.0, terms None.
     The pool terms are formed in one array, `out` when given (one row of
@@ -186,7 +185,7 @@ def _moment(factors: WienerHopfFactors, lam: float, sup: bool,
             terms *= lam
         np.exp(terms, out=terms)
         mean, se = _mean_se(terms)
-        return float(mean), float(se), terms
+        return Estimate(float(mean), float(se)), terms
     rates, weights = ((factors.max_rates, factors.max_weights) if sup
                       else (factors.min_rates, factors.min_weights))
     if sup and lam >= min(rates):
@@ -194,31 +193,27 @@ def _moment(factors: WienerHopfFactors, lam: float, sup: bool,
     total = 0.0
     for w, rho in zip(weights, rates):
         total += w * rho / (rho - lam if sup else rho + lam)
-    return total, 0.0, None
+    return Estimate(total, 0.0), None
 
 
 def inf_moment(factors: WienerHopfFactors, lam: float) -> float:
     """E[exp(lam * I)] for lam >= 0 (always finite since I <= 0)."""
-    return _moment(factors, lam, sup=False)[0]
+    return _moment(factors, lam, sup=False)[0].value
 
 
-def inf_moment_with_se(factors: WienerHopfFactors, lam: float) -> tuple[float, float]:
-    """E[exp(lam * I)] and its standard error (0 in exact mode)."""
-    return _moment(factors, lam, sup=False)[:2]
-
-
-def sup_moment_diagnostics(factors: WienerHopfFactors, lam: float) -> dict:
-    """E[exp(lam * M)] as "estimate" with its "se", and "max_term_share": the
-    largest single draw's share of the estimator sum, where values near 1 mean
-    one draw dominates, the telltale of a diverging (or barely finite) moment.
-    Exact factors give se 0.0 and max_term_share None, and DomainError where the
-    moment diverges (lam at or above the smallest positive root of psi = r)."""
-    mean, se, terms = _moment(factors, lam, sup=True)
-    share = None
-    if terms is not None:
-        total = float(terms.sum())
-        share = float(terms.max() / total) if total > 0 else float("nan")
-    return {"estimate": mean, "se": se, "max_term_share": share}
+def moment_estimate(factors: WienerHopfFactors, lam: float, *,
+                    sup: bool = False) -> tuple[Estimate, float | None]:
+    """E[exp(lam * M)] (sup) or E[exp(lam * I)] (lam >= 0) with its standard
+    error, and max_term_share: the largest single draw's share of the
+    estimator sum, where values near 1 mean one draw dominates, the telltale
+    of a diverging (or barely finite) moment.  Exact factors give SE 0.0 and
+    share None, and DomainError where the sup moment diverges (lam at or
+    above the smallest positive root of psi = r)."""
+    est, terms = _moment(factors, lam, sup)
+    if terms is None:
+        return est, None
+    total = float(terms.sum())
+    return est, float(terms.max() / total) if total > 0 else float("nan")
 
 
 def _identity_target(model: LevyModel, r: float) -> float:
@@ -231,30 +226,29 @@ def _identity_target(model: LevyModel, r: float) -> float:
     return r / (r - psi1)
 
 
-def wh_identity_residual(factors: WienerHopfFactors) -> tuple[float, float]:
+def wh_identity_residual(factors: WienerHopfFactors) -> Estimate:
     """Monte Carlo check of E[e^M] * E[e^I] = r / (r - psi(1)) on the factors' pool.
 
-    Forms the product of the two sample means that sup_moment_diagnostics and
-    inf_moment_with_se report at lam = 1, and returns (product - target,
-    propagated standard error).  M and I = X_T - M are independent, so the
-    covariance of the two means is zero in law; the propagation still keeps
-    its sample value, since both means come from the same replicates.  The
-    sup and inf terms fill the two rows of one (2, n) block, and their
-    covariance is formed in that block with np.cov's arithmetic (ddof 1).
-    DomainError if psi(1) does not exist or r <= psi(1); UnsupportedModel on
-    exact factors.
+    Forms the product of the two sample means that moment_estimate reports at
+    lam = 1, and returns product - target with its propagated standard error.
+    M and I = X_T - M are independent, so the covariance of the two means is
+    zero in law; the propagation still keeps its sample value, since both
+    means come from the same replicates.  The sup and inf terms fill the two
+    rows of one (2, n) block, and their covariance is formed in that block
+    with np.cov's arithmetic (ddof 1).  DomainError if psi(1) does not exist
+    or r <= psi(1); UnsupportedModel on exact factors.
     """
     if factors.is_exact:
         raise UnsupportedModel("the identity residual applies to Monte Carlo factors only")
     target = _identity_target(factors.model, factors.r)
     n = len(factors.pool)
     t = np.empty((2, n))
-    mean_a = _moment(factors, 1.0, sup=True, out=t[0])[0]
-    mean_b = _moment(factors, 1.0, sup=False, out=t[1])[0]
+    mean_a = _moment(factors, 1.0, sup=True, out=t[0])[0].value
+    mean_b = _moment(factors, 1.0, sup=False, out=t[1])[0].value
     t -= t.mean(axis=1)[:, None]
     cov = np.dot(t, t.T)
     cov *= 1.0 / (n - 1)
     var_prod = (mean_b ** 2 * cov[0, 0] + mean_a ** 2 * cov[1, 1]
                 + 2.0 * mean_a * mean_b * cov[0, 1])
     se = math.sqrt(max(var_prod, 0.0) / n)
-    return mean_a * mean_b - target, se
+    return Estimate(mean_a * mean_b - target, se)

@@ -22,7 +22,7 @@ from levyinvest.errors import BracketFailure
 from levyinvest.levy import LevyModel, laplace_exponent
 from levyinvest.policy import StoppingRule, compare_policies, foc_residuals, stopping_value
 from levyinvest.profit import ces, check_assumptions, cobb_douglas, log_profit
-from levyinvest.wiener_hopf import (exact_factors, inf_moment, inf_moment_with_se,
+from levyinvest.wiener_hopf import (exact_factors, inf_moment, moment_estimate,
                                     sample_triplet, wh_identity_residual)
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
@@ -73,7 +73,7 @@ def test_criterion_02_exact_factor_oracle(wh_bd, wh_kou):
     for exact, model, r in ((wh_bd, BD, R_BD), (wh_kou, KOU, R_KOU)):
         mc = sample_triplet(model, r, N_BIG, rng)
         for lam in (0.25, 0.5, 1.0):
-            est, se = inf_moment_with_se(mc, lam)
+            (est, se), _ = moment_estimate(mc, lam)
             z = (est - inf_moment(exact, lam)) / se
             worst = max(worst, abs(z))
             assert abs(z) <= 3.0, \

@@ -146,3 +146,46 @@ def test_artifacts_written_in_one_place():
                                                     "_SUBCOMMANDS"))
     for handler in cli._HANDLERS.values():
         assert list(inspect.signature(handler).parameters) == ["cfg", "rng", "workers"]
+
+
+ESTIMATORS = {
+    "marginal_gap_exact": lambda f: levyinvest.marginal_gap(f.cd, f.exact, 0.0, 1.0),
+    "marginal_gap_mc": lambda f: levyinvest.marginal_gap(f.cd, f.mc, 0.0, 1.0),
+    "integral_equation_residual": lambda f: levyinvest.integral_equation_residual(
+        f.table, f.cd, f.bd, 2.0, 0.0, 1000, f.rng()),
+    "wh_identity_residual": lambda f: levyinvest.wh_identity_residual(f.mc),
+    # y below b(0) returns before any path; twice b(0) steps the paths
+    "stopping_value_at_once": lambda f: levyinvest.stopping_value(
+        f.cd, f.bd, 2.0, f.table, 0.0, 1e-3, 1000, f.rng(), step=0.1, t_max=1.0),
+    "stopping_value_stepped": lambda f: levyinvest.stopping_value(
+        f.cd, f.bd, 2.0, f.table, 0.0, 2.0 * float(f.table(0.0)), 1000, f.rng(),
+        step=0.1, t_max=1.0),
+    "moment_inf_exact": lambda f: levyinvest.moment_estimate(f.exact, 0.5)[0],
+    "moment_sup_exact": lambda f: levyinvest.moment_estimate(f.exact, 0.5, sup=True)[0],
+    "moment_inf_mc": lambda f: levyinvest.moment_estimate(f.mc, 0.5)[0],
+    "moment_sup_mc": lambda f: levyinvest.moment_estimate(f.mc, 0.5, sup=True)[0],
+}
+
+
+@pytest.fixture(scope="module")
+def estimator_inputs():
+    import types
+
+    import numpy as np
+
+    bd, cd = levyinvest.LevyModel.brownian(0.0, 2 ** 0.5), levyinvest.cobb_douglas(0.5, 0.5)
+    exact = levyinvest.exact_factors(bd, 2.0)
+    return types.SimpleNamespace(
+        bd=bd, cd=cd, exact=exact,
+        mc=levyinvest.sample_triplet(bd, 2.0, 1000, np.random.default_rng(0)),
+        table=levyinvest.closed_form_boundary_table(cd, exact, -1.0, 1.0, 5),
+        rng=lambda: np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATORS))
+def test_estimators_return_an_estimate_of_floats(case, estimator_inputs):
+    # one record for every (value, SE) pair, so that artifacts serialize it alike
+    est = ESTIMATORS[case](estimator_inputs)
+    assert type(est) is levyinvest.Estimate
+    assert type(est.value) is float and type(est.se) is float
+    assert est.se >= 0.0

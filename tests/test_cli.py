@@ -17,7 +17,7 @@ import levyinvest.wiener_hopf
 from levyinvest.cli import main
 from levyinvest.config import load_config
 from levyinvest.errors import ConditionViolation, DomainError
-from levyinvest.levy import LevyModel, laplace_exponent
+from levyinvest.levy import Estimate, LevyModel, laplace_exponent
 from levyinvest.policy import exponential_time_values
 from levyinvest.profit import ces, cobb_douglas
 from levyinvest.wiener_hopf import _identity_target, exact_factors
@@ -130,11 +130,12 @@ class TestSubcommands:
         assert math.isnan(json.loads(read(out + "/wh_check.json"))["identity"]["ratio"])
 
     def test_ratio_rule(self):
-        assert levyinvest.cli._ratio(1.0, 2.0) == 0.5
-        assert levyinvest.cli._ratio(0.0, 0.0) == 0.0
+        block = levyinvest.cli._residual
+        assert block(Estimate(1.0, 2.0)) == {"residual": 1.0, "se": 2.0, "ratio": 0.5}
+        assert block(Estimate(0.0, 0.0))["ratio"] == 0.0
         for res, se in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
                         (1.0, float("inf"))):
-            assert math.isnan(levyinvest.cli._ratio(res, se))
+            assert math.isnan(block(Estimate(res, se))["ratio"])
 
     def test_boundary_solver_block(self, config_path, tmp_path):
         out = str(tmp_path / "art")
@@ -414,8 +415,14 @@ class TestPolicyEngine:
         cmp_doc = json.loads(read(out + "/compare.json"))
         assert sim["engine"] == cmp_doc["engine"] == engine
         base = [r for r in cmp_doc["rows"] if r["scale"] == 1.0][0]
-        assert sim["j_value"] == base["j_value"] and sim["j_se"] == base["j_se"]
-        assert sim["step"] == cmp_doc["step"] > 0 and sim["t_max"] == cmp_doc["t_max"] > 0
+        run_keys = {"config_sha256", "seed", "state", "n_paths", "step", "t_max",
+                    "tail_bound", "engine"}
+        row_keys = {"j_value", "j_se", "pv_investment", "pv_investment_se"}
+        assert set(sim) == run_keys | row_keys
+        assert set(cmp_doc) == run_keys | {"rows"}
+        assert {key: sim[key] for key in run_keys} == {key: cmp_doc[key] for key in run_keys}
+        assert {key: sim[key] for key in row_keys} == {key: base[key] for key in row_keys}
+        assert sim["step"] > 0 and sim["t_max"] > 0
         assert (sim["tail_bound"] == 0.0) is (engine == "exponential_time")
 
     def test_exponential_time_worker_count_byte_identical(self, tmp_path, pool_calls):
@@ -612,6 +619,27 @@ class TestErrorHandling:
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["type"] == "ValidationError" and error["key"] == "verify.u0[1]"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["merton_cobb_douglas", "brownian_cobb_douglas"])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_time_grid_rejected_before_the_table_is_solved(self, command, name, tmp_path,
+                                                           capsys, monkeypatch):
+        # t_max below the step: no grid, so no table is solved or pool drawn
+        path = tmp_path / "grid.json"
+        mc = dict(example(name)["mc"], step=0.5, t_max=0.1)
+        path.write_text(json.dumps(example(name, mc=mc)), encoding="utf-8")
+
+        def expensive(*args, **kwargs):
+            raise AssertionError("the table was solved before the time grid was checked")
+
+        monkeypatch.setattr(levyinvest.cli, "_solve_table", expensive)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "DomainError" and "t_max must exceed the step" in error["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "wh-check"])

@@ -50,52 +50,51 @@ class TestStoppingRule:
         assert "<=" in StoppingRule.hit_below(-0.3).label()
 
 
-class TestEvaluateProfit:
+def base_value(model, r, b, y, n, rng, **kwargs):
+    """compare_policies at the base scale alone, the value of the policy from b."""
+    return compare_policies(CD, model, r, b, 0.0, y, [1.0], n, rng, **kwargs)
+
+
+class TestBaseValue:
     def test_zero_policy_matches_closed_form(self):
         # boundary pinned far below y: capacity never moves, so the value is
         # the discounted flow of pi(z, y) with its geometric-Brownian moment
-        ev = evaluate_profit(CD, BD, R, NEVER, 0.0, 1.0, 20000, np.random.default_rng(1),
-                             step=H, t_max=TM)
+        res = base_value(BD, R, NEVER, 1.0, 20000, np.random.default_rng(1), step=H, t_max=TM)
+        row, = res.rows
         psi = laplace_exponent(BD, CD.alpha)
-        exact = (1 - np.exp(-(R - psi) * ev.t_max)) / (R - psi)
-        assert ev.pv_investment == 0.0
-        assert abs(ev.j_value - exact) < 4 * ev.j_se
+        exact = (1 - np.exp(-(R - psi) * res.t_max)) / (R - psi)
+        assert row.pv_investment == 0.0
+        assert abs(row.j_value - exact) < 4 * row.j_se
 
     def test_tail_bound_formula(self):
-        ev = evaluate_profit(CD, BD, R, TABLE, 0.0, 1.0, N,
-                             np.random.default_rng(2), step=H, t_max=TM)
-        assert ev.tail_bound == pytest.approx(np.exp(-(R - 1.0) * ev.t_max))
+        res = base_value(BD, R, TABLE, 1.0, N, np.random.default_rng(2), step=H, t_max=TM)
+        assert res.tail_bound == pytest.approx(np.exp(-(R - 1.0) * res.t_max))
 
     def test_worker_invariance(self):
-        a = evaluate_profit(CD, BD, R, TABLE, 0.0, 0.05, 40000,
-                            np.random.default_rng(3), step=H, t_max=TM, workers=1)
-        b = evaluate_profit(CD, BD, R, TABLE, 0.0, 0.05, 40000,
-                            np.random.default_rng(3), step=H, t_max=TM, workers=4)
+        a = base_value(BD, R, TABLE, 0.05, 40000, np.random.default_rng(3), step=H, t_max=TM,
+                       workers=1)
+        b = base_value(BD, R, TABLE, 0.05, 40000, np.random.default_rng(3), step=H, t_max=TM,
+                       workers=4)
         assert a == b
 
     def test_stable_has_no_certificate(self):
         with pytest.raises(ConditionViolation):
-            evaluate_profit(CD, STABLE, 1.0, TABLE, 0.0, 1.0, N,
-                            np.random.default_rng(4), step=H, t_max=TM)
+            base_value(STABLE, 1.0, TABLE, 1.0, N, np.random.default_rng(4), step=H, t_max=TM)
 
     def test_subcritical_rate_rejected(self):
         with pytest.raises(ConditionViolation):
-            evaluate_profit(CD, BD, 0.9, TABLE, 0.0, 1.0, N,
-                            np.random.default_rng(6), step=H, t_max=TM)
+            base_value(BD, 0.9, TABLE, 1.0, N, np.random.default_rng(6), step=H, t_max=TM)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            evaluate_profit(CD, BD, R, TABLE, 0.0, -1.0, N,
-                            np.random.default_rng(7), step=H, t_max=TM)
+            base_value(BD, R, TABLE, -1.0, N, np.random.default_rng(7), step=H, t_max=TM)
         with pytest.raises(DomainError):
-            evaluate_profit(CD, BD, R, TABLE, 0.0, 1.0, 10,
-                            np.random.default_rng(8), step=H, t_max=TM)
+            base_value(BD, R, TABLE, 1.0, 10, np.random.default_rng(8), step=H, t_max=TM)
 
     @pytest.mark.parametrize("step, t_max", [(0.0, TM), (-H, TM), (H, H), (H, 0.5 * H)])
     def test_grid_validation(self, step, t_max):
         with pytest.raises(DomainError):
-            evaluate_profit(CD, BD, R, TABLE, 0.0, 1.0, N,
-                            np.random.default_rng(7), step=step, t_max=t_max)
+            base_value(BD, R, TABLE, 1.0, N, np.random.default_rng(7), step=step, t_max=t_max)
 
     def test_default_horizon(self):
         # None: step 1e-3 / r and t_max 20 / r, reported by the exponential-time

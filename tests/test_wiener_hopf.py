@@ -7,10 +7,10 @@ from numpy.polynomial import polynomial as npoly
 
 import levyinvest.wiener_hopf
 from levyinvest.errors import BracketFailure, DomainError, UnsupportedModel
-from levyinvest.levy import LevyModel, _psi, laplace_exponent
+from levyinvest.levy import Estimate, LevyModel, _psi, laplace_exponent
 from levyinvest.wiener_hopf import (WienerHopfFactors, cramer_roots, exact_factors,
-                                    inf_moment, inf_moment_with_se, sample_triplet,
-                                    sup_moment_diagnostics, wh_identity_residual)
+                                    inf_moment, moment_estimate, sample_triplet,
+                                    wh_identity_residual)
 
 BD = LevyModel.brownian(0.0, np.sqrt(2.0))
 KOU = LevyModel.kou(0.1, 0.2, 1.0, 0.5, 10.0, 10.0)
@@ -22,7 +22,7 @@ KOU_CASES = [(0.1, 0.5, 10.0, 10.0, 0.5), (-0.3, 0.2, 3.0, 25.0, 0.05),
 
 
 def sup_moment(factors, lam):
-    return sup_moment_diagnostics(factors, lam)["estimate"]
+    return moment_estimate(factors, lam, sup=True)[0].value
 
 
 class TestCramerRoots:
@@ -175,14 +175,13 @@ class TestMoments:
 
     def test_exact_moments_have_zero_se(self):
         wh = exact_factors(KOU, R_KOU)
-        _, se = inf_moment_with_se(wh, 0.5)
-        assert se == 0.0
+        (_, se), share = moment_estimate(wh, 0.5)
+        assert se == 0.0 and share is None
 
     def test_exact_diagnostics(self):
-        diag = sup_moment_diagnostics(exact_factors(BD, R_BD), 1.0)
+        est, share = moment_estimate(exact_factors(BD, R_BD), 1.0, sup=True)
         b = math.sqrt(2.0)
-        assert diag == {"estimate": pytest.approx(b / (b - 1.0)), "se": 0.0,
-                        "max_term_share": None}
+        assert est == (pytest.approx(b / (b - 1.0)), 0.0) and share is None
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_lambda_rejected_before_any_pool_pass(self, lam):
@@ -192,7 +191,7 @@ class TestMoments:
 
         pooled = WienerHopfFactors(model=KOU, r=R_KOU, pool=Untouchable())
         for factors in (exact_factors(KOU, R_KOU), pooled):
-            for moment in (inf_moment, inf_moment_with_se, sup_moment_diagnostics):
+            for moment in (inf_moment, moment_estimate, sup_moment):
                 with pytest.raises(DomainError, match="lambda must be finite"):
                     moment(factors, lam)
 
@@ -202,7 +201,7 @@ class TestMonteCarlo:
         wh_mc = sample_triplet(BD, R_BD, 50000, np.random.default_rng(1))
         wh_ex = exact_factors(BD, R_BD)
         for lam in (0.25, 0.5, 1.0):
-            est, se = inf_moment_with_se(wh_mc, lam)
+            (est, se), _ = moment_estimate(wh_mc, lam)
             assert abs(est - inf_moment(wh_ex, lam)) < 3.5 * se
 
     @pytest.mark.parametrize("n", [1, 999])
@@ -220,10 +219,10 @@ class TestMonteCarlo:
 
     def test_diagnostics_fields(self):
         wh = sample_triplet(BD, R_BD, 5000, np.random.default_rng(3))
-        diag = sup_moment_diagnostics(wh, 1.0)
-        assert set(diag) == {"estimate", "se", "max_term_share"}
-        assert 0 < diag["max_term_share"] <= 1.0
-        assert diag["se"] > 0
+        est, share = moment_estimate(wh, 1.0, sup=True)
+        assert isinstance(est, Estimate)
+        assert 0 < share <= 1.0
+        assert est.se > 0
 
     def test_sup_moment_overflow_rejected_before_exp(self):
         # at lam = 800 exp(lam M) overflows; just inside the edge every field,
@@ -231,10 +230,10 @@ class TestMonteCarlo:
         # RuntimeWarning would fail the suite)
         wh = sample_triplet(KOU, R_KOU, 2000, np.random.default_rng(6))
         with pytest.raises(DomainError, match="overflow"):
-            sup_moment_diagnostics(wh, 800.0)
+            moment_estimate(wh, 800.0, sup=True)
         edge = (math.log(np.finfo(float).max) - math.log(2000)) / (2 * wh.pool.running_max.max())
-        diag = sup_moment_diagnostics(wh, 0.999 * edge)
-        assert all(math.isfinite(v) for v in diag.values())
+        est, share = moment_estimate(wh, 0.999 * edge, sup=True)
+        assert all(math.isfinite(v) for v in (*est, share))
 
     def test_identity_residual_within_band(self):
         res, se = wh_identity_residual(sample_triplet(KOU, R_KOU, 50000,
