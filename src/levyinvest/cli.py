@@ -2,6 +2,8 @@
 
     levy-invest <subcommand> --config FILE [--seed N] [--out DIR] [--workers N]
 
+Flags may come before or after the subcommand; `levy-invest --help` lists them all.
+
 Subcommands and their artifacts (written under the output directory):
 
     boundary            boundary.csv, boundary.json   solved boundary table
@@ -229,15 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="levy-invest",
         description="Optimal irreversible-investment boundaries under "
                     "exponential Levy shocks: solve, verify, and simulate.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-    for name in _HANDLERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-        sp.add_argument("--out", default=None,
-                        help="override the config output directory")
-        sp.add_argument("--workers", type=int, default=1,
+    parser.add_argument("subcommand", choices=list(_HANDLERS), help="what to compute")
+    parser.add_argument("--config", required=True, metavar="FILE", help="JSON config file")
+    parser.add_argument("--seed", type=int, metavar="N", help="override the config seed")
+    parser.add_argument("--out", metavar="DIR", help="override the config output directory")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker threads (results are worker-count invariant)")
     return parser
 
@@ -265,7 +263,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ValidationError("outputs", f"cannot create the output directory "
                                              f"{cfg.out_dir!r}: {exc.strerror}") from exc
-        artifacts = _HANDLERS[args.command](cfg, np.random.default_rng(cfg.seed), args.workers)
+        artifacts = _HANDLERS[args.subcommand](cfg, np.random.default_rng(cfg.seed), args.workers)
         for name, text in artifacts.items():
             path = os.path.join(cfg.out_dir, name)
             try:

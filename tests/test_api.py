@@ -148,6 +148,16 @@ def test_artifacts_written_in_one_place():
         assert list(inspect.signature(handler).parameters) == ["cfg", "rng", "workers"]
 
 
+def test_subcommands_listed_in_one_place():
+    # one parser whose subcommand choices are the handler table, no subparser per name
+    import levyinvest.cli as cli
+    subcommand, = [action for action in cli._build_parser()._actions
+                   if action.dest == "subcommand"]
+    assert subcommand.choices == list(cli._HANDLERS)
+    source = inspect.getsource(cli)
+    assert "add_subparsers" not in source and source.count("ArgumentParser(") == 1
+
+
 ESTIMATORS = {
     "marginal_gap_exact": lambda f: levyinvest.marginal_gap(f.cd, f.exact, 0.0, 1.0),
     "marginal_gap_mc": lambda f: levyinvest.marginal_gap(f.cd, f.mc, 0.0, 1.0),

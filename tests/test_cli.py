@@ -670,6 +670,24 @@ class TestErrorHandling:
             main(["frobnicate", "--config", "x"])
         assert exc.value.code == 2
 
+    def test_top_level_help_lists_subcommands_and_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for word in [*levyinvest.cli._HANDLERS, "--config", "--seed", "--out", "--workers"]:
+            assert word in captured.out
+
+    def test_flags_before_the_subcommand(self, tmp_path):
+        config = example_path("brownian_log")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--config", config, "--out", str(first), "boundary"]) == 0
+        assert main(["boundary", "--config", config, "--out", str(second)]) == 0
+        files = {p.name: p.read_bytes() for p in first.iterdir()}
+        assert sorted(files) == ["boundary.csv", "boundary.json"]
+        assert files == {p.name: p.read_bytes() for p in second.iterdir()}
+
     def test_console_entry_point(self, config_path, tmp_path):
         cp = subprocess.run(
             [sys.executable, "-m", "levyinvest.cli", "boundary",
